@@ -39,7 +39,6 @@ from repro.core.posting import (  # noqa: E402
     ChunkRun,
     LazyBytesReader,
     Posting,
-    block_codec_from_environ,
     build_rekey_operations,
     encode_blocked_chunk_runs,
     encode_blocked_id_postings,
@@ -173,10 +172,7 @@ def bench_decode_id_list(decode_postings: int, **_: object) -> dict:
 
     The list is written to a heap file in the blocked layout and decoded
     page-at-a-time through ``LazyBytesReader`` — the exact code path of the
-    ID/ID-TermScore query scan under the production (blocked) codec.  The
-    block payload codec follows ``REPRO_BLOCK_CODEC``, so running the bench
-    with ``groupvarint`` vs the ``varbyte`` default measures the group-varint
-    decode speedup directly; ``extra["codec"]`` records which one was timed.
+    ID/ID-TermScore query scan under the production (blocked) codec.
     """
     env = StorageEnvironment(cache_pages=65536, page_size=4096)
     heap = env.create_heapfile("bench.longlists")
@@ -193,16 +189,11 @@ def bench_decode_id_list(decode_postings: int, **_: object) -> dict:
             operations += 1
     elapsed = time.perf_counter() - start
     checksum = postings[-1].doc_id
-    return {"seconds": elapsed, "operations": operations, "checksum": checksum,
-            "extra": {"codec": block_codec_from_environ()}}
+    return {"seconds": elapsed, "operations": operations, "checksum": checksum}
 
 
 def bench_decode_chunk_list(decode_postings: int, **_: object) -> dict:
-    """Full lazy scan of one blocked chunked long list (the Chunk query scan).
-
-    Codec selection follows ``REPRO_BLOCK_CODEC`` exactly as in
-    :func:`bench_decode_id_list`.
-    """
+    """Full lazy scan of one blocked chunked long list (the Chunk query scan)."""
     env = StorageEnvironment(cache_pages=65536, page_size=4096)
     heap = env.create_heapfile("bench.chunklists")
     chunk_size = 512
@@ -221,8 +212,7 @@ def bench_decode_chunk_list(decode_postings: int, **_: object) -> dict:
         for _chunk_id, _doc_id, _term_score in iter_blocked_chunk_postings_lazy(reader):
             operations += 1
     elapsed = time.perf_counter() - start
-    return {"seconds": elapsed, "operations": operations,
-            "extra": {"codec": block_codec_from_environ()}}
+    return {"seconds": elapsed, "operations": operations}
 
 
 def bench_prefix_scan(docs: int, terms: int, **_: object) -> dict:
@@ -638,176 +628,6 @@ def bench_parallel_query_throughput(macro_docs: int, **_: object) -> dict:
     }
 
 
-def bench_block_skip_query(macro_docs: int, **_: object) -> dict:
-    """Block-max pruned top-k queries through the parallel fan-out.
-
-    A zipf-skewed corpus (few hot terms with very long lists) queried
-    conjunctive top-5 through ``IndexRouter(shards=4, threads=4)`` with the
-    blocked codec and pruning on — the regime where the executor-side stream
-    pumps consult the shared heap threshold and stop decoding at block
-    granularity.  ``extra["blocks_skipped"]`` records how many blocks the
-    skip step avoided reading (the pruning-effectiveness signal the
-    trajectory tracks alongside the throughput number); a drop to zero means
-    the skip step silently stopped firing even if wall-clock looks fine.
-    """
-    from repro.core.index_router import IndexRouter
-
-    # The skip step needs lists long enough that the heap floor passes a
-    # block bound, and a post-build update storm (updates promote documents
-    # into the short lists, which is what arms the pruning bound) — below
-    # ~4000 documents the whole workload fits ahead of the floor and nothing
-    # skips, so both scales share that minimum.
-    n_docs = max(4000, macro_docs * 4)
-    terms = [f"t{i:02d}" for i in range(12)]
-    rng = random.Random(3)
-    router = IndexRouter.build("score_threshold", shard_count=4, threads=4,
-                               page_size=512, cache_pages=4096,
-                               threshold_ratio=1.2)
-    for doc_id in range(n_docs):
-        count = rng.randint(3, 8)
-        chosen = [terms[min(int(rng.paretovariate(1.3)) % 12, 11)]
-                  for _ in range(count)]
-        router.add_document(doc_id, rng.expovariate(0.002) + 1.0, terms=chosen)
-    router.finalize()
-    update_rng = random.Random(99)
-    for _ in range(150):
-        router.update_score(update_rng.randrange(n_docs),
-                            update_rng.expovariate(0.002) + 1.0)
-    if router._pool is not None:
-        # Lazy pumps make the page/skip accounting deterministic across runs.
-        router._pool.scatter = False
-    queries = [(["t00", "t01"], 5, True), (["t00"], 5, False),
-               (["t01", "t02"], 3, False), (["t03", "t05", "t07"], 5, False)]
-    rounds = 3
-    operations = skipped = pages = 0
-    start = time.perf_counter()
-    for _ in range(rounds):
-        for keywords, k, conjunctive in queries:
-            router.drop_long_list_cache()
-            response = router.query(keywords, k=k, conjunctive=conjunctive)
-            skipped += response.stats.blocks_skipped
-            pages += response.stats.pages_read
-            operations += 1
-    elapsed = time.perf_counter() - start
-    router.shutdown()
-    return {
-        "seconds": elapsed,
-        "operations": operations,
-        "extra": {"blocks_skipped": skipped, "pages_read": pages},
-    }
-
-
-def bench_adaptive_batch_window(docs: int, terms: int, updates: int,
-                                **_: object) -> dict:
-    """Adaptive vs fixed update windows on a fig7-style batched storm.
-
-    Runs the same Chunk-method update storm through
-    ``apply_updates_batched`` once per fixed candidate window — 64, 256 (the
-    pre-adaptive default) and 1024 (past the fig7 experiment's 1000) — and
-    once with the adaptive controller, each against a fresh index over a
-    shared cache-pressured corpus.  The controller hill-climbs on measured
-    per-update cost, so it discovers that this engine's sorted bulk passes
-    keep getting cheaper with window size and converges near its
-    ``max_batch`` guardrail (the stall bound a service configures) — beating
-    every fixed candidate without anyone picking a number.  The reported
-    throughput is the adaptive run's; ``extra`` records each fixed
-    candidate's ops/s and the converged window, which is the evidence behind
-    ``apply_updates_batched(adaptive=True)`` being the default.
-    """
-    from dataclasses import replace
-
-    from repro.bench.runner import BenchScale, ExperimentRunner, MethodSetup
-    from repro.workloads.synthetic import SyntheticCorpusConfig
-
-    # The storm must be long enough for the controller's geometric ramp to
-    # amortize (it reaches max_batch within ~16k updates), whatever the
-    # scale's own update count is.
-    del updates
-    scale = replace(
-        BenchScale.small(),
-        corpus=SyntheticCorpusConfig(num_docs=600, terms_per_doc=60,
-                                     num_distinct_terms=5000, seed=7),
-        cache_pages=192,
-        num_updates=20_000,
-    )
-    runner = ExperimentRunner(scale)
-    stream = runner.make_updates()
-    setup = MethodSetup("chunk")
-    extra: dict = {}
-
-    def run_mode(adaptive: bool, batch_size: int) -> tuple[float, int, float]:
-        index, _build_s = runner.build_index(setup)
-        start = time.perf_counter()
-        metrics = runner.apply_updates_batched(
-            index, stream, batch_size=batch_size, adaptive=adaptive
-        )
-        elapsed = time.perf_counter() - start
-        return elapsed, metrics.operations, metrics.extra.get("batch_window", 0.0)
-
-    for fixed in (64, 256, 1024):
-        elapsed, operations, _window = run_mode(adaptive=False, batch_size=fixed)
-        extra[f"fixed_{fixed}_ops_per_sec"] = round(operations / elapsed, 1)
-    elapsed, operations, window = run_mode(adaptive=True, batch_size=256)
-    extra["adaptive_window"] = window
-    return {"seconds": elapsed, "operations": operations, "extra": extra}
-
-
-def bench_buffer_policy_scan(docs: int, terms: int, **_: object) -> dict:
-    """Scan-resistance of the midpoint-insertion pool vs plain LRU.
-
-    The fig7-shaped access pattern in miniature: a hot set (the Score table
-    and short lists) is touched between cold long-list scans that are larger
-    than the cache.  Under plain LRU every scan flushes the hot set; under
-    ``BufferPool(policy="midpoint")`` scanned pages die in the probationary
-    segment and the hot set stays protected.  ``extra`` records both hit
-    rates; the reported ops/s is the midpoint run's (hits are ~free, so
-    scan resistance shows up as throughput too).
-    """
-    from repro.storage.buffer_pool import BufferPool
-    from repro.storage.disk import SimulatedDisk
-
-    cache_pages = 256
-    hot_pages = 128       # fits the midpoint policy's protected segment (160)
-    hot_reps = 8          # Score-table/short-list touches between scans
-    scan_pages = 1024     # one long-list scan, 4x the whole cache
-    rounds = max(4, docs // 500)
-
-    def run_policy(policy: str) -> tuple[float, int, float, int]:
-        disk = SimulatedDisk(page_size=4096)
-        pool = BufferPool(disk, capacity_pages=cache_pages, policy=policy)
-        page_ids = [pool.allocate().page_id for _ in range(hot_pages + scan_pages)]
-        hot = page_ids[:hot_pages]
-        cold = page_ids[hot_pages:]
-        pool.drop()
-        pool.stats.reset()
-        disk.stats.reset()
-        operations = 0
-        start = time.perf_counter()
-        for _round in range(rounds):
-            for _rep in range(hot_reps):
-                for page_id in hot:
-                    pool.get(page_id)
-                    operations += 1
-            for page_id in cold:  # the cold sequential long-list scan
-                pool.get(page_id)
-                operations += 1
-        elapsed = time.perf_counter() - start
-        return elapsed, operations, pool.stats.hit_rate, disk.stats.reads
-
-    _lru_s, _lru_ops, lru_hit_rate, lru_reads = run_policy("lru")
-    elapsed, operations, midpoint_hit_rate, midpoint_reads = run_policy("midpoint")
-    return {
-        "seconds": elapsed,
-        "operations": operations,
-        "extra": {
-            "lru_hit_rate": round(lru_hit_rate, 4),
-            "midpoint_hit_rate": round(midpoint_hit_rate, 4),
-            "lru_disk_reads": lru_reads,
-            "midpoint_disk_reads": midpoint_reads,
-        },
-    }
-
-
 BENCHES = {
     "btree_insert": bench_btree_insert,
     "btree_score_update": bench_btree_score_update,
@@ -822,9 +642,6 @@ BENCHES = {
     "explain_overhead": bench_explain_overhead,
     "sharded_query_throughput": bench_sharded_query_throughput,
     "parallel_query_throughput": bench_parallel_query_throughput,
-    "block_skip_query": bench_block_skip_query,
-    "adaptive_batch_window": bench_adaptive_batch_window,
-    "buffer_policy_scan": bench_buffer_policy_scan,
 }
 
 

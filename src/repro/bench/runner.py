@@ -32,6 +32,15 @@ from repro.workloads.updates import (
 )
 
 
+#: Adaptive batch-window controller (:meth:`ExperimentRunner.apply_updates_batched`):
+#: window bounds, the windowed pool hit rate below which growth stops, and how
+#: much worse than the previous window a window must be to halve the next.
+_MIN_BATCH = 32
+_MAX_BATCH = 8192
+_SHRINK_HIT_RATE = 0.55
+_DEGRADE_TOLERANCE = 1.25
+
+
 @dataclass(frozen=True)
 class MethodSetup:
     """An index method plus the constructor options it should be built with."""
@@ -292,12 +301,7 @@ class ExperimentRunner:
     def apply_updates_batched(self, index: SVRTextIndex,
                               updates: Iterable[ScoreUpdate],
                               batch_size: int = 256,
-                              label: str = "batched-updates",
-                              adaptive: bool = True,
-                              min_batch: int = 32,
-                              max_batch: int = 8192,
-                              shrink_hit_rate: float = 0.55,
-                              degrade_tolerance: float = 1.25) -> OperationMetrics:
+                              label: str = "batched-updates") -> OperationMetrics:
         """Apply a score-update stream in windows through ``apply_score_updates``.
 
         Each window is resolved to absolute scores against the index's current
@@ -306,18 +310,17 @@ class ExperimentRunner:
         its updates), so ``avg_wall_ms`` is directly comparable with
         :meth:`apply_updates`.
 
-        With ``adaptive=True`` (the default — the ``adaptive_batch_window``
-        entry in ``BENCH_storage_micro.json`` shows the adaptive controller
-        beating every fixed candidate window on the fig7 batched storm; pass
-        ``adaptive=False`` to pin a fixed ``batch_size``) the window size
-        hill-climbs on the *measured per-update wall time*: a window that was
-        at least as cheap per update as the best seen so far doubles the next
-        one (bulk passes amortize more descents per leaf run), a window
-        ``degrade_tolerance``× worse than the previous one halves it.  The
-        windowed buffer-pool hit rate (the per-window form of
-        :meth:`repro.storage.buffer_pool.BufferPool.hit_rate`) acts as a
+        ``batch_size`` is the first window; after that the window size
+        hill-climbs on the *measured per-update wall time* (the historical
+        ``adaptive_batch_window`` entries in ``BENCH_storage_micro.json``
+        show the controller beating every fixed candidate window on the fig7
+        batched storm): a window that was at least as cheap per update as the
+        best seen so far doubles the next one (bulk passes amortize more
+        descents per leaf run), a window ``_DEGRADE_TOLERANCE``× worse than
+        the previous one halves it.  The windowed buffer-pool hit rate (the
+        per-window form of ``BufferPool.hit_rate``) acts as a
         brake: growth stops while the pool thrashes (hit rate below
-        ``shrink_hit_rate``) *and* the cost curve is no longer improving, so
+        ``_SHRINK_HIT_RATE``) *and* the cost curve is no longer improving, so
         a write burst never outruns what the cache absorbs.  The final window
         lands in ``metrics.extra["batch_window"]``.
         """
@@ -342,16 +345,16 @@ class ExperimentRunner:
             with meter.measure(batch_metrics):
                 index.apply_score_updates(resolved)
             metrics.record_spread(batch_metrics, operations=len(resolved))
-            if adaptive and len(resolved) >= window // 2:
+            if len(resolved) >= window // 2:
                 per_update = batch_metrics.wall_ms / len(resolved)
                 accesses = batch_metrics.pool_hits + batch_metrics.pages_read
                 hit_rate = batch_metrics.pool_hits / accesses if accesses else 1.0
                 if (previous_per_update is not None
-                        and per_update > previous_per_update * degrade_tolerance):
-                    window = max(min_batch, window // 2)
+                        and per_update > previous_per_update * _DEGRADE_TOLERANCE):
+                    window = max(_MIN_BATCH, window // 2)
                 elif (best_per_update is None or per_update <= best_per_update
-                        or hit_rate >= shrink_hit_rate):
-                    window = min(max_batch, window * 2)
+                        or hit_rate >= _SHRINK_HIT_RATE):
+                    window = min(_MAX_BATCH, window * 2)
                 if best_per_update is None or per_update < best_per_update:
                     best_per_update = per_update
                 previous_per_update = per_update

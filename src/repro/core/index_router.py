@@ -53,7 +53,6 @@ from repro.core.indexes.base import (
     QueryResponse,
     QueryStats,
     UpdateStats,
-    query_analysis_armed,
 )
 from repro.core.indexes.registry import create_index
 from repro.core.list_cache import list_cache_pages_from_environ
@@ -667,7 +666,6 @@ class IndexRouter:
             "query.pages_read": float(stats.pages_read),
             "query.pool_hits": float(stats.pool_hits),
             "query.postings_scanned": float(stats.postings_scanned),
-            "query.blocks_skipped": float(stats.blocks_skipped),
         }
         if stats.degraded:
             values["query.degraded"] = 1.0
@@ -676,7 +674,7 @@ class IndexRouter:
 
     @staticmethod
     def _term_attribution(root, stats: QueryStats) -> dict:
-        """Per-term page/block attribution for the slow-query log.
+        """Per-term page/posting attribution for the slow-query log.
 
         The fan-out path tags its span with exact per-term scan stats; the
         serial path has only the aggregate, reported under ``"*"``.
@@ -691,7 +689,6 @@ class IndexRouter:
         return {"*": {
             "pages_read": stats.pages_read,
             "postings_scanned": stats.postings_scanned,
-            "blocks_skipped": stats.blocks_skipped,
         }}
 
     def _query_impl(self, keywords: list, k: int,
@@ -769,21 +766,9 @@ class IndexRouter:
                 terms = self.index.prepare_query(keywords, k)
                 stats = QueryStats()
                 per_term = [QueryStats() for _ in terms]
-                if query_analysis_armed():
-                    # EXPLAIN ANALYZE journals skip decisions; the per-term
-                    # stats live on executor threads, so each gets its own
-                    # list and the coordinator folds them below.
-                    stats.skip_events = []
-                    for scan_stats in per_term:
-                        scan_stats.skip_events = []
                 epoch = self.shard_snapshots()
-                # The threshold is shared by every per-term plan: the merge
-                # thread publishes a monotone heap floor, shard executors
-                # consult it while prefetching.  Stale reads only
-                # under-prune, so no lock is needed.
-                threshold = self.index._make_query_threshold()
                 plans = self.index._term_scan_plans(
-                    terms, lambda index: per_term[index], threshold
+                    terms, lambda index: per_term[index]
                 )
                 latches = getattr(self.env, "shard_latches", None)
                 pumps = pump_plans(
@@ -798,7 +783,7 @@ class IndexRouter:
                 with span("query.merge"):
                     results = self.index._merge_term_streams(
                         [pump.stream() for pump in pumps], terms, k,
-                        conjunctive, stats, threshold
+                        conjunctive, stats
                     )
             finally:
                 for pump in pumps:
@@ -806,9 +791,6 @@ class IndexRouter:
             for scan_stats in per_term:
                 stats.postings_scanned += scan_stats.postings_scanned
                 stats.chunks_scanned += scan_stats.chunks_scanned
-                stats.blocks_skipped += scan_stats.blocks_skipped
-                if stats.skip_events is not None and scan_stats.skip_events:
-                    stats.skip_events.extend(scan_stats.skip_events)
             deltas = self.shard_deltas(epoch)
             stats.pages_read = sum(delta.page_reads for delta in deltas)
             stats.page_writes = sum(delta.page_writes for delta in deltas)
@@ -831,10 +813,8 @@ class IndexRouter:
         for term, scan_stats in zip(terms, per_term):
             bucket = per_shard.setdefault(self.shard_of_term(term), {
                 "shard.postings_scanned": 0.0,
-                "shard.blocks_skipped": 0.0,
             })
             bucket["shard.postings_scanned"] += float(scan_stats.postings_scanned)
-            bucket["shard.blocks_skipped"] += float(scan_stats.blocks_skipped)
         for shard, delta in enumerate(deltas):
             if delta.page_reads or delta.pool_hits:
                 bucket = per_shard.setdefault(shard, {})
@@ -849,7 +829,6 @@ class IndexRouter:
                     term: {
                         "shard": self.shard_of_term(term),
                         "postings_scanned": scan_stats.postings_scanned,
-                        "blocks_skipped": scan_stats.blocks_skipped,
                         "chunks_scanned": scan_stats.chunks_scanned,
                     }
                     for term, scan_stats in zip(terms, per_term)

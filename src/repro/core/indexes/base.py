@@ -20,8 +20,6 @@ by the update algorithms (``Content(id)`` in Algorithm 1).
 from __future__ import annotations
 
 import abc
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
@@ -35,12 +33,10 @@ from repro.errors import (
 from repro.core.list_cache import InvertedListCache, list_cache_pages_from_environ
 from repro.core.posting import (
     LazyBytesReader,
-    block_seeking_enabled,
     blocked_postings_enabled,
     peek_blocked_directory,
     read_blocked_total,
 )
-from repro.core.result_heap import HeapThreshold
 from repro.obs.trace import span
 from repro.storage.environment import StorageEnvironment
 from repro.storage.sharding import ShardedEnvironment, ShardedKVStore
@@ -69,8 +65,8 @@ class QueryStats:
     score_lookups: int = 0
     heap_offers: int = 0
     chunks_scanned: int = 0
-    #: Long-list blocks whose pages were never fetched because their block-max
-    #: bound could not beat the result heap's published threshold.
+    #: Always 0: the sequential scan skips no blocks.  The field stays because
+    #: the benchmark tracer reads it (``posting.blocks_skipped_per_query``).
     blocks_skipped: int = 0
     stopped_early: bool = False
     pages_read: int = 0
@@ -82,39 +78,6 @@ class QueryStats:
     #: ``terms_skipped`` counts the query terms whose lists were unreachable.
     degraded: bool = False
     terms_skipped: int = 0
-    #: EXPLAIN ANALYZE's skip-decision journal: ``None`` (the default) keeps
-    #: the hot path allocation-free; armed by :func:`capture_query_analysis`,
-    #: each prune/seek skip appends one dict recording the term, the number
-    #: of blocks skipped, the heap floor at the decision and the pruned
-    #: block's bound.
-    skip_events: "list[dict] | None" = None
-
-
-_ANALYSIS = threading.local()
-
-
-def query_analysis_armed() -> bool:
-    """Whether the calling thread is inside :func:`capture_query_analysis`."""
-    return getattr(_ANALYSIS, "armed", False)
-
-
-@contextmanager
-def capture_query_analysis():
-    """Arm per-query skip-decision capture on the calling thread.
-
-    EXPLAIN ANALYZE wraps the real query with this: every
-    :class:`QueryStats` created while armed gets an empty ``skip_events``
-    list, and the scan closures append one record per skip decision.  The
-    journal is observational only — arming changes no storage access, no
-    pruning decision and no answer, which is what keeps ANALYZE answers
-    bit-identical to plain queries.
-    """
-    previous = getattr(_ANALYSIS, "armed", False)
-    _ANALYSIS.armed = True
-    try:
-        yield
-    finally:
-        _ANALYSIS.armed = previous
 
 
 @dataclass(frozen=True)
@@ -158,8 +121,7 @@ class _TermPlan:
     and cached on the index.  The plan closes over nothing but the index and
     the term, so it never goes stale — all storage access happens inside the
     stream it constructs.  Invoking the plan with the query-specific inputs
-    (term position, stats sink, shared pruning threshold) builds a fresh scan
-    iterator for that query.
+    (term position, stats sink) builds a fresh scan iterator for that query.
     """
 
     __slots__ = ("term", "_build")
@@ -168,9 +130,8 @@ class _TermPlan:
         self.term = term
         self._build = build
 
-    def __call__(self, term_index: int, stats: "QueryStats",
-                 threshold: "HeapThreshold | None"):
-        return self._build(term_index, stats, threshold)
+    def __call__(self, term_index: int, stats: "QueryStats"):
+        return self._build(term_index, stats)
 
 
 class InvertedIndex(abc.ABC):
@@ -192,24 +153,11 @@ class InvertedIndex(abc.ABC):
     name:
         Index name, used to derive store names inside the environment.
     blocked_postings:
-        Whether long lists are written with the blocked codec (per-block skip
-        metadata + CRC; see :mod:`repro.core.posting`).  ``None`` (default)
+        Whether long lists are written with the blocked codec (per-block
+        directory + CRC; see :mod:`repro.core.posting`).  ``None`` (default)
         resolves the process-wide :func:`blocked_postings_enabled` flag —
         ``REPRO_BLOCKED_POSTINGS=0`` is the fidelity off-switch that keeps the
         seed's legacy payloads and I/O fingerprints bit-identical.
-    block_max_pruning:
-        Whether query scans may skip whole blocks whose max-score bound cannot
-        beat the result-heap threshold.  Only effective with the blocked
-        codec; the pruning-equivalence tests turn it off to compare against
-        the unpruned scan over the *same* payloads.
-    block_seeking:
-        Whether conjunctive queries over the blocked ID layout may *jump*
-        scans to the first viable block using the directory's ``last_doc_id``
-        entries (DAAT ``next_geq`` cursors) instead of merging every posting.
-        ``None`` resolves :func:`block_seeking_enabled`
-        (``REPRO_BLOCK_SEEKING``, default off): seeking preserves the top-k
-        but changes which pages a scan touches, so the pinned fig7/fig10
-        fingerprints keep it off.
     list_cache_pages:
         Byte budget of the hot-term decoded-postings cache, expressed in
         pages (see :mod:`repro.core.list_cache`).  ``None`` resolves
@@ -222,17 +170,10 @@ class InvertedIndex(abc.ABC):
     method_name = "abstract"
     #: Whether long-list postings carry a per-term score.
     stores_term_scores = False
-    #: Whether this method's scan plans consult the shared
-    #: :class:`HeapThreshold` to skip blocks (EXPLAIN's pruning-eligibility
-    #: bit).  The ID family accepts the threshold but has no sound per-block
-    #: score bound to prune on; it overrides this to ``False``.
-    prunes_blocks = True
 
     def __init__(self, env: "StorageEnvironment | ShardedEnvironment",
                  documents: DocumentStore, name: str = "svr",
                  blocked_postings: "bool | None" = None,
-                 block_max_pruning: bool = True,
-                 block_seeking: "bool | None" = None,
                  list_cache_pages: "int | None" = None) -> None:
         self.env = env
         self.documents = documents
@@ -240,11 +181,6 @@ class InvertedIndex(abc.ABC):
         self.blocked_postings = (
             blocked_postings_enabled() if blocked_postings is None
             else bool(blocked_postings)
-        )
-        self.block_max_pruning = bool(block_max_pruning)
-        self.block_seeking = (
-            block_seeking_enabled() if block_seeking is None
-            else bool(block_seeking)
         )
         self.list_cache = self._make_list_cache(list_cache_pages)
         self._plan_cache: "dict[str, _TermPlan]" = {}
@@ -389,7 +325,6 @@ class InvertedIndex(abc.ABC):
         plan: dict = {
             "term": term,
             "layout": None,
-            "codec": None,
             "blocks": None,
             "estimated_postings": None,
             "segment_bytes": None,
@@ -428,7 +363,6 @@ class InvertedIndex(abc.ABC):
             plan["layout"] = "legacy"
             return plan
         plan["layout"] = "blocked"
-        plan["codec"] = directory.codec
         plan["blocks"] = len(directory.blocks)
         plan["estimated_postings"] = directory.total
         plan["with_term_scores"] = directory.with_term_scores
@@ -622,8 +556,6 @@ class InvertedIndex(abc.ABC):
         """
         terms = self.prepare_query(keywords, k)
         stats = QueryStats()
-        if query_analysis_armed():
-            stats.skip_events = []
         before = self.env.snapshot()
         results = self._execute_query(terms, k, conjunctive, stats)
         delta = self.env.delta_since(before)
@@ -668,27 +600,11 @@ class InvertedIndex(abc.ABC):
         pre-refactor monolithic implementations did.
         """
         with span("query.plan", terms=len(terms)):
-            threshold = self._make_query_threshold()
-            plans = self._term_scan_plans(terms, lambda term_index: stats,
-                                          threshold)
+            plans = self._term_scan_plans(terms, lambda term_index: stats)
             streams = [plan() for _term, plan in plans]
         with span("query.merge", k=k):
             return self._merge_term_streams(streams, terms, k, conjunctive,
-                                            stats, threshold)
-
-    def _make_query_threshold(self) -> "HeapThreshold | None":
-        """Per-query shared threshold for block-max pruning, or ``None``.
-
-        Created by the query driver *before* the scan plans are built so the
-        parallel fan-out can hand the same object to every shard executor —
-        the scans only ever read the (monotone) floor, the merge's result
-        heap only ever raises it, so sharing it across threads is race-free
-        by construction.  ``None`` whenever pruning cannot apply (legacy
-        codec, or pruning disabled), which keeps the scans' skip step inert.
-        """
-        if not (self.blocked_postings and self.block_max_pruning):
-            return None
-        return HeapThreshold()
+                                            stats)
 
     def _tag_scan_errors(self, handle, postings):
         """Attribute hard scan failures to the owning failure domain.
@@ -720,8 +636,8 @@ class InvertedIndex(abc.ABC):
     #: pathological ad-hoc workload from growing the dict to vocabulary size.
     _PLAN_CACHE_LIMIT = 4096
 
-    def _term_scan_plans(self, terms: list[str], stats_for,
-                         threshold: "HeapThreshold | None" = None) -> "list[tuple[str, Any]]":
+    def _term_scan_plans(self, terms: list[str],
+                         stats_for) -> "list[tuple[str, Any]]":
         """One ``(routing_term, build_stream)`` pair per query term.
 
         ``build_stream`` is a zero-argument callable constructing the term's
@@ -732,12 +648,6 @@ class InvertedIndex(abc.ABC):
         :class:`QueryStats` sink the scan should count into — the serial path
         passes one shared object, the parallel path one per term (merged
         afterwards) so concurrent scans never race on a counter.
-
-        ``threshold`` is the query's shared :class:`HeapThreshold` (or
-        ``None``): methods whose long-list rank order admits a sound bound
-        consult ``threshold.floor`` before each blocked payload block and end
-        the scan when the block's bound cannot make the top-k any more —
-        the MaxScore/WAND-style skip step.
 
         The per-term plan itself (:class:`_TermPlan`, built by the
         method-specific :meth:`_make_term_plan` hook) is reusable and cached
@@ -756,7 +666,7 @@ class InvertedIndex(abc.ABC):
             pairs.append((
                 term,
                 lambda plan=plan, index=index, stats=stats_for(index):
-                    plan(index, stats, threshold),
+                    plan(index, stats),
             ))
         return pairs
 
@@ -772,15 +682,12 @@ class InvertedIndex(abc.ABC):
 
     @abc.abstractmethod
     def _merge_term_streams(self, streams: list, terms: list[str], k: int,
-                            conjunctive: bool, stats: QueryStats,
-                            threshold: "HeapThreshold | None" = None) -> list[QueryResult]:
+                            conjunctive: bool, stats: QueryStats) -> list[QueryResult]:
         """Merge pre-built per-term streams into the ranked top-k results.
 
         ``streams`` is aligned with ``terms`` and contains whatever
         ``_term_scan_plans`` built (plain iterators in the serial engine,
-        stream pumps under the parallel fan-out).  ``threshold`` must be the
-        same object the plans received; the merge wires it into its
-        :class:`ResultHeap` so the scans see the floor rise as results land."""
+        stream pumps under the parallel fan-out)."""
 
     def _after_score_update(self, doc_id: int, old_score: float, new_score: float) -> None:
         """Method-specific reaction to a score update (default: Score table only)."""

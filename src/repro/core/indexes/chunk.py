@@ -30,7 +30,7 @@ from repro.core.posting import (
     iter_blocked_chunk_postings_lazy,
     iter_chunk_postings_lazy,
 )
-from repro.core.result_heap import HeapThreshold, ResultHeap, merge_ranked_streams
+from repro.core.result_heap import ResultHeap, merge_ranked_streams
 from repro.storage.environment import StorageEnvironment
 from repro.storage.heap_file import SegmentHandle
 from repro.text.documents import Document, DocumentStore
@@ -65,13 +65,9 @@ class ChunkIndex(InvertedIndex):
                  min_chunk_size: int = 100,
                  chunk_strategy: ChunkStrategy | None = None,
                  blocked_postings: "bool | None" = None,
-                 block_max_pruning: bool = True,
-                 block_seeking: "bool | None" = None,
                  list_cache_pages: "int | None" = None) -> None:
         super().__init__(env, documents, name=name,
                          blocked_postings=blocked_postings,
-                         block_max_pruning=block_max_pruning,
-                         block_seeking=block_seeking,
                          list_cache_pages=list_cache_pages)
         if chunk_strategy is None and chunk_ratio <= 1.0:
             raise InvertedIndexError(f"chunk_ratio must be greater than 1, got {chunk_ratio}")
@@ -222,16 +218,14 @@ class ChunkIndex(InvertedIndex):
     def _make_term_plan(self, term: str) -> _TermPlan:
         return _TermPlan(
             term,
-            lambda index, stats, threshold:
-                self._term_stream(index, term, stats, threshold),
+            lambda index, stats: self._term_stream(index, term, stats),
         )
 
     def _merge_term_streams(self, streams: list, terms: list[str], k: int,
-                            conjunctive: bool, stats: QueryStats,
-                            threshold: "HeapThreshold | None" = None) -> list[QueryResult]:
+                            conjunctive: bool, stats: QueryStats) -> list[QueryResult]:
         assert self.chunk_map is not None
         required = len(terms) if conjunctive else 1
-        heap = ResultHeap(k, threshold=threshold)
+        heap = ResultHeap(k)
         merged = merge_ranked_streams(streams)
         seen_terms: dict[int, set[int]] = {}
         seen_short: dict[int, bool] = {}
@@ -290,15 +284,14 @@ class ChunkIndex(InvertedIndex):
 
     # -- per-term streams ------------------------------------------------------------------
 
-    def _term_stream(self, term_index: int, term: str, stats: QueryStats,
-                     threshold: "HeapThreshold | None" = None,
-                     ) -> Iterator[tuple[int, int, int, bool, float]]:
+    def _term_stream(self, term_index: int, term: str,
+                     stats: QueryStats) -> Iterator[tuple[int, int, int, bool, float]]:
         """One term's short + long postings in (decreasing chunk, increasing doc id) order.
 
         Yields ``(-chunk_id, doc_id, term_index, is_short, term_score)``.
         """
         short_adds, removed = self._load_short(term)
-        long_postings = self._iter_long(term, stats, threshold)
+        long_postings = self._iter_long(term, stats)
 
         def short_iter() -> Iterator[tuple[int, int, int, bool, float]]:
             for chunk_id, doc_id, term_score in short_adds:
@@ -313,19 +306,9 @@ class ChunkIndex(InvertedIndex):
 
         return heapq.merge(short_iter(), long_iter())
 
-    def _iter_long(self, term: str, stats: QueryStats,
-                   threshold: "HeapThreshold | None" = None,
-                   ) -> "Iterator[tuple[int, int, float]]":
-        """Stream ``(chunk_id, doc_id, term_score)`` triples from the long list.
-
-        With the blocked codec and a live threshold, the scan applies the
-        block-max skip step: a block whose highest chunk id ``cid`` satisfies
-        ``lower_bound(cid + 2) <= floor`` cannot hold a document able to enter
-        the top-k (the end-of-chunk stopping rule of :meth:`_can_stop` applied
-        per block — a document in chunk ``cid`` or below can have climbed at
-        most one chunk without owning short-list postings), and neither can any
-        later block, so the stream ends without fetching their pages.
-        """
+    def _iter_long(self, term: str,
+                   stats: QueryStats) -> "Iterator[tuple[int, int, float]]":
+        """Stream ``(chunk_id, doc_id, term_score)`` triples from the long list."""
         handle = self._segments.get(term)
         if handle is None:
             return
@@ -334,36 +317,13 @@ class ChunkIndex(InvertedIndex):
                 self._long_lists, handle, term, iter_blocked_chunk_postings_lazy
             )
             if cached is not None:
-                # Served from memory: no pages to save, so the block-max skip
-                # step is moot — the merge still stops pulling at its own
-                # stopping rule (the stream stays lazy).
                 for posting in cached:
                     stats.postings_scanned += 1
                     yield posting
                 return
         reader = LazyBytesReader(self._long_lists.iter_pages(handle))
         if self.blocked_postings:
-            prune = None
-            on_skip = None
-            if threshold is not None and self.chunk_map is not None:
-                chunk_map = self.chunk_map
-
-                def prune(block, threshold=threshold, chunk_map=chunk_map):
-                    return chunk_map.lower_bound(int(block.bound) + 2) <= threshold.floor
-
-                def on_skip(skipped, block, stats=stats, term=term,
-                            threshold=threshold, chunk_map=chunk_map):
-                    stats.blocks_skipped += skipped
-                    events = stats.skip_events
-                    if events is not None:
-                        events.append({
-                            "term": term, "kind": "prune", "blocks": skipped,
-                            "floor": threshold.floor,
-                            "bound": chunk_map.lower_bound(int(block.bound) + 2),
-                        })
-
-            postings = iter_blocked_chunk_postings_lazy(reader, prune=prune,
-                                                        on_skip=on_skip)
+            postings = iter_blocked_chunk_postings_lazy(reader)
         else:
             postings = iter_chunk_postings_lazy(reader)
         for posting in self._tag_scan_errors(handle, postings):

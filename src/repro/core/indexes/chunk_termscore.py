@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from repro.core.indexes.base import QueryResult, QueryStats, _StagedDocument
 from repro.core.indexes.chunk import ChunkIndex
-from repro.core.result_heap import HeapThreshold, ResultHeap, merge_ranked_streams
+from repro.core.result_heap import ResultHeap, merge_ranked_streams
 from repro.storage.environment import StorageEnvironment
 from repro.text.documents import Document, DocumentStore
 
@@ -45,14 +45,10 @@ class ChunkTermScoreIndex(ChunkIndex):
                  name: str = "svr", chunk_ratio: float = 6.12, min_chunk_size: int = 100,
                  chunk_strategy=None, term_weight: float = 1.0,
                  fancy_size: int = 50, blocked_postings: "bool | None" = None,
-                 block_max_pruning: bool = True,
-                 block_seeking: "bool | None" = None,
                  list_cache_pages: "int | None" = None) -> None:
         super().__init__(env, documents, name=name, chunk_ratio=chunk_ratio,
                          min_chunk_size=min_chunk_size, chunk_strategy=chunk_strategy,
                          blocked_postings=blocked_postings,
-                         block_max_pruning=block_max_pruning,
-                         block_seeking=block_seeking,
                          list_cache_pages=list_cache_pages)
         self.term_weight = float(term_weight)
         self.fancy_size = int(fancy_size)
@@ -149,17 +145,8 @@ class ChunkTermScoreIndex(ChunkIndex):
 
     # -- query (Algorithm 3) ----------------------------------------------------------------
 
-    def _make_query_threshold(self) -> "HeapThreshold | None":
-        if not (self.blocked_postings and self.block_max_pruning):
-            return None
-        # The combined-scoring stopping rule is only sound once the remainList
-        # is empty, so the threshold starts gated: block-max prune closures see
-        # a -inf floor until phase 2 drains the remainList and opens the gate.
-        return HeapThreshold(gated=True)
-
     def _merge_term_streams(self, streams: list, terms: list[str], k: int,
-                            conjunctive: bool, stats: QueryStats,
-                            threshold: "HeapThreshold | None" = None) -> list[QueryResult]:
+                            conjunctive: bool, stats: QueryStats) -> list[QueryResult]:
         assert self.chunk_map is not None
         required = len(terms) if conjunctive else 1
         processed: set[int] = set()
@@ -170,12 +157,7 @@ class ChunkTermScoreIndex(ChunkIndex):
         # serialize them against scans on the owning shards).
         fancy = [self._load_fancy(term) for term in terms]
         fancy_floors = [self._fancy_floor(term) for term in terms]
-        # The chunk-granularity stopping rule compares the heap floor against
-        # ``svr_bound + term_weight * sum_floors``; publishing
-        # ``min_score - term_weight * sum_floors`` lets the inherited per-block
-        # prune closure reuse the plain Chunk rule unchanged.
-        heap = ResultHeap(k, threshold=threshold,
-                          threshold_offset=-self.term_weight * sum(fancy_floors))
+        heap = ResultHeap(k)
         all_fancy_docs = set().union(*fancy) if fancy else set()
         remain_list: dict[int, dict[int, float]] = {}
         for doc_id in sorted(all_fancy_docs):
@@ -196,8 +178,6 @@ class ChunkTermScoreIndex(ChunkIndex):
                 remain_list[doc_id] = known
 
         # Phase 2: merge short and long lists in chunk order (lines 10-34).
-        if threshold is not None and not remain_list:
-            threshold.open_gate()
         merged = merge_ranked_streams(streams)
         seen_terms: dict[int, dict[int, float]] = {}
         seen_short: dict[int, bool] = {}
@@ -211,16 +191,10 @@ class ChunkTermScoreIndex(ChunkIndex):
                 ):
                     stats.stopped_early = True
                     break
-                if threshold is not None and not remain_list:
-                    # _termscore_can_stop may have just pruned the remainList
-                    # empty; from here on the combined bound is sound.
-                    threshold.open_gate()
                 current_chunk = chunk_id
                 stats.chunks_scanned += 1
             if remain_list:
                 remain_list.pop(doc_id, None)
-                if threshold is not None and not remain_list:
-                    threshold.open_gate()
             if doc_id in processed:
                 continue
             found = seen_terms.setdefault(doc_id, {})

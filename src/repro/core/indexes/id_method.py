@@ -16,13 +16,10 @@ their current scores.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Iterable, Iterator
 
-from repro.errors import ReproError
 from repro.core.indexes.base import InvertedIndex, QueryResult, QueryStats, _StagedDocument, _TermPlan
 from repro.core.posting import (
-    BlockedIDSeeker,
     LazyBytesReader,
     Posting,
     encode_blocked_id_postings,
@@ -30,7 +27,7 @@ from repro.core.posting import (
     iter_blocked_id_postings_lazy,
     iter_id_postings_lazy,
 )
-from repro.core.result_heap import HeapThreshold, ResultHeap, merge_ranked_streams
+from repro.core.result_heap import ResultHeap, merge_ranked_streams
 from repro.storage.environment import StorageEnvironment
 from repro.storage.heap_file import SegmentHandle
 from repro.text.documents import Document, DocumentStore
@@ -38,100 +35,6 @@ from repro.text.documents import Document, DocumentStore
 #: Marker values stored in the delta list.
 _ADD = "ADD"
 _REM = "REM"
-
-
-class _ListSeeker:
-    """In-memory ``next_geq`` cursor over already-decoded postings.
-
-    Presents the same cursor surface as :class:`BlockedIDSeeker` for postings
-    served from the hot-term list cache, so the seek-merge works identically
-    whether a term's list comes from pages or from memory.
-    """
-
-    __slots__ = ("head", "total", "_postings", "_docs", "_pos")
-
-    def __init__(self, postings: "list[tuple[int, float]]") -> None:
-        self._postings = postings
-        self._docs = [posting[0] for posting in postings]
-        self._pos = 0
-        self.total = len(postings)
-        self.head = postings[0] if postings else None
-
-    def next_geq(self, target: int) -> "tuple[int, float] | None":
-        if self.head is None or self.head[0] >= target:
-            return self.head
-        pos = bisect_left(self._docs, target, self._pos + 1)
-        if pos >= len(self._postings):
-            self.head = None
-            return None
-        self._pos = pos
-        self.head = self._postings[pos]
-        return self.head
-
-
-class _SeekableTermStream:
-    """One term's seekable scan: long-list cursor merged with the delta list.
-
-    Mirrors :meth:`IDIndex._merge_with_delta` semantics posting-for-posting —
-    delta adds interleave in id order, removed ids and ids superseded by an
-    add are skipped — but exposes ``head`` / ``next_geq`` instead of a
-    forward-only iterator, so the DAAT conjunctive merge can jump it.
-    Failures surfacing from the underlying cursor are stamped with the
-    segment's shard, matching ``_tag_scan_errors``.
-    """
-
-    __slots__ = ("head", "_seeker", "_adds", "_add_docs", "_add_pos",
-                 "_removed", "_seen_add_ids", "_stats", "_shard")
-
-    def __init__(self, seeker, adds: "list[tuple[int, float]]",
-                 removed: set[int], stats: QueryStats,
-                 shard: "int | None") -> None:
-        self._seeker = seeker
-        self._adds = adds
-        self._add_docs = [doc_id for doc_id, _ts in adds]
-        self._add_pos = 0
-        self._removed = removed
-        self._seen_add_ids = set(self._add_docs)
-        self._stats = stats
-        self._shard = shard
-        self.head: "tuple[int, float] | None" = None
-        self._settle(0)
-
-    @property
-    def approximate_length(self) -> int:
-        """Directory-served list length (long list + delta adds)."""
-        total = self._seeker.total if self._seeker is not None else 0
-        return total + len(self._adds)
-
-    def next_geq(self, target: int) -> "tuple[int, float] | None":
-        if self.head is not None and self.head[0] >= target:
-            return self.head
-        self._settle(target)
-        return self.head
-
-    def _settle(self, target: int) -> None:
-        """Position ``head`` on the smallest live posting with id >= target."""
-        pos = bisect_left(self._add_docs, target, self._add_pos)
-        self._add_pos = pos
-        long_head = None
-        if self._seeker is not None:
-            try:
-                long_head = self._seeker.next_geq(target)
-                while long_head is not None and (
-                        long_head[0] in self._removed
-                        or long_head[0] in self._seen_add_ids):
-                    long_head = self._seeker.next_geq(long_head[0] + 1)
-            except ReproError as exc:
-                if self._shard is not None and getattr(exc, "shard", None) is None:
-                    exc.shard = self._shard
-                raise
-        if pos < len(self._adds) and (long_head is None
-                                      or self._adds[pos][0] < long_head[0]):
-            self.head = self._adds[pos]
-        else:
-            self.head = long_head
-        if self.head is not None:
-            self._stats.postings_scanned += 1
 
 
 def merge_streams_by_doc_id(
@@ -169,19 +72,12 @@ class IDIndex(InvertedIndex):
 
     method_name = "id"
     stores_term_scores = False
-    #: ID-ordered blocks carry no sound per-block score bound, so the heap
-    #: threshold is accepted (constructor uniformity) but never prunes.
-    prunes_blocks = False
 
     def __init__(self, env: StorageEnvironment, documents: DocumentStore,
                  name: str = "svr", blocked_postings: "bool | None" = None,
-                 block_max_pruning: bool = True,
-                 block_seeking: "bool | None" = None,
                  list_cache_pages: "int | None" = None) -> None:
         super().__init__(env, documents, name=name,
                          blocked_postings=blocked_postings,
-                         block_max_pruning=block_max_pruning,
-                         block_seeking=block_seeking,
                          list_cache_pages=list_cache_pages)
         self._long_lists = self._create_heapfile(f"{name}.long")
         self._segments: dict[str, SegmentHandle] = {}
@@ -267,19 +163,10 @@ class IDIndex(InvertedIndex):
     # -- query -------------------------------------------------------------------
 
     def _make_term_plan(self, term: str) -> _TermPlan:
-        # No block-max skip step for the ID layout: result scores live in the
-        # Score table and are unbounded by anything the ID-ordered postings
-        # store, so no block bound can soundly rule documents out.  The
-        # threshold is accepted (hook contract) and ignored.
-        return _TermPlan(
-            term,
-            lambda index, stats, threshold: self._term_stream(term, stats),
-        )
+        return _TermPlan(term, lambda index, stats: self._term_stream(term, stats))
 
     def _merge_term_streams(self, streams: list, terms: list[str], k: int,
-                            conjunctive: bool, stats: QueryStats,
-                            threshold: "HeapThreshold | None" = None) -> list[QueryResult]:
-        del threshold
+                            conjunctive: bool, stats: QueryStats) -> list[QueryResult]:
         heap = ResultHeap(k)
         required = len(terms) if conjunctive else 1
         for doc_id, found in merge_streams_by_doc_id(streams):
@@ -299,94 +186,6 @@ class IDIndex(InvertedIndex):
         """Final ranking score for a candidate (SVR only for the plain ID method)."""
         del doc_id, found, terms
         return svr_score
-
-    def _execute_query(self, terms: list[str], k: int, conjunctive: bool,
-                       stats: QueryStats) -> list[QueryResult]:
-        if (self.block_seeking and conjunctive and len(terms) > 1
-                and self.blocked_postings):
-            return self._execute_conjunctive_seek(terms, k, stats)
-        return super()._execute_query(terms, k, conjunctive, stats)
-
-    def _execute_conjunctive_seek(self, terms: list[str], k: int,
-                                  stats: QueryStats) -> list[QueryResult]:
-        """DAAT lockstep conjunctive merge with directory-directed seeking.
-
-        Every term holds a ``next_geq`` cursor; the candidate is the maximum
-        of the cursor heads, each round advances every cursor to it, and all
-        cursors agreeing means a match.  Cursors are ordered rarest-first
-        (directory-served length estimates) so the most selective list drives
-        the candidate and the common lists absorb the jumps — a jump past
-        whole blocks never fetches the pages underneath them.  Only available
-        on the serial path: the parallel fan-out pumps forward-only streams
-        through the shard executors, which cannot be jumped.
-        """
-        cursors: list[tuple[int, _SeekableTermStream]] = []
-        for index, term in enumerate(terms):
-            stream = self._seekable_term_stream(term, stats)
-            if stream.head is None:
-                # A term with no live postings empties the conjunction.
-                return []
-            cursors.append((index, stream))
-        cursors.sort(key=lambda pair: pair[1].approximate_length)
-        heap = ResultHeap(k)
-        candidate = max(stream.head[0] for _index, stream in cursors)
-        while True:
-            matched = True
-            for _index, stream in cursors:
-                head = stream.next_geq(candidate)
-                if head is None:
-                    return [QueryResult(entry.doc_id, entry.score)
-                            for entry in heap.results()]
-                if head[0] != candidate:
-                    candidate = head[0]
-                    matched = False
-                    break
-            if not matched:
-                continue
-            found = {index: stream.head for index, stream in cursors}
-            stats.candidates += 1
-            score = self._live_score(candidate)
-            stats.score_lookups += 1
-            if score is not None:
-                stats.heap_offers += 1
-                heap.add(candidate, self._result_score(candidate, score, found, terms))
-            candidate += 1
-
-    def _seekable_term_stream(self, term: str,
-                              stats: QueryStats) -> _SeekableTermStream:
-        """Build one term's seekable cursor (cache-served when possible)."""
-        adds, removed = self._load_delta(term)
-        handle = self._segments.get(term)
-        if handle is None:
-            return _SeekableTermStream(None, adds, removed, stats, None)
-        shard = getattr(handle, "shard", None)
-        cached = self._cached_long_postings(
-            self._long_lists, handle, term, iter_blocked_id_postings_lazy
-        )
-        if cached is not None:
-            return _SeekableTermStream(_ListSeeker(cached), adds, removed,
-                                       stats, shard)
-
-        def on_skip(blocks: int, _block=None) -> None:
-            stats.blocks_skipped += blocks
-            events = stats.skip_events
-            if events is not None:
-                # A seek jump prunes against a document-id target, not a
-                # score bound — there is no floor/bound pair to record.
-                events.append({"term": term, "kind": "seek",
-                               "blocks": blocks, "floor": None,
-                               "bound": None})
-
-        def open_pages(start_byte: int):
-            return self._long_lists.iter_pages(handle, start_byte)
-
-        try:
-            seeker = BlockedIDSeeker(open_pages, on_skip=on_skip)
-        except ReproError as exc:
-            if shard is not None and getattr(exc, "shard", None) is None:
-                exc.shard = shard
-            raise
-        return _SeekableTermStream(seeker, adds, removed, stats, shard)
 
     def _term_stream(self, term: str, stats: QueryStats) -> "Iterator[tuple[int, float]]":
         """Long-list postings merged with the delta list for one term, ID order.

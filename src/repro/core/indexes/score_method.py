@@ -17,7 +17,7 @@ from typing import Iterator
 
 from repro.core.indexes.base import InvertedIndex, QueryResult, QueryStats, _StagedDocument, _TermPlan
 from repro.core.posting import build_rekey_operations
-from repro.core.result_heap import HeapThreshold, ResultHeap, merge_ranked_streams
+from repro.core.result_heap import ResultHeap, merge_ranked_streams
 from repro.storage.environment import StorageEnvironment
 from repro.text.documents import Document, DocumentStore
 
@@ -27,23 +27,15 @@ class ScoreIndex(InvertedIndex):
 
     method_name = "score"
     stores_term_scores = False
-    #: Clustered B+-tree lists never go through the blocked layout, so there
-    #: are no blocks to prune.
-    prunes_blocks = False
 
     def __init__(self, env: StorageEnvironment, documents: DocumentStore,
                  name: str = "svr", blocked_postings: "bool | None" = None,
-                 block_max_pruning: bool = True,
-                 block_seeking: "bool | None" = None,
                  list_cache_pages: "int | None" = None) -> None:
         # The clustered score lists live in a B+-tree, not heap-file payloads,
-        # so the blocked codec (and its block-max skip step, seeking, and the
-        # hot-term cache) does not apply; the flags are accepted for
-        # constructor uniformity across methods.
+        # so the blocked codec and the hot-term cache do not apply; the flags
+        # are accepted for constructor uniformity across methods.
         super().__init__(env, documents, name=name,
                          blocked_postings=blocked_postings,
-                         block_max_pruning=block_max_pruning,
-                         block_seeking=block_seeking,
                          list_cache_pages=list_cache_pages)
         # Key: (term, -score, doc_id) -> None.  Negating the score makes the
         # B+-tree's ascending key order correspond to descending score order.
@@ -147,12 +139,8 @@ class ScoreIndex(InvertedIndex):
     # -- query --------------------------------------------------------------------
 
     def _make_term_plan(self, term: str) -> _TermPlan:
-        def build(index: int, stats: QueryStats, threshold) -> Iterator[tuple[float, int, int]]:
-            del threshold  # clustered lists hold exact scores; the merge's own
-            # score-order early termination already stops at the optimal point.
-            return self._stream_list(term, index, stats)
-
-        return _TermPlan(term, build)
+        return _TermPlan(
+            term, lambda index, stats: self._stream_list(term, index, stats))
 
     def _stream_list(self, term: str, index: int,
                      stats: QueryStats) -> Iterator[tuple[float, int, int]]:
@@ -161,9 +149,7 @@ class ScoreIndex(InvertedIndex):
             yield neg_score, doc_id, index
 
     def _merge_term_streams(self, streams: list, terms: list[str], k: int,
-                            conjunctive: bool, stats: QueryStats,
-                            threshold: "HeapThreshold | None" = None) -> list[QueryResult]:
-        del threshold
+                            conjunctive: bool, stats: QueryStats) -> list[QueryResult]:
         required = len(terms) if conjunctive else 1
         heap = ResultHeap(k)
         merged = merge_ranked_streams(streams)

@@ -30,7 +30,7 @@ from repro.core.posting import (
     iter_blocked_scored_postings_lazy,
     iter_scored_postings_lazy,
 )
-from repro.core.result_heap import HeapThreshold, ResultHeap, merge_ranked_streams
+from repro.core.result_heap import ResultHeap, merge_ranked_streams
 from repro.storage.environment import StorageEnvironment
 from repro.storage.heap_file import SegmentHandle
 from repro.text.documents import Document, DocumentStore
@@ -56,13 +56,9 @@ class ScoreThresholdIndex(InvertedIndex):
     def __init__(self, env: StorageEnvironment, documents: DocumentStore,
                  name: str = "svr", threshold_ratio: float = 11.24,
                  blocked_postings: "bool | None" = None,
-                 block_max_pruning: bool = True,
-                 block_seeking: "bool | None" = None,
                  list_cache_pages: "int | None" = None) -> None:
         super().__init__(env, documents, name=name,
                          blocked_postings=blocked_postings,
-                         block_max_pruning=block_max_pruning,
-                         block_seeking=block_seeking,
                          list_cache_pages=list_cache_pages)
         if threshold_ratio < 1.0:
             raise InvertedIndexError(
@@ -174,15 +170,13 @@ class ScoreThresholdIndex(InvertedIndex):
     def _make_term_plan(self, term: str) -> _TermPlan:
         return _TermPlan(
             term,
-            lambda index, stats, threshold:
-                self._term_stream(index, term, stats, threshold),
+            lambda index, stats: self._term_stream(index, term, stats),
         )
 
     def _merge_term_streams(self, streams: list, terms: list[str], k: int,
-                            conjunctive: bool, stats: QueryStats,
-                            threshold: "HeapThreshold | None" = None) -> list[QueryResult]:
+                            conjunctive: bool, stats: QueryStats) -> list[QueryResult]:
         required = len(terms) if conjunctive else 1
-        heap = ResultHeap(k, threshold=threshold)
+        heap = ResultHeap(k)
         merged = merge_ranked_streams(streams)
         seen_terms: dict[int, set[int]] = {}
         seen_short: dict[int, bool] = {}
@@ -232,16 +226,15 @@ class ScoreThresholdIndex(InvertedIndex):
 
     # -- per-term stream construction ------------------------------------------------------
 
-    def _term_stream(self, term_index: int, term: str, stats: QueryStats,
-                     threshold: "HeapThreshold | None" = None,
-                     ) -> Iterator[tuple[float, int, int, bool]]:
+    def _term_stream(self, term_index: int, term: str,
+                     stats: QueryStats) -> Iterator[tuple[float, int, int, bool]]:
         """Merge the short and long lists of one term in decreasing score order.
 
         Yields ``(-list_score, doc_id, term_index, is_short)`` so that tuples
         from different terms interleave correctly inside ``heapq.merge``.
         """
         short_adds, removed = self._load_short(term)
-        long_postings = self._iter_long(term, stats, threshold)
+        long_postings = self._iter_long(term, stats)
 
         def short_iter() -> Iterator[tuple[float, int, int, bool]]:
             for list_score, doc_id in short_adds:
@@ -256,20 +249,9 @@ class ScoreThresholdIndex(InvertedIndex):
 
         return heapq.merge(short_iter(), long_iter())
 
-    def _iter_long(self, term: str, stats: QueryStats,
-                   threshold: "HeapThreshold | None" = None,
-                   ) -> "Iterator[tuple[int, float, float]]":
-        """Stream ``(doc_id, score, term_score)`` tuples from the long list.
-
-        With the blocked codec and a live threshold, the scan applies the
-        block-max skip step: a block whose largest stored score ``s`` has
-        ``thresholdValueOf(s) = ratio * s`` below the heap floor cannot
-        contain a document able to enter the top-k (Lemma 1.2/1.3 at block
-        granularity — any higher-scoring document has been promoted to the
-        short lists, whose postings sort ahead of its long-list ones), and
-        neither can any later block, so the stream ends without fetching
-        their pages.
-        """
+    def _iter_long(self, term: str,
+                   stats: QueryStats) -> "Iterator[tuple[int, float, float]]":
+        """Stream ``(doc_id, score, term_score)`` tuples from the long list."""
         handle = self._segments.get(term)
         if handle is None:
             return
@@ -278,36 +260,13 @@ class ScoreThresholdIndex(InvertedIndex):
                 self._long_lists, handle, term, iter_blocked_scored_postings_lazy
             )
             if cached is not None:
-                # Served from memory: no pages to save, so the block-max skip
-                # step is moot — the merge still stops pulling at its own
-                # termination condition (the stream stays lazy).
                 for posting in cached:
                     stats.postings_scanned += 1
                     yield posting
                 return
         reader = LazyBytesReader(self._long_lists.iter_pages(handle))
         if self.blocked_postings:
-            prune = None
-            on_skip = None
-            if threshold is not None:
-                ratio = self.threshold_ratio
-
-                def prune(block, threshold=threshold, ratio=ratio):
-                    return ratio * block.bound < threshold.floor
-
-                def on_skip(skipped, block, stats=stats, term=term,
-                            threshold=threshold, ratio=ratio):
-                    stats.blocks_skipped += skipped
-                    events = stats.skip_events
-                    if events is not None:
-                        events.append({
-                            "term": term, "kind": "prune", "blocks": skipped,
-                            "floor": threshold.floor,
-                            "bound": ratio * block.bound,
-                        })
-
-            postings = iter_blocked_scored_postings_lazy(reader, prune=prune,
-                                                         on_skip=on_skip)
+            postings = iter_blocked_scored_postings_lazy(reader)
         else:
             postings = iter_scored_postings_lazy(reader)
         for posting in self._tag_scan_errors(handle, postings):

@@ -15,8 +15,7 @@ pages a query scan touches.  This module provides:
 * the **blocked** variants of all three codecs: fixed-span blocks carrying a
   ``(count, last doc id, max-score bound)`` directory entry plus a CRC over
   delta+varbyte payloads, decoded lazily one block at a time so a scan that
-  stops early — or skips whole blocks whose bound cannot make the top-k —
-  never fetches the remaining pages.
+  stops early never fetches the remaining pages.
 """
 
 from __future__ import annotations
@@ -24,9 +23,7 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.errors import ChecksumError, InvertedIndexError
@@ -538,7 +535,7 @@ def iter_chunk_postings_lazy(reader: LazyBytesReader) -> Iterator[tuple[int, int
 
 
 # ---------------------------------------------------------------------------
-# Blocked codecs (fixed-span blocks with skip metadata)
+# Blocked codecs (fixed-span blocks behind a CRC-protected directory)
 # ---------------------------------------------------------------------------
 
 #: First byte of every blocked payload; doubles as a cheap sanity check that a
@@ -552,9 +549,9 @@ BLOCK_KIND_SCORED = 1
 BLOCK_KIND_CHUNK = 2
 
 #: Postings per block.  128 keeps a block's payload well under one 4 KiB page
-#: (a delta varint plus optional 4-byte term score is <= 14 bytes) so block
-#: skipping works at sub-page granularity, while the directory stays ~1% of
-#: the payload for long lists.
+#: (a delta varint plus optional 4-byte term score is <= 14 bytes) so a scan
+#: stops at sub-page granularity, while the directory stays ~1% of the
+#: payload for long lists.
 DEFAULT_BLOCK_SPAN = 128
 
 _BOUND = struct.Struct("<d")
@@ -570,150 +567,9 @@ def blocked_postings_enabled() -> bool:
     return os.environ.get("REPRO_BLOCKED_POSTINGS", "1") != "0"
 
 
-#: Block payload codecs.  ``varbyte`` is the PR 7 layout (delta varints, one
-#: interleaved ``<f`` term score per posting); ``groupvarint`` packs four
-#: deltas behind one control byte and moves term scores to a trailing float
-#: region so a block decodes with a handful of bulk ``struct`` calls.
-BLOCK_CODEC_VARBYTE = "varbyte"
-BLOCK_CODEC_GROUPVARINT = "groupvarint"
-
-#: Header flag bit that carries the codec id.  Readers that predate the
-#: group-varint codec reject any flags byte above 1 with a ``ChecksumError``,
-#: so a payload written with the new codec can never be silently misdecoded
-#: by an old binary — the flag bit *is* the negotiation.
+#: Header flags byte: bit 0 says postings carry term scores.  Any other bit
+#: marks a payload this reader cannot decode, rejected as a ``ChecksumError``.
 _FLAG_TERM_SCORES = 1
-_FLAG_GROUPVARINT = 2
-
-
-def block_codec_from_environ() -> str:
-    """Process-wide default block payload codec (``REPRO_BLOCK_CODEC``).
-
-    ``varbyte`` (the default) reproduces the PR 7 payloads bit-for-bit;
-    ``groupvarint`` opts new encodes into the fast-decode layout.  Reads are
-    always self-describing (the codec id travels in the header flags), so the
-    flag only affects what *new* lists are written with.
-    """
-    value = os.environ.get("REPRO_BLOCK_CODEC", BLOCK_CODEC_VARBYTE).strip().lower()
-    if value not in (BLOCK_CODEC_VARBYTE, BLOCK_CODEC_GROUPVARINT):
-        raise InvertedIndexError(
-            f"REPRO_BLOCK_CODEC: unknown block codec {value!r} "
-            f"(expected {BLOCK_CODEC_VARBYTE!r} or {BLOCK_CODEC_GROUPVARINT!r})"
-        )
-    return value
-
-
-def block_seeking_enabled() -> bool:
-    """Process-wide default for directory-directed block seeking.
-
-    Off unless ``REPRO_BLOCK_SEEKING=1``.  Seeking preserves top-k results
-    but changes which pages a conjunctive scan touches, so it stays opt-in:
-    the fig7/fig10 experiments run conjunctive queries and their I/O
-    fingerprints are pinned to the sequential scan.
-    """
-    return os.environ.get("REPRO_BLOCK_SEEKING", "0") == "1"
-
-
-# Group-varint: each control byte describes four deltas with 2-bit length
-# codes mapping to {1, 2, 4} bytes (code 3 is reserved).  A 3-byte-wide
-# delta pays one pad byte — a price worth paying for struct-decodable
-# groups.  A stream stores ceil(count / 4) control bytes up front, then the
-# value bytes back to back; the split layout lets the decoder concatenate
-# the per-group struct formats (cached per control region — real lists
-# repeat a handful of delta-width patterns) and unpack an entire block's
-# deltas with a single bulk struct call.  Deltas >= 2**32 cannot be
-# represented; encoders fall back to the varbyte codec for the whole list
-# in that case (the header's codec id makes the fallback self-describing).
-_GV_WIDTHS = (1, 2, 4)
-_GV_FORMATS = ("B", "H", "I")
-_GV_LIMIT = 1 << 32
-
-
-def _gv_group_tables() -> "list[list[tuple[str, int] | None]]":
-    """``tables[n][ctrl]``: format chars + byte width of an ``n``-value group.
-
-    ``None`` marks an invalid control byte (a reserved length code, or
-    non-zero bits beyond a tail group's values), which decoders surface as a
-    :class:`~repro.errors.ChecksumError`.
-    """
-    tables: list[list[tuple[str, int] | None]] = [[]]
-    for values in range(1, 5):
-        table: list[tuple[str, int] | None] = [None] * 256
-        for ctrl in range(4 ** values):
-            codes = [(ctrl >> (2 * index)) & 3 for index in range(values)]
-            if any(code == 3 for code in codes):
-                continue
-            fmt = "".join(_GV_FORMATS[code] for code in codes)
-            table[ctrl] = (fmt, sum(_GV_WIDTHS[code] for code in codes))
-        tables.append(table)
-    return tables
-
-
-_GV_GROUPS = _gv_group_tables()
-
-#: (control region, count) -> (combined Struct, payload width) for whole-stream
-#: bulk unpacking.  Real workloads repeat a handful of width patterns, so this
-#: stays tiny; the cap is a backstop against adversarial byte diversity.
-_GV_STREAM_CACHE: "dict[tuple[bytes, int], tuple[struct.Struct, int]]" = {}
-_GV_STREAM_CACHE_MAX = 65536
-
-
-def _encode_group_varint(values: Sequence[int]) -> bytes:
-    """Encode non-negative ints < 2**32 as a group-varint stream."""
-    ctrl_region = bytearray()
-    data = bytearray()
-    for start in range(0, len(values), 4):
-        group = values[start:start + 4]
-        ctrl = 0
-        for index, value in enumerate(group):
-            code = 0 if value < 0x100 else (1 if value < 0x10000 else 2)
-            ctrl |= code << (2 * index)
-            data += value.to_bytes(_GV_WIDTHS[code], "little")
-        ctrl_region.append(ctrl)
-    return bytes(ctrl_region + data)
-
-
-def _gv_stream_struct(ctrl: bytes, count: int) -> "tuple[struct.Struct, int]":
-    """Combined Struct + data width for one control region (cached)."""
-    key = (ctrl, count)
-    entry = _GV_STREAM_CACHE.get(key)
-    if entry is not None:
-        return entry
-    tail = count & 3
-    full = _GV_GROUPS[4]
-    parts: list[str] = []
-    width = 0
-    for byte in ctrl[:-1] if tail else ctrl:
-        group = full[byte]
-        if group is None:
-            raise ChecksumError("blocked posting list: bad group-varint control byte")
-        parts.append(group[0])
-        width += group[1]
-    if tail:
-        group = _GV_GROUPS[tail][ctrl[-1]]
-        if group is None:
-            raise ChecksumError("blocked posting list: bad group-varint control byte")
-        parts.append(group[0])
-        width += group[1]
-    packed = struct.Struct("<" + "".join(parts))
-    if len(_GV_STREAM_CACHE) >= _GV_STREAM_CACHE_MAX:
-        _GV_STREAM_CACHE.clear()
-    _GV_STREAM_CACHE[key] = (packed, width)
-    return packed, width
-
-
-def _decode_group_varint(payload: bytes, offset: int,
-                         count: int) -> "tuple[tuple[int, ...], int]":
-    """Decode ``count`` group-varint values; return ``(values, next_offset)``."""
-    n_ctrl = (count + 3) >> 2
-    size = len(payload)
-    if offset + n_ctrl > size:
-        raise ChecksumError("blocked posting list: truncated block")
-    ctrl = payload[offset:offset + n_ctrl]
-    offset += n_ctrl
-    packed, width = _gv_stream_struct(ctrl, count)
-    if offset + width > size:
-        raise ChecksumError("blocked posting list: truncated block")
-    return packed.unpack_from(payload, offset), offset + width
 
 
 @dataclass(frozen=True)
@@ -725,13 +581,13 @@ class BlockInfo:
     count:
         Number of postings in the block (always >= 1).
     last_doc_id:
-        Document id of the block's final posting (skip/seek metadata).
+        Document id of the block's final posting (cross-checked on decode).
     bound:
         Kind-specific max-score metadata: the largest term score in the block
         (id kind), the largest stored document score (scored kind — the first
         record, lists are score-descending) or the largest chunk id (chunk
-        kind).  Block-max pruning compares this against the result heap's
-        published threshold.
+        kind).  The scored and chunk decoders cross-check it against the
+        block's first posting.
     length:
         Payload length in bytes.
     crc:
@@ -747,25 +603,16 @@ class BlockInfo:
 
 @dataclass(frozen=True)
 class BlockDirectory:
-    """Parsed header + directory of a blocked payload.
-
-    ``header_length`` is the byte length of the header + directory region;
-    block ``index``'s payload starts at ``header_length`` plus the lengths of
-    the blocks before it — what the block-seek path uses to reopen a segment
-    scan at an arbitrary block without touching the pages in between.
-    """
+    """Parsed header + directory of a blocked payload."""
 
     kind: int
     with_term_scores: bool
     total: int
     blocks: tuple[BlockInfo, ...]
-    codec: str = BLOCK_CODEC_VARBYTE
-    header_length: int = 0
 
 
 def _encode_blocked(kind: int, with_term_scores: bool, total: int,
-                    blocks: "list[tuple[int, int, float, bytes]]",
-                    codec: str = BLOCK_CODEC_VARBYTE) -> bytes:
+                    blocks: "list[tuple[int, int, float, bytes]]") -> bytes:
     """Assemble the blocked wire format.
 
     ``blocks`` holds ``(count, last_doc_id, bound, payload)`` per block.  The
@@ -783,14 +630,11 @@ def _encode_blocked(kind: int, with_term_scores: bool, total: int,
         directory += _BOUND.pack(bound)
         directory += encode_varint(len(payload))
         directory += encode_varint(zlib.crc32(payload))
-    flags = _FLAG_TERM_SCORES if with_term_scores else 0
-    if codec == BLOCK_CODEC_GROUPVARINT:
-        flags |= _FLAG_GROUPVARINT
     out = bytearray()
     out.append(BLOCKED_MAGIC)
     out.append(BLOCKED_VERSION)
     out.append(kind)
-    out.append(flags)
+    out.append(_FLAG_TERM_SCORES if with_term_scores else 0)
     out += encode_varint(total)
     out += encode_varint(len(blocks))
     out += encode_varint(len(directory))
@@ -808,75 +652,45 @@ def _check_block_span(block_span: int) -> None:
 
 def encode_blocked_id_postings(postings: Sequence[Posting],
                                with_term_scores: bool = False,
-                               block_span: int = DEFAULT_BLOCK_SPAN,
-                               codec: "str | None" = None) -> bytes:
+                               block_span: int = DEFAULT_BLOCK_SPAN) -> bytes:
     """Blocked variant of :func:`encode_id_postings`.
 
     Each block is self-contained: its first document id is stored absolute so
     a block decodes without its predecessors (and torn tails are detected per
     block).  The block bound is the largest term score in the block.
-
-    Under the group-varint codec a block's payload is the group-varint delta
-    region followed by one trailing ``<{count}f`` term-score region (instead
-    of interleaving), so both regions decode with bulk struct calls.
     """
     _check_block_span(block_span)
-    if codec is None:
-        codec = block_codec_from_environ()
     previous = 0
     for posting in postings:
         if posting.doc_id < previous:
             raise InvertedIndexError("ID-ordered postings must be sorted by doc id")
         previous = posting.doc_id
-    if codec == BLOCK_CODEC_GROUPVARINT and postings and postings[-1].doc_id >= _GV_LIMIT:
-        codec = BLOCK_CODEC_VARBYTE  # deltas can exceed the 4-byte group width
-    groupvarint = codec == BLOCK_CODEC_GROUPVARINT
     blocks: list[tuple[int, int, float, bytes]] = []
     for start in range(0, len(postings), block_span):
         span = postings[start:start + block_span]
         bound = 0.0
-        if groupvarint:
-            deltas = []
-            previous = 0
-            for posting in span:
-                deltas.append(posting.doc_id - previous)
-                previous = posting.doc_id
-            body = bytearray(_encode_group_varint(deltas))
+        body = bytearray()
+        previous = 0
+        for posting in span:
+            body += encode_varint(posting.doc_id - previous)
+            previous = posting.doc_id
             if with_term_scores:
-                scores = [posting.term_score for posting in span]
-                body += struct.pack(f"<{len(span)}f", *scores)
-                bound = max(0.0, max(scores))
-        else:
-            body = bytearray()
-            previous = 0
-            for posting in span:
-                body += encode_varint(posting.doc_id - previous)
-                previous = posting.doc_id
-                if with_term_scores:
-                    body += _FLOAT.pack(posting.term_score)
-                    if posting.term_score > bound:
-                        bound = posting.term_score
+                body += _FLOAT.pack(posting.term_score)
+                if posting.term_score > bound:
+                    bound = posting.term_score
         blocks.append((len(span), span[-1].doc_id, bound, bytes(body)))
-    return _encode_blocked(BLOCK_KIND_ID, with_term_scores, len(postings), blocks,
-                           codec=codec)
+    return _encode_blocked(BLOCK_KIND_ID, with_term_scores, len(postings), blocks)
 
 
 def encode_blocked_scored_postings(postings: Sequence[ScoredPosting],
                                    with_term_scores: bool = False,
-                                   block_span: int = DEFAULT_BLOCK_SPAN,
-                                   codec: "str | None" = None) -> bytes:
+                                   block_span: int = DEFAULT_BLOCK_SPAN) -> bytes:
     """Blocked variant of :func:`encode_scored_postings`.
 
     Records keep the fixed ``<dI>`` layout; the block bound is the stored
     score of the block's first record (lists are score-descending, so that is
-    the block maximum — what ``thresholdValueOf`` bounds at query time).
-
-    ``codec`` is accepted for signature parity but scored payloads are
-    already fixed-width struct records — there is nothing for group-varint to
-    improve, so the header always carries the varbyte codec id and the
-    payload bytes are identical under either setting.
+    the block maximum).
     """
-    del codec
     _check_block_span(block_span)
     previous_score = None
     for posting in postings:
@@ -900,8 +714,7 @@ def encode_blocked_scored_postings(postings: Sequence[ScoredPosting],
 
 def encode_blocked_chunk_runs(runs: Sequence[ChunkRun],
                               with_term_scores: bool = False,
-                              block_span: int = DEFAULT_BLOCK_SPAN,
-                              codec: "str | None" = None) -> bytes:
+                              block_span: int = DEFAULT_BLOCK_SPAN) -> bytes:
     """Blocked variant of :func:`encode_chunk_runs`.
 
     Runs are flattened into the same (decreasing chunk, increasing doc id)
@@ -909,19 +722,10 @@ def encode_blocked_chunk_runs(runs: Sequence[ChunkRun],
     a block boundary restarts as a fresh fragment (chunk id, count, absolute
     first doc id) so every block decodes independently.  The block bound is
     the block's largest chunk id — its first fragment's.
-
-    Under the group-varint codec a block's payload is: a varint fragment
-    count, the per-fragment ``(chunk id, count)`` varint pairs, one
-    group-varint stream of all the block's doc-id deltas (the delta chain
-    restarting at every fragment), then the trailing ``<{count}f`` term-score
-    region when term scores are carried.
     """
     _check_block_span(block_span)
-    if codec is None:
-        codec = block_codec_from_environ()
     flat: list[tuple[int, int, float]] = []
     previous_chunk = None
-    max_doc_id = 0
     for run in runs:
         if previous_chunk is not None and run.chunk_id >= previous_chunk:
             raise InvertedIndexError("chunk runs must be sorted by decreasing chunk id")
@@ -934,11 +738,6 @@ def encode_blocked_chunk_runs(runs: Sequence[ChunkRun],
                 )
             previous_doc = posting.doc_id
             flat.append((run.chunk_id, posting.doc_id, posting.term_score))
-        if previous_doc > max_doc_id:
-            max_doc_id = previous_doc
-    if codec == BLOCK_CODEC_GROUPVARINT and max_doc_id >= _GV_LIMIT:
-        codec = BLOCK_CODEC_VARBYTE  # deltas can exceed the 4-byte group width
-    groupvarint = codec == BLOCK_CODEC_GROUPVARINT
     blocks: list[tuple[int, int, float, bytes]] = []
     total = len(flat)
     for start in range(0, total, block_span):
@@ -953,37 +752,19 @@ def encode_blocked_chunk_runs(runs: Sequence[ChunkRun],
             fragments.append((chunk_id, end - index))
             index = end
         body = bytearray()
-        if groupvarint:
-            deltas: list[int] = []
-            position = 0
-            body += encode_varint(len(fragments))
-            for chunk_id, count in fragments:
-                body += encode_varint(chunk_id)
-                body += encode_varint(count)
-                previous_doc = 0
-                for _chunk, doc_id, _term_score in span[position:position + count]:
-                    deltas.append(doc_id - previous_doc)
-                    previous_doc = doc_id
-                position += count
-            body += _encode_group_varint(deltas)
-            if with_term_scores:
-                body += struct.pack(f"<{len(span)}f",
-                                    *[term_score for _chunk, _doc, term_score in span])
-        else:
-            position = 0
-            for chunk_id, count in fragments:
-                body += encode_varint(chunk_id)
-                body += encode_varint(count)
-                previous_doc = 0
-                for _chunk, doc_id, term_score in span[position:position + count]:
-                    body += encode_varint(doc_id - previous_doc)
-                    previous_doc = doc_id
-                    if with_term_scores:
-                        body += _FLOAT.pack(term_score)
-                position += count
+        position = 0
+        for chunk_id, count in fragments:
+            body += encode_varint(chunk_id)
+            body += encode_varint(count)
+            previous_doc = 0
+            for _chunk, doc_id, term_score in span[position:position + count]:
+                body += encode_varint(doc_id - previous_doc)
+                previous_doc = doc_id
+                if with_term_scores:
+                    body += _FLOAT.pack(term_score)
+            position += count
         blocks.append((len(span), span[-1][1], float(span[0][0]), bytes(body)))
-    return _encode_blocked(BLOCK_KIND_CHUNK, with_term_scores, total, blocks,
-                           codec=codec)
+    return _encode_blocked(BLOCK_KIND_CHUNK, with_term_scores, total, blocks)
 
 
 def _read_blocked_header(reader: LazyBytesReader, expected_kind: int,
@@ -1003,18 +784,13 @@ def _read_blocked_header(reader: LazyBytesReader, expected_kind: int,
         raise InvertedIndexError(
             f"blocked posting list: kind {head[2]} where {expected_kind} was expected"
         )
-    if head[3] > (_FLAG_TERM_SCORES | _FLAG_GROUPVARINT):
+    if head[3] > _FLAG_TERM_SCORES:
         raise ChecksumError(f"blocked posting list: bad flags byte 0x{head[3]:02x}")
-    with_term_scores = bool(head[3] & _FLAG_TERM_SCORES)
-    codec = (BLOCK_CODEC_GROUPVARINT if head[3] & _FLAG_GROUPVARINT
-             else BLOCK_CODEC_VARBYTE)
+    with_term_scores = bool(head[3])
     total = reader.read_varint()
     block_count = reader.read_varint()
     directory_length = reader.read_varint()
     directory_crc = reader.read_varint()
-    header_length = (4 + _varint_length(total) + _varint_length(block_count)
-                     + _varint_length(directory_length)
-                     + _varint_length(directory_crc) + directory_length)
     blob = reader.read_bytes(directory_length)
     if zlib.crc32(blob) != directory_crc:
         raise ChecksumError("blocked posting list: directory checksum mismatch")
@@ -1038,17 +814,7 @@ def _read_blocked_header(reader: LazyBytesReader, expected_kind: int,
     if any(block.count == 0 for block in blocks):
         raise ChecksumError("blocked posting list: empty block")
     return BlockDirectory(kind=head[2], with_term_scores=with_term_scores,
-                          total=total, blocks=tuple(blocks), codec=codec,
-                          header_length=header_length)
-
-
-def _varint_length(value: int) -> int:
-    """Encoded byte length of ``value`` as a LEB128 varint."""
-    length = 1
-    while value >= 0x80:
-        value >>= 7
-        length += 1
-    return length
+                          total=total, blocks=tuple(blocks))
 
 
 def read_blocked_total(reader: LazyBytesReader) -> "int | None":
@@ -1177,241 +943,45 @@ def _decode_chunk_block(payload: bytes, block: BlockInfo,
     return out
 
 
-def _decode_id_block_gv(payload: bytes, block: BlockInfo,
-                        with_term_scores: bool) -> "list[tuple[int, float]]":
-    """Group-varint counterpart of :func:`_decode_id_block` (same tuples)."""
-    count = block.count
-    deltas, offset = _decode_group_varint(payload, 0, count)
-    doc_ids = list(accumulate(deltas))
-    if with_term_scores:
-        if offset + 4 * count != len(payload):
-            raise ChecksumError("blocked posting list: block contents do not match header")
-        scores = struct.unpack_from(f"<{count}f", payload, offset)
-        out = list(zip(doc_ids, scores))
-    else:
-        if offset != len(payload):
-            raise ChecksumError("blocked posting list: block contents do not match header")
-        out = list(zip(doc_ids, repeat(0.0)))
-    if doc_ids[-1] != block.last_doc_id:
-        raise ChecksumError("blocked posting list: block contents do not match header")
-    return out
-
-
-def _decode_chunk_block_gv(payload: bytes, block: BlockInfo,
-                           with_term_scores: bool) -> "list[tuple[int, int, float]]":
-    """Group-varint counterpart of :func:`_decode_chunk_block` (same triples)."""
-    fragment_count, offset = decode_varint(payload, 0)
-    fragments: list[tuple[int, int]] = []
-    remaining = block.count
-    previous_chunk = None
-    for _ in range(fragment_count):
-        chunk_id, offset = decode_varint(payload, offset)
-        count, offset = decode_varint(payload, offset)
-        if count == 0 or count > remaining:
-            raise ChecksumError("blocked posting list: bad chunk fragment length")
-        if previous_chunk is not None and chunk_id >= previous_chunk:
-            raise ChecksumError("blocked posting list: chunk fragments out of order")
-        previous_chunk = chunk_id
-        fragments.append((chunk_id, count))
-        remaining -= count
-    if remaining:
-        raise ChecksumError("blocked posting list: bad chunk fragment length")
-    deltas, offset = _decode_group_varint(payload, offset, block.count)
-    if with_term_scores:
-        if offset + 4 * block.count != len(payload):
-            raise ChecksumError("blocked posting list: block contents do not match header")
-        scores = struct.unpack_from(f"<{block.count}f", payload, offset)
-    else:
-        if offset != len(payload):
-            raise ChecksumError("blocked posting list: block contents do not match header")
-        scores = None
-    out: list[tuple[int, int, float]] = []
-    extend = out.extend
-    position = 0
-    for chunk_id, count in fragments:
-        doc_ids = accumulate(deltas[position:position + count])
-        if scores is not None:
-            extend(zip(repeat(chunk_id), doc_ids, scores[position:position + count]))
-        else:
-            extend(zip(repeat(chunk_id), doc_ids, repeat(0.0)))
-        position += count
-    if out[-1][1] != block.last_doc_id or out[0][0] != int(block.bound):
-        raise ChecksumError("blocked posting list: block contents do not match header")
-    return out
-
-
-#: Per-(kind, codec) block decoders.  The scored kind's records are already
-#: fixed-width structs, so both codec ids share one decoder.
 _BLOCK_DECODERS = {
-    (BLOCK_KIND_ID, BLOCK_CODEC_VARBYTE): _decode_id_block,
-    (BLOCK_KIND_ID, BLOCK_CODEC_GROUPVARINT): _decode_id_block_gv,
-    (BLOCK_KIND_SCORED, BLOCK_CODEC_VARBYTE): _decode_scored_block,
-    (BLOCK_KIND_SCORED, BLOCK_CODEC_GROUPVARINT): _decode_scored_block,
-    (BLOCK_KIND_CHUNK, BLOCK_CODEC_VARBYTE): _decode_chunk_block,
-    (BLOCK_KIND_CHUNK, BLOCK_CODEC_GROUPVARINT): _decode_chunk_block_gv,
+    BLOCK_KIND_ID: _decode_id_block,
+    BLOCK_KIND_SCORED: _decode_scored_block,
+    BLOCK_KIND_CHUNK: _decode_chunk_block,
 }
 
 
-def _iter_blocked_lazy(reader: LazyBytesReader, kind: int,
-                       prune=None, on_skip=None) -> Iterator:
-    """Shared blocked scan loop: decode block-at-a-time, stop at a pruned block.
+def _iter_blocked_lazy(reader: LazyBytesReader, kind: int) -> Iterator:
+    """Shared blocked scan loop: decode one block at a time, in list order.
 
-    ``prune(block)`` — when given — is consulted *before* the block's payload
-    bytes are read; because every blocked list is rank-ordered, a block whose
-    bound cannot beat the threshold means no later block can either, so the
-    scan ends there and the remaining pages are never fetched.  ``on_skip``
-    receives the number of blocks skipped that way plus the pruned
-    :class:`BlockInfo` itself (stats accounting and EXPLAIN ANALYZE's
-    skip-decision reporting — the block carries the bound the floor beat).
+    A block's payload bytes are read only when the consumer pulls its first
+    posting, so a merge that stops early never fetches the pages under the
+    remaining blocks.
     """
     if reader.exhausted:
         return
     directory = _read_blocked_header(reader, kind)
-    decode_block = _BLOCK_DECODERS[(kind, directory.codec)]
+    decode_block = _BLOCK_DECODERS[kind]
     with_term_scores = directory.with_term_scores
-    blocks = directory.blocks
-    for index, block in enumerate(blocks):
-        if prune is not None and prune(block):
-            if on_skip is not None:
-                on_skip(len(blocks) - index, block)
-            return
+    for block in directory.blocks:
         yield from decode_block(_read_block_payload(reader, block), block,
                                 with_term_scores)
 
 
-def iter_blocked_id_postings_lazy(reader: LazyBytesReader, prune=None,
-                                  on_skip=None) -> Iterator[tuple[int, float]]:
+def iter_blocked_id_postings_lazy(reader: LazyBytesReader) -> Iterator[tuple[int, float]]:
     """Blocked counterpart of :func:`iter_id_postings_lazy` (same tuples)."""
-    return _iter_blocked_lazy(reader, BLOCK_KIND_ID,
-                              prune=prune, on_skip=on_skip)
+    return _iter_blocked_lazy(reader, BLOCK_KIND_ID)
 
 
-def iter_blocked_scored_postings_lazy(reader: LazyBytesReader, prune=None,
-                                      on_skip=None) -> Iterator[tuple[int, float, float]]:
+def iter_blocked_scored_postings_lazy(
+        reader: LazyBytesReader) -> Iterator[tuple[int, float, float]]:
     """Blocked counterpart of :func:`iter_scored_postings_lazy` (same tuples)."""
-    return _iter_blocked_lazy(reader, BLOCK_KIND_SCORED,
-                              prune=prune, on_skip=on_skip)
+    return _iter_blocked_lazy(reader, BLOCK_KIND_SCORED)
 
 
-def iter_blocked_chunk_postings_lazy(reader: LazyBytesReader, prune=None,
-                                     on_skip=None) -> Iterator[tuple[int, int, float]]:
+def iter_blocked_chunk_postings_lazy(
+        reader: LazyBytesReader) -> Iterator[tuple[int, int, float]]:
     """Blocked counterpart of :func:`iter_chunk_postings_lazy` (same triples)."""
-    return _iter_blocked_lazy(reader, BLOCK_KIND_CHUNK,
-                              prune=prune, on_skip=on_skip)
-
-
-class BlockedIDSeeker:
-    """Seekable cursor over a blocked id-kind list: ``next_geq`` via the directory.
-
-    A DAAT conjunctive merge advances each term's cursor to the candidate
-    document id rather than scanning every posting.  The directory's
-    ``last_doc_id`` entries locate the first block that can contain a target
-    (binary search); a jump past one or more blocks reopens the page stream at
-    the target block's byte offset, so the pages under the skipped blocks are
-    never fetched.
-
-    ``open_pages(start_byte)`` must return a fresh page-fragment iterator
-    positioned at that byte of the segment (``HeapFile.iter_pages``).
-    ``on_skip`` — when given — receives the number of whole blocks jumped
-    over plus ``None`` (a seek jump prunes against a document-id target, not
-    a score bound), mirroring the pruning path's accounting.
-
-    ``head`` is the current ``(doc_id, term_score)`` posting, ``None`` once
-    the list is exhausted.  Targets must be non-decreasing across calls —
-    the cursor only ever moves forward.
-    """
-
-    __slots__ = ("head", "_open_pages", "_on_skip", "_blocks", "_last_doc_ids",
-                 "_offsets", "_decode", "_with_term_scores", "_reader",
-                 "_reader_block", "_block", "_buffer", "_docs", "_pos", "total")
-
-    def __init__(self, open_pages, on_skip=None) -> None:
-        self._open_pages = open_pages
-        self._on_skip = on_skip
-        self._buffer: "list[tuple[int, float]]" = []
-        self._docs: list[int] = []
-        self._pos = 0
-        self._block = -1
-        self.head: "tuple[int, float] | None" = None
-        reader = LazyBytesReader(open_pages(0))
-        if reader.exhausted:
-            self._blocks = ()
-            self._last_doc_ids: list[int] = []
-            self._offsets: list[int] = []
-            self.total = 0
-            return
-        directory = _read_blocked_header(reader, BLOCK_KIND_ID)
-        self._decode = _BLOCK_DECODERS[(BLOCK_KIND_ID, directory.codec)]
-        self._with_term_scores = directory.with_term_scores
-        self._blocks = directory.blocks
-        self._last_doc_ids = [block.last_doc_id for block in directory.blocks]
-        offsets = [directory.header_length]
-        for block in directory.blocks[:-1]:
-            offsets.append(offsets[-1] + block.length)
-        self._offsets = offsets
-        self.total = directory.total
-        self._reader = reader
-        self._reader_block = 0
-        if self._blocks:
-            self._load_block(0)
-            self.head = self._buffer[0]
-
-    def advance(self) -> "tuple[int, float] | None":
-        """Step to the next posting in id order; returns the new ``head``."""
-        if self.head is None:
-            return None
-        pos = self._pos + 1
-        if pos < len(self._buffer):
-            self._pos = pos
-            self.head = self._buffer[pos]
-            return self.head
-        index = self._block + 1
-        if index >= len(self._blocks):
-            self._exhaust()
-            return None
-        self._load_block(index)
-        self.head = self._buffer[0]
-        return self.head
-
-    def next_geq(self, target: int) -> "tuple[int, float] | None":
-        """Advance to the first posting with ``doc_id >= target``."""
-        head = self.head
-        if head is None or head[0] >= target:
-            return head
-        docs = self._docs
-        if docs[-1] >= target:
-            pos = bisect_left(docs, target, self._pos + 1)
-            self._pos = pos
-            self.head = self._buffer[pos]
-            return self.head
-        index = bisect_left(self._last_doc_ids, target, self._block + 1)
-        if index >= len(self._blocks):
-            self._exhaust()
-            return None
-        self._load_block(index)
-        pos = bisect_left(self._docs, target)
-        self._pos = pos
-        self.head = self._buffer[pos]
-        return self.head
-
-    def _load_block(self, index: int) -> None:
-        if index != self._reader_block:
-            if index > self._reader_block and self._on_skip is not None:
-                self._on_skip(index - self._reader_block, None)
-            self._reader = LazyBytesReader(self._open_pages(self._offsets[index]))
-        block = self._blocks[index]
-        payload = _read_block_payload(self._reader, block)
-        self._buffer = self._decode(payload, block, self._with_term_scores)
-        self._docs = [posting[0] for posting in self._buffer]
-        self._pos = 0
-        self._block = index
-        self._reader_block = index + 1
-
-    def _exhaust(self) -> None:
-        self.head = None
-        self._buffer = []
-        self._docs = []
-        self._block = len(self._blocks)
+    return _iter_blocked_lazy(reader, BLOCK_KIND_CHUNK)
 
 
 def decode_blocked_id_postings(data: bytes) -> list[Posting]:

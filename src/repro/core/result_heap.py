@@ -44,48 +44,6 @@ class HeapEntry:
     score: float
 
 
-class HeapThreshold:
-    """Monotone top-k floor shared between a query's heap and its block scans.
-
-    The result heap publishes its k-th best score here once it is full; the
-    long-list scans consult :attr:`floor` before fetching each posting block
-    and stop as soon as the block's max-score bound cannot beat it (block-max
-    pruning).  Two properties make one plain attribute safe to share across
-    the parallel fan-out's shard executors without a lock:
-
-    * the floor only ever rises (``publish`` keeps the maximum), and
-    * a stale (lower) read merely *under*-prunes — the scan decodes a block
-      it could have skipped, which costs pages but can never change results.
-
-    ``gated=True`` starts the threshold pinned at ``-inf`` regardless of what
-    the heap publishes; Chunk-TermScore opens the gate only once its
-    remainList is empty, because until then a pruned block could still hold a
-    fancy-list document whose term scores exceed the per-term floors the
-    published bound assumes.  The gate, too, only ever opens — monotone, so
-    racing readers stay conservative.
-    """
-
-    __slots__ = ("_floor", "_open")
-
-    def __init__(self, gated: bool = False) -> None:
-        self._floor = -math.inf
-        self._open = not gated
-
-    def publish(self, floor: float) -> None:
-        """Raise the floor (lower values are ignored — the floor is monotone)."""
-        if floor > self._floor:
-            self._floor = floor
-
-    def open_gate(self) -> None:
-        """Allow readers to see the published floor (irreversible)."""
-        self._open = True
-
-    @property
-    def floor(self) -> float:
-        """The current prunable-below score; ``-inf`` while empty or gated."""
-        return self._floor if self._open else -math.inf
-
-
 class ResultHeap:
     """Keeps the best ``k`` documents seen so far, ordered by score.
 
@@ -96,17 +54,9 @@ class ResultHeap:
     ----------
     k:
         Maximum number of results to retain.  Must be positive.
-    threshold:
-        Optional :class:`HeapThreshold` to publish the k-th best score to
-        whenever the heap is full (block-max pruning reads it).
-    threshold_offset:
-        Added to the published floor.  Chunk-TermScore publishes
-        ``min_score - term_weight * sum(fancy floors)`` so the chunk-id bound
-        comparison stays a plain ``lower_bound(c + 2) <= floor`` in the scans.
     """
 
-    def __init__(self, k: int, threshold: "HeapThreshold | None" = None,
-                 threshold_offset: float = 0.0) -> None:
+    def __init__(self, k: int) -> None:
         if k <= 0:
             raise QueryError(f"k must be positive, got {k}")
         self.k = k
@@ -114,8 +64,6 @@ class ResultHeap:
         # -doc_id makes larger doc ids evict first on score ties.
         self._heap: list[tuple[float, int]] = []
         self._scores: dict[int, float] = {}
-        self._threshold = threshold
-        self._threshold_offset = threshold_offset
 
     def __len__(self) -> int:
         return len(self._scores)
@@ -140,12 +88,10 @@ class ResultHeap:
             if score > existing:
                 self._scores[doc_id] = score
                 self._rebuild()
-                self._publish()
             return True
         if len(self._scores) < self.k:
             self._scores[doc_id] = score
             heapq.heappush(self._heap, (score, -doc_id))
-            self._publish()
             return True
         worst_score, neg_worst_doc = self._heap[0]
         worst_doc = -neg_worst_doc
@@ -154,7 +100,6 @@ class ResultHeap:
         heapq.heapreplace(self._heap, (score, -doc_id))
         del self._scores[worst_doc]
         self._scores[doc_id] = score
-        self._publish()
         return True
 
     def min_score(self) -> float:
@@ -180,11 +125,6 @@ class ResultHeap:
     def get(self, doc_id: int) -> float | None:
         """Score currently retained for ``doc_id``, or ``None``."""
         return self._scores.get(doc_id)
-
-    def _publish(self) -> None:
-        """Push the current floor to the shared threshold once the heap is full."""
-        if self._threshold is not None and len(self._scores) >= self.k:
-            self._threshold.publish(self._heap[0][0] + self._threshold_offset)
 
     def _rebuild(self) -> None:
         self._heap = [(score, -doc_id) for doc_id, score in self._scores.items()]

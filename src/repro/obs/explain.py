@@ -2,9 +2,9 @@
 
 :func:`explain_query` renders what the engine *would do* for a top-k query —
 per-term owning shard, storage layout (blocked vs legacy vs clustered),
-negotiated block codec, directory-served posting-count estimate, hot-term
-cache status, pruning/seek eligibility — without executing it.  Every fact is
-served from in-memory state or the buffer pool's accounting-free peek path
+directory-served posting-count estimate, hot-term cache status — without
+executing it.  Every fact is served from in-memory state or the buffer
+pool's accounting-free peek path
 (see :meth:`InvertedIndex.describe_term_plan`), so a plain EXPLAIN performs
 **zero accounted storage accesses**: fig7/table1 fingerprints cannot tell
 whether a plan was ever described.
@@ -12,10 +12,8 @@ whether a plan was ever described.
 With ``analyze=True`` the query really runs — through the exact
 :meth:`IndexRouter.query` path a caller would use, so the returned top-k is
 bit-identical to a plain query — and the plan is grafted with actuals:
-postings scanned vs estimated, blocks skipped with the heap-threshold floor
-at each skip decision (the ``skip_events`` journal armed via
-:func:`capture_query_analysis`), per-shard latency and pages/pool-hit
-splits, and the plan/scan/merge phase breakdown read off the span tree.
+postings scanned vs estimated, per-shard latency and pages/pool-hit splits,
+and the plan/scan/merge phase breakdown read off the span tree.
 
 The module doubles as a CLI::
 
@@ -45,19 +43,8 @@ def _term_plans(router, terms: list[str], conjunctive: bool) -> list[dict]:
     return plans
 
 
-def _engine_section(router, terms: list[str], conjunctive: bool) -> dict:
+def _engine_section(router) -> dict:
     index = router.index
-    # Seeking only runs on the serial path: the parallel fan-out feeds
-    # per-term scan plans to the stream pumps and never reaches the ID
-    # method's conjunctive-seek override.
-    seek_eligible = (
-        hasattr(index, "_execute_conjunctive_seek")
-        and index.block_seeking
-        and conjunctive
-        and len(terms) > 1
-        and index.blocked_postings
-        and not router.parallel
-    )
     return {
         "method": router.method_name,
         "shards": router.shard_count,
@@ -65,11 +52,6 @@ def _engine_section(router, terms: list[str], conjunctive: bool) -> dict:
         "parallel": router.parallel,
         "deterministic": router.deterministic,
         "blocked_postings": index.blocked_postings,
-        "block_max_pruning": index.block_max_pruning,
-        "block_seeking": index.block_seeking,
-        "pruning_eligible": (index.prunes_blocks and index.blocked_postings
-                             and index.block_max_pruning),
-        "seek_eligible": seek_eligible,
         "list_cache_enabled": index.list_cache is not None,
         "degraded": router.degraded,
         "quarantined_shards": list(router.quarantined_shards()),
@@ -91,21 +73,17 @@ def _run_analysis(router, keywords: list[str], k: int,
 
     The execution path is exactly :meth:`IndexRouter.query` — same
     normalization already applied by the caller, same locks, same scans —
-    so results and stats are bit-identical to an un-analyzed query.  The
-    two observational hooks (tracing, the skip-decision journal) are
-    invisible to storage accounting by contract.
+    so results and stats are bit-identical to an un-analyzed query.
+    Tracing is invisible to storage accounting by contract.
     """
-    from repro.core.indexes.base import capture_query_analysis
-
     previous = set_tracing(True)
     try:
-        with capture_query_analysis():
-            epoch = router.shard_snapshots()
-            with span("explain.analyze") as root:
-                started = time.perf_counter()
-                response = router.query(keywords, k=k, conjunctive=conjunctive)
-                elapsed_ms = (time.perf_counter() - started) * 1000.0
-            deltas = router.shard_deltas(epoch)
+        epoch = router.shard_snapshots()
+        with span("explain.analyze") as root:
+            started = time.perf_counter()
+            response = router.query(keywords, k=k, conjunctive=conjunctive)
+            elapsed_ms = (time.perf_counter() - started) * 1000.0
+        deltas = router.shard_deltas(epoch)
     finally:
         set_tracing(previous)
 
@@ -141,7 +119,6 @@ def _run_analysis(router, keywords: list[str], k: int,
         ],
         "totals": {
             "postings_scanned": stats.postings_scanned,
-            "blocks_skipped": stats.blocks_skipped,
             "chunks_scanned": stats.chunks_scanned,
             "pages_read": stats.pages_read,
             "pool_hits": stats.pool_hits,
@@ -158,7 +135,6 @@ def _run_analysis(router, keywords: list[str], k: int,
         # exact per-term actuals exist only where the fan-out tagged them.
         "per_term_actuals": "exact" if term_actuals else "aggregate-only",
         "term_stats": term_actuals,
-        "skip_events": list(stats.skip_events or ()),
         "shards": [
             {"shard": shard, **{key: row.get(key) for key in
                                 ("pages_read", "pool_hits", "cost_ms", "scan_ms")}}
@@ -187,23 +163,16 @@ def explain_query(engine, keywords: list[str], k: int = 10,
             "conjunctive": conjunctive,
             "analyze": analyze,
         },
-        "engine": _engine_section(router, terms, conjunctive),
+        "engine": _engine_section(router),
         "terms": _term_plans(router, terms, conjunctive),
         "execution": None,
     }
     if analyze:
         plan["execution"] = _run_analysis(router, list(keywords), k,
                                           conjunctive)
-        skips_by_term: "dict[str, list[dict]]" = {}
-        for event in plan["execution"]["skip_events"]:
-            skips_by_term.setdefault(event["term"], []).append(event)
         term_stats = plan["execution"]["term_stats"] or {}
         for term_plan in plan["terms"]:
-            term = term_plan["term"]
-            actual: dict = {"skip_events": skips_by_term.get(term, [])}
-            if term in term_stats:
-                actual.update(term_stats[term])
-            term_plan["actual"] = actual
+            term_plan["actual"] = dict(term_stats.get(term_plan["term"], {}))
     return plan
 
 
@@ -232,7 +201,6 @@ def render_text(plan: dict) -> str:
     ]
     lines.append(
         "  engine: blocked_postings={blocked_postings} "
-        "pruning={pruning_eligible} seeking={seek_eligible} "
         "cache={list_cache_enabled} parallel={parallel}".format(**engine)
     )
     for term_plan in plan["terms"]:
@@ -240,8 +208,6 @@ def render_text(plan: dict) -> str:
             f"  term {term_plan['term']!r} -> shard {term_plan['shard']}",
             f"layout={term_plan['layout']}",
         ]
-        if term_plan["codec"] is not None:
-            parts.append(f"codec={term_plan['codec']}")
         if term_plan["blocks"] is not None:
             parts.append(f"blocks={term_plan['blocks']}")
         if term_plan["estimated_postings"] is not None:
@@ -253,22 +219,8 @@ def render_text(plan: dict) -> str:
             parts.append("QUARANTINED")
         lines.append(" ".join(parts))
         actual = term_plan.get("actual")
-        if actual:
-            detail = []
-            if "postings_scanned" in actual:
-                detail.append(f"postings={actual['postings_scanned']}")
-                detail.append(f"blocks_skipped={actual['blocks_skipped']}")
-            for event in actual["skip_events"]:
-                floor = event["floor"]
-                floor_note = "" if floor is None else f" floor={floor:.4g}"
-                bound = event["bound"]
-                bound_note = "" if bound is None else f" bound={bound:.4g}"
-                detail.append(
-                    f"{event['kind']}[{event['blocks']} blocks"
-                    f"{floor_note}{bound_note}]"
-                )
-            if detail:
-                lines.append("    actual: " + " ".join(detail))
+        if actual and "postings_scanned" in actual:
+            lines.append(f"    actual: postings={actual['postings_scanned']}")
     execution = plan["execution"]
     if execution is not None:
         totals = execution["totals"]
@@ -278,7 +230,6 @@ def render_text(plan: dict) -> str:
         lines.append(
             f"  actual: latency={execution['latency_ms']:.3f}ms "
             f"postings={totals['postings_scanned']} (est {estimated}) "
-            f"blocks_skipped={totals['blocks_skipped']} "
             f"pages={totals['pages_read']} pool_hits={totals['pool_hits']}"
             + (" stopped_early" if totals["stopped_early"] else "")
         )

@@ -4,7 +4,7 @@ One :class:`MetricsRegistry` lives on each :class:`~repro.core.index_router.
 IndexRouter` and is shared by everything in that engine instance — the router
 itself, the executor pool, the hot-term list cache, and the bench/workload
 exporters.  All mutation goes through one lock, which is what makes the
-per-shard aggregation of racy per-query counters (``blocks_skipped``,
+per-shard aggregation of racy per-query counters (``postings_scanned``,
 cache hits) exact rather than best-effort.
 
 Metric names are dotted strings (``query.count``, ``shard.pages_read``);

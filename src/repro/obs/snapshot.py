@@ -156,7 +156,6 @@ _METRIC_HELP = {
     "query.pages_read": "Pages read from disk while answering queries.",
     "query.pool_hits": "Buffer-pool hits while answering queries.",
     "query.postings_scanned": "Postings decoded while answering queries.",
-    "query.blocks_skipped": "Posting blocks skipped by block-max pruning or seeking.",
     "query.degraded": "Queries answered with quarantined shards excluded.",
     "update.count": "Score/document updates applied.",
     "update.window_ms": "Batched update window latency in milliseconds.",
@@ -164,7 +163,6 @@ _METRIC_HELP = {
     "update.windows_combined": "Update windows combined by the group leader.",
     "update.batch_window": "Adaptive batch-window size chosen by the runner.",
     "shard.postings_scanned": "Postings decoded, attributed to the owning shard.",
-    "shard.blocks_skipped": "Blocks skipped, attributed to the owning shard.",
     "shard.pages_read": "Query page reads attributed to the owning shard.",
     "shard.pool_hits": "Query pool hits attributed to the owning shard.",
     "shard.quarantined": "Shard quarantine transitions.",

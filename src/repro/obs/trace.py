@@ -181,7 +181,7 @@ class SlowQueryLog:
                      ) -> "dict | None":
         """Record ``root`` when it ran longer than the threshold.
 
-        ``attribution`` maps term -> ``{"pages_read": ..., "blocks_skipped":
+        ``attribution`` maps term -> ``{"pages_read": ..., "postings_scanned":
         ...}`` (the router's per-term stats merge).  Returns the recorded
         entry, or None when the query was fast enough.
         """

@@ -90,55 +90,17 @@ class BufferPool:
         Backing simulated disk.
     capacity_pages:
         Maximum number of pages kept in memory.  Must be at least 1.
-    policy:
-        Replacement policy.  ``"lru"`` (the default, and the engine the
-        experiments' I/O fingerprints are pinned to) is a plain LRU chain.
-        ``"midpoint"`` is BerkeleyDB/InnoDB-style midpoint insertion — a
-        scan-resistant variant that admits newly fetched pages into a
-        probationary *old* segment and promotes them into the protected *new*
-        segment only on a re-reference, so one long-list scan cannot flush
-        the Score table and short lists out of the cache.  Victims come from
-        the old segment's LRU end first.
-    old_fraction:
-        Fraction of the capacity reserved as the probationary segment's
-        target size under ``"midpoint"`` (InnoDB's classic 3/8 by default).
     """
 
-    def __init__(self, disk: SimulatedDisk, capacity_pages: int = 1024,
-                 policy: str = "lru", old_fraction: float = 0.375) -> None:
+    def __init__(self, disk: SimulatedDisk, capacity_pages: int = 1024) -> None:
         if capacity_pages < 1:
             raise BufferPoolError(
                 f"buffer pool capacity must be at least one page, got {capacity_pages}"
             )
-        if policy not in ("lru", "midpoint"):
-            raise BufferPoolError(
-                f"unknown buffer-pool policy {policy!r}; available: lru, midpoint"
-            )
-        if not 0.0 < old_fraction < 1.0:
-            raise BufferPoolError(
-                f"old_fraction must be in (0, 1), got {old_fraction}"
-            )
         self.disk = disk
         self.capacity_pages = capacity_pages
-        self.policy = policy
         self.stats = BufferPoolStats()
         self._frames: OrderedDict[int, Page] = OrderedDict()
-        # Midpoint segments (None under plain LRU, whose hot path stays
-        # branch-cheap and byte-identical to the seed engine).
-        self._old: "OrderedDict[int, Page] | None" = None
-        self._new: "OrderedDict[int, Page] | None" = None
-        self._old_target = 0
-        if policy == "midpoint":
-            self._old = OrderedDict()
-            self._new = OrderedDict()
-            self._old_target = max(1, round(capacity_pages * old_fraction))
-            # Per-instance rebinding keeps the default LRU hot path exactly
-            # the seed engine's branch-free code: only midpoint instances pay
-            # for segment bookkeeping in get/put.
-            self.get = self._get_midpoint  # type: ignore[method-assign]
-            self.put = self._put_midpoint  # type: ignore[method-assign]
-            self._admit = self._admit_midpoint  # type: ignore[method-assign]
-            self._evict_if_needed = self._evict_if_needed_midpoint  # type: ignore[method-assign]
 
     # -- basic operations --------------------------------------------------
 
@@ -154,26 +116,6 @@ class BufferPool:
         self._admit(page)
         return page
 
-    def _get_midpoint(self, page_id: int) -> Page:
-        """Midpoint-insertion fetch: promote to protected on a re-read."""
-        assert self._old is not None and self._new is not None
-        frame = self._new.get(page_id)
-        if frame is not None:
-            self.stats.hits += 1
-            self._new.move_to_end(page_id)
-            return frame
-        frame = self._old.pop(page_id, None)
-        if frame is not None:
-            # Second reference: promote into the protected segment.
-            self.stats.hits += 1
-            self._new[page_id] = frame
-            self._shrink_new_segment()
-            return frame
-        self.stats.misses += 1
-        page = self.disk.read(page_id)
-        self._admit(page)
-        return page
-
     def put(self, page: Page) -> None:
         """Install a (possibly dirty) page into the pool."""
         page.dirty = True
@@ -182,26 +124,6 @@ class BufferPool:
         self._frames.move_to_end(page.page_id)
         if not existing:
             self._evict_if_needed()
-
-    def _put_midpoint(self, page: Page) -> None:
-        """Midpoint-insertion install.
-
-        Writes refresh recency but never promote: a freshly allocated page is
-        written immediately (B+-tree node installs), and that first write
-        must not count as the re-reference that makes a page "hot" — only a
-        later re-read does.
-        """
-        assert self._old is not None and self._new is not None
-        page.dirty = True
-        if page.page_id in self._new:
-            self._new[page.page_id] = page
-            self._new.move_to_end(page.page_id)
-            return
-        if page.page_id in self._old:
-            self._old[page.page_id] = page
-            self._old.move_to_end(page.page_id)
-            return
-        self._admit(page)
 
     def allocate(self) -> Page:
         """Allocate a new page on disk and cache it."""
@@ -212,7 +134,7 @@ class BufferPool:
 
     def flush(self) -> None:
         """Write back every dirty cached page without dropping it."""
-        for page in self._iter_frames():
+        for page in list(self._frames.values()):
             if page.dirty:
                 self.disk.write(page)
                 page.dirty = False
@@ -233,19 +155,16 @@ class BufferPool:
         experiments establish a cold cache before timing a query, mirroring the
         paper's cold-cache query methodology.
         """
+        frames = self._frames
         if page_ids is None:
-            targets = list(self._resident_ids())
-        elif self._old is None:
+            targets = list(frames)
+        else:
             # Inlined membership test: drop() over a large heap file's id set
             # is on the cold-cache query path, so avoid a method call per id.
-            frames = self._frames
             targets = [pid for pid in page_ids if pid in frames]
-        else:
-            new, old = self._new, self._old
-            targets = [pid for pid in page_ids if pid in new or pid in old]
         for page_id in targets:
             self.flush_page(page_id)
-            self._discard(page_id)
+            frames.pop(page_id, None)
 
     def peek(self, page_id: int) -> Page:
         """Accounting-free page access for maintenance traversals.
@@ -268,20 +187,11 @@ class BufferPool:
         in place (see ``BPlusTree._split``); regular reads go through
         :meth:`get`.
         """
-        if self._old is None:
-            return self._frames.get(page_id)
-        assert self._new is not None
-        frame = self._new.get(page_id)
-        if frame is not None:
-            return frame
-        return self._old.get(page_id)
+        return self._frames.get(page_id)
 
     def contains(self, page_id: int) -> bool:
         """Whether the page is currently cached (does not update LRU order)."""
-        if self._old is None:
-            return page_id in self._frames
-        assert self._new is not None
-        return page_id in self._new or page_id in self._old
+        return page_id in self._frames
 
     def hit_rate(self) -> float:
         """Lifetime fraction of requests served from the cache (0.0 when unused).
@@ -295,71 +205,14 @@ class BufferPool:
     @property
     def cached_pages(self) -> int:
         """Number of pages currently resident."""
-        if self._old is None:
-            return len(self._frames)
-        assert self._new is not None
-        return len(self._new) + len(self._old)
-
-    @property
-    def protected_pages(self) -> int:
-        """Pages in the midpoint policy's protected segment (0 under LRU)."""
-        return len(self._new) if self._new is not None else 0
-
-    @property
-    def probationary_pages(self) -> int:
-        """Pages in the midpoint policy's probationary segment (0 under LRU)."""
-        return len(self._old) if self._old is not None else 0
+        return len(self._frames)
 
     # -- internals ----------------------------------------------------------
-
-    def _iter_frames(self):
-        if self._old is None:
-            return list(self._frames.values())
-        assert self._new is not None
-        return [*self._old.values(), *self._new.values()]
-
-    def _resident_ids(self):
-        if self._old is None:
-            return list(self._frames.keys())
-        assert self._new is not None
-        return [*self._old.keys(), *self._new.keys()]
-
-    def _discard(self, page_id: int) -> None:
-        if self._old is None:
-            self._frames.pop(page_id, None)
-            return
-        assert self._new is not None
-        if self._old.pop(page_id, None) is None:
-            self._new.pop(page_id, None)
 
     def _admit(self, page: Page) -> None:
         self._frames[page.page_id] = page
         self._frames.move_to_end(page.page_id)
         self._evict_if_needed()
-
-    def _admit_midpoint(self, page: Page) -> None:
-        # Midpoint insertion: newly fetched pages enter the probationary
-        # segment at its MRU end; only a later re-reference promotes them.
-        assert self._old is not None
-        self._old[page.page_id] = page
-        self._old.move_to_end(page.page_id)
-        self._evict_if_needed_midpoint()
-
-    def _shrink_new_segment(self) -> None:
-        """Demote the protected segment's LRU pages once it outgrows its share."""
-        assert self._old is not None and self._new is not None
-        limit = max(1, self.capacity_pages - self._old_target)
-        while len(self._new) > limit:
-            page_id, page = self._new.popitem(last=False)
-            self._old[page.page_id] = page
-            self._old.move_to_end(page.page_id)
-            del page_id
-
-    def _write_back_victim(self, victim: Page) -> None:
-        if victim.dirty:
-            self.disk.write(victim)
-            self.stats.dirty_writebacks += 1
-        self.stats.evictions += 1
 
     def _evict_if_needed(self) -> None:
         while len(self._frames) > self.capacity_pages:
@@ -368,12 +221,3 @@ class BufferPool:
                 self.disk.write(victim)
                 self.stats.dirty_writebacks += 1
             self.stats.evictions += 1
-
-    def _evict_if_needed_midpoint(self) -> None:
-        assert self._old is not None and self._new is not None
-        while len(self._old) + len(self._new) > self.capacity_pages:
-            if self._old:
-                _victim_id, victim = self._old.popitem(last=False)
-            else:
-                _victim_id, victim = self._new.popitem(last=False)
-            self._write_back_victim(victim)

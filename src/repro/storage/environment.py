@@ -103,7 +103,7 @@ class StorageEnvironment:
     """
 
     def __init__(self, cache_pages: int = 4096, page_size: int = PAGE_SIZE,
-                 path: str | None = None, pool_policy: str = "lru") -> None:
+                 path: str | None = None) -> None:
         if path is None:
             path = _backend_path_from_environ()
         if path is None:
@@ -114,8 +114,7 @@ class StorageEnvironment:
             self.disk = FileBackedDisk(path, page_size=page_size)
         self.path = path
         self.cache_pages = cache_pages
-        self.pool = BufferPool(self.disk, capacity_pages=cache_pages,
-                               policy=pool_policy)
+        self.pool = BufferPool(self.disk, capacity_pages=cache_pages)
         self._kvstores: dict[str, KVStore] = {}
         self._heapfiles: dict[str, HeapFile] = {}
         self._closed = False

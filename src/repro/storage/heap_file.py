@@ -118,35 +118,20 @@ class HeapFile:
         """Read an entire segment back as one byte string."""
         return b"".join(self.iter_pages(handle))
 
-    def iter_pages(self, handle: SegmentHandle,
-                   start_byte: int = 0) -> Iterator[bytes]:
+    def iter_pages(self, handle: SegmentHandle) -> Iterator[bytes]:
         """Yield the segment payload one page-sized fragment at a time.
 
         This is the access path used by query processing over long inverted
         lists: a consumer that stops early never touches the remaining pages.
-        ``start_byte`` starts the stream mid-segment — pages wholly before it
-        are never fetched (the block-seek path: a scan that jumps over blocks
-        is charged only for the pages it actually lands on).
         """
         self._check_handle(handle)
-        if start_byte < 0 or start_byte > handle.length:
-            raise StorageError(
-                f"{self.name}: start byte {start_byte} outside segment "
-                f"of {handle.length} bytes"
-            )
-        page_size = self.pool.disk.page_size
-        first = start_byte // page_size
-        skip = start_byte - first * page_size
-        remaining = handle.length - first * page_size
-        for page_id in handle.page_ids[first:]:
+        remaining = handle.length
+        for page_id in handle.page_ids:
             page = self.pool.get(page_id)
             fragment = page.data
             if remaining < len(fragment):
                 fragment = fragment[:remaining]
             remaining -= len(fragment)
-            if skip:
-                fragment = fragment[skip:]
-                skip = 0
             yield fragment
 
     def peek_pages(self, handle: SegmentHandle) -> Iterator[bytes]:

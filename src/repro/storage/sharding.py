@@ -524,10 +524,8 @@ class ShardedHeapFile:
                 return self._parts[handle.shard].read(handle.handle)
         return self._parts[handle.shard].read(handle.handle)
 
-    def iter_pages(self, handle: ShardedSegmentHandle,
-                   start_byte: int = 0) -> Iterator[bytes]:
-        return self._parts[handle.shard].iter_pages(handle.handle,
-                                                    start_byte=start_byte)
+    def iter_pages(self, handle: ShardedSegmentHandle) -> Iterator[bytes]:
+        return self._parts[handle.shard].iter_pages(handle.handle)
 
     def peek_pages(self, handle: ShardedSegmentHandle) -> Iterator[bytes]:
         return self._parts[handle.shard].peek_pages(handle.handle)

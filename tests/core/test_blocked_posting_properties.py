@@ -5,10 +5,13 @@ blocked binary layout: round-trips for all three list kinds (including empty
 lists, single-element blocks and maximal varint values), page-size
 independence, torn tails, and single-byte bitrot — which must surface as a
 typed error or decode identically, never as silently different postings.
+A golden-bytes test pins the wire format itself.
 """
 
+import hashlib
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ChecksumError, InvertedIndexError
@@ -227,65 +230,59 @@ def test_torn_chunk_tail_raises_typed_error(triples, block_span, page_size, data
         unique_by=lambda entry: entry[0],
     ),
     block_span=st.sampled_from([1, 4, 16]),
-    data=st.data(),
+    position=st.integers(min_value=0, max_value=2 ** 16),
+    flip=st.integers(min_value=1, max_value=255),
 )
-def test_bitrot_detected_or_identical(entries, block_span, data):
+# Header byte 3 is the flags byte; bit 1 once selected a since-removed block
+# codec, and a payload carrying it must be rejected, never misdecoded.
+@example(entries=[(7, 1.0)], block_span=1, position=3, flip=2)
+def test_bitrot_detected_or_identical(entries, block_span, position, flip):
     ordered = sorted(entries, key=lambda entry: (-entry[1], entry[0]))
     postings = [ScoredPosting(doc_id=doc, score=score) for doc, score in ordered]
     encoded = bytearray(encode_blocked_scored_postings(postings, block_span=block_span))
-    position = data.draw(st.integers(min_value=0, max_value=len(encoded) - 1))
-    flip = data.draw(st.integers(min_value=1, max_value=255))
+    position %= len(encoded)
     encoded[position] ^= flip
     reference = [(p.doc_id, p.score, 0.0) for p in postings]
     try:
         decoded = list(iter_blocked_scored_postings_lazy(reader_for(bytes(encoded), 16)))
-    except (ChecksumError, InvertedIndexError):
+    except (ChecksumError, InvertedIndexError) as exc:
+        # Any corrupt flags byte is the typed checksum error specifically.
+        assert position != 3 or isinstance(exc, ChecksumError)
         return
     assert decoded == reference
 
 
 # ---------------------------------------------------------------------------
-# Prune hooks: terminal semantics and skip accounting
+# Golden bytes: the wire format is frozen
 # ---------------------------------------------------------------------------
 
 
-def test_prune_is_terminal_and_counts_skipped_blocks():
-    postings = [
-        ScoredPosting(doc_id=i, score=float(100 - i)) for i in range(40)
+def test_golden_bytes_pin_the_wire_format():
+    """sha256 of each blocked encoder's output for a fixed multi-block input.
+
+    The digests were taken from the commit before block-max pruning, block
+    seeking and the group-varint codec were removed, so they prove that
+    removal changed no payload byte (page layout and Table 1 sizes follow).
+    """
+    ids = [Posting(doc_id=7 * i * i + 3, term_score=(i % 11) / 16) for i in range(300)]
+    scored = [
+        ScoredPosting(doc_id=(i * 2654435761) % 100003, score=5000.0 - 1.5 * i,
+                      term_score=(i % 7) / 8)
+        for i in range(300)
     ]
-    data = encode_blocked_scored_postings(postings, block_span=8)
-    directory = read_block_directory(data)
-    assert len(directory.blocks) == 5
-
-    seen_bounds = []
-    skipped = []
-
-    def prune(block):
-        seen_bounds.append(block.bound)
-        return len(seen_bounds) == 3  # prune at the third block
-
-    decoded = list(iter_blocked_scored_postings_lazy(
-        reader_for(data, 16), prune=prune,
-        on_skip=lambda count, block: skipped.append((count, block)),
-    ))
-    # Blocks 0 and 1 decode; blocks 2, 3, 4 are skipped without being read.
-    assert [d[0] for d in decoded] == list(range(16))
-    # on_skip receives the skipped-block count plus the pruned block itself
-    # (whose bound is what the heap floor beat) for EXPLAIN's skip journal.
-    assert [count for count, _block in skipped] == [3]
-    assert skipped[0][1].bound == seen_bounds[2]
-    # The prune callback is consulted once per block until it fires — never
-    # for the blocks after the terminal stop.
-    assert len(seen_bounds) == 3
-
-
-def test_prune_never_fires_decodes_everything():
-    postings = [ScoredPosting(doc_id=i, score=float(50 - i)) for i in range(30)]
-    data = encode_blocked_scored_postings(postings, block_span=4)
-    skipped = []
-    decoded = list(iter_blocked_scored_postings_lazy(
-        reader_for(data, 16), prune=lambda block: False,
-        on_skip=lambda count, block: skipped.append(count),
-    ))
-    assert len(decoded) == 30
-    assert skipped == []
+    runs = build_chunk_runs([(5 * i + 1, 1 + i % 9, (i % 13) / 16) for i in range(300)])
+    digests = {
+        name: hashlib.sha256(
+            b"".join(encode(items, with_term_scores=flag) for flag in (False, True))
+        ).hexdigest()
+        for name, encode, items in [
+            ("id", encode_blocked_id_postings, ids),
+            ("scored", encode_blocked_scored_postings, scored),
+            ("chunk", encode_blocked_chunk_runs, runs),
+        ]
+    }
+    assert digests == {
+        "id": "7b05989df34c0075e76934d58cf2b2c508d6460d33c4cbcbbb03ff658a03da60",
+        "scored": "de44fd6c61e9ab6251623dd47a3f9cb314af5d3d15976c37dadbdef0bc26c35a",
+        "chunk": "fcb4d067a5bd2f498a676f66f1bbe9652ec965c20c65421afeabe5657e07a329",
+    }

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.index_router import IndexRouter
 from tests.conftest import METHOD_OPTIONS, SVR_ONLY_METHODS, TERMSCORE_METHODS, make_corpus
 from tests.helpers import build_index, normalized_tf, query_doc_scores, reference_top_k
 
@@ -203,3 +204,59 @@ def test_property_chunk_and_threshold_match_reference(seed, num_docs, num_update
         keywords = update_rng.sample(vocabulary, 2)
         expected = reference_top_k(documents, local_scores, set(), keywords, k, conjunctive)
         assert query_doc_scores(index, keywords, k, conjunctive) == expected
+
+
+#: Ratios tuned so the stopping rules are active on the zipf corpus below; the
+#: paper-tuned defaults rarely stop early on lists this short.
+_ZIPF_OPTIONS = {
+    "score_threshold": dict(threshold_ratio=1.2),
+    "chunk": dict(chunk_ratio=1.5, min_chunk_size=50),
+    "chunk_termscore": dict(chunk_ratio=1.5, min_chunk_size=50),
+}
+
+_ZIPF_QUERIES = [
+    (["t00", "t01"], 5, False),
+    (["t00"], 5, False),
+    (["t00"], 10, False),
+    (["t01", "t02"], 3, False),
+    (["t00", "t01"], 5, True),
+    (["t03", "t05", "t07"], 5, False),
+]
+
+
+def _zipf_router(method, blocked_postings, n_docs=800, n_terms=12, n_updates=60):
+    """A router over a zipf-ish corpus (few hot terms with multi-page, multi-block
+    lists, skewed scores) after a small update storm."""
+    terms = [f"t{i:02d}" for i in range(n_terms)]
+    rng = random.Random(3)
+    router = IndexRouter.build(method, shard_count=1, threads=1, page_size=512,
+                               cache_pages=4096, blocked_postings=blocked_postings,
+                               **_ZIPF_OPTIONS.get(method, {}))
+    for doc_id in range(n_docs):
+        chosen = [
+            terms[min(int(rng.paretovariate(1.3)) % n_terms, n_terms - 1)]
+            for _ in range(rng.randint(3, 8))
+        ]
+        router.add_document(doc_id, rng.expovariate(0.002) + 1.0, terms=chosen)
+    router.finalize()
+    rng = random.Random(99)
+    for _ in range(n_updates):
+        router.update_score(rng.randrange(n_docs), rng.expovariate(0.002) + 1.0)
+    return router
+
+
+@pytest.mark.parametrize("method", SVR_ONLY_METHODS + TERMSCORE_METHODS)
+def test_legacy_codec_produces_identical_results(method):
+    """Flag off (legacy long-list payloads) returns the same top-k as flag on."""
+    blocked = _zipf_router(method, blocked_postings=True)
+    legacy = _zipf_router(method, blocked_postings=False)
+    try:
+        assert legacy.index.blocked_postings is False
+        for keywords, k, conjunctive in _ZIPF_QUERIES:
+            for router in (blocked, legacy):
+                router.drop_long_list_cache()
+            assert (blocked.query(keywords, k=k, conjunctive=conjunctive).results
+                    == legacy.query(keywords, k=k, conjunctive=conjunctive).results)
+    finally:
+        blocked.shutdown()
+        legacy.shutdown()

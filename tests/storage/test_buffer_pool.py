@@ -91,6 +91,28 @@ class TestBufferPool:
         assert disk.stats.reads == 1
 
 
+    def test_data_integrity_across_evictions(self):
+        """Pages written through a pool smaller than the working set read back intact."""
+        pool, _disk = make_pool(capacity=4)
+        pages = []
+        for i in range(12):
+            page = pool.allocate()
+            page.write(bytes([i]) * 8)
+            pool.put(page)
+            pages.append(page.page_id)
+        for i, page_id in enumerate(pages):
+            assert pool.get(page_id).data == bytes([i]) * 8
+
+    def test_lru_loses_hot_set_on_oversized_scan(self):
+        pool, _disk = make_pool(capacity=8)
+        hot = [pool.allocate().page_id for _ in range(4)]
+        for page_id in hot:
+            pool.get(page_id)
+        for _ in range(20):
+            pool.allocate()
+        assert not any(pool.contains(page_id) for page_id in hot)
+
+
 class TestBufferPoolStats:
     def test_hit_rate(self):
         stats = BufferPoolStats(hits=3, misses=1)
@@ -103,127 +125,3 @@ class TestBufferPoolStats:
         stats.hits += 1
         delta = stats.diff(snap)
         assert delta.hits == 1 and delta.misses == 0
-
-
-def make_midpoint_pool(capacity=8, old_fraction=0.375):
-    disk = SimulatedDisk(page_size=128)
-    pool = BufferPool(disk, capacity_pages=capacity, policy="midpoint",
-                      old_fraction=old_fraction)
-    return pool, disk
-
-
-class TestMidpointPolicy:
-    """The scan-resistant midpoint-insertion policy (BufferPool(policy="midpoint"))."""
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(BufferPoolError):
-            BufferPool(SimulatedDisk(), policy="clock")
-        with pytest.raises(BufferPoolError):
-            BufferPool(SimulatedDisk(), policy="midpoint", old_fraction=1.5)
-
-    def test_data_integrity_matches_lru(self):
-        """Same operations, same payloads read back — only eviction order differs."""
-        for policy in ("lru", "midpoint"):
-            disk = SimulatedDisk(page_size=128)
-            pool = BufferPool(disk, capacity_pages=4, policy=policy)
-            pages = []
-            for i in range(12):
-                page = pool.allocate()
-                page.write(bytes([i]) * 8)
-                pool.put(page)
-                pages.append(page.page_id)
-            for i, page_id in enumerate(pages):
-                assert pool.get(page_id).data == bytes([i]) * 8
-
-    def test_new_pages_enter_probationary_segment(self):
-        pool, _disk = make_midpoint_pool(capacity=8)
-        page = pool.allocate()
-        assert pool.probationary_pages == 1
-        assert pool.protected_pages == 0
-        pool.get(page.page_id)  # re-reference promotes
-        assert pool.protected_pages == 1
-        assert pool.probationary_pages == 0
-
-    def test_scan_does_not_evict_hot_set(self):
-        """A scan larger than the cache leaves re-referenced pages resident."""
-        pool, _disk = make_midpoint_pool(capacity=8)
-        hot = [pool.allocate().page_id for _ in range(4)]
-        for page_id in hot:  # second touch -> protected segment
-            pool.get(page_id)
-        scan = [pool.allocate().page_id for _ in range(20)]
-        for page_id in scan:  # one long scan, never re-referenced
-            pool.get(page_id)
-        for page_id in hot:
-            assert pool.contains(page_id)
-
-    def test_lru_baseline_loses_hot_set_on_same_scan(self):
-        pool, _disk = make_pool(capacity=8)
-        hot = [pool.allocate().page_id for _ in range(4)]
-        for page_id in hot:
-            pool.get(page_id)
-        for _ in range(20):
-            pool.allocate()
-        assert not any(pool.contains(page_id) for page_id in hot)
-
-    def test_midpoint_hit_rate_beats_lru_on_scan_mix(self):
-        """The bench's claim in miniature: hot set + repeated oversized scans."""
-        def run(policy):
-            disk = SimulatedDisk(page_size=128)
-            pool = BufferPool(disk, capacity_pages=16, policy=policy)
-            hot = [pool.allocate().page_id for _ in range(8)]
-            cold = [pool.allocate().page_id for _ in range(64)]
-            pool.drop()
-            pool.stats.reset()
-            for _ in range(4):
-                for _rep in range(4):
-                    for page_id in hot:
-                        pool.get(page_id)
-                for page_id in cold:
-                    pool.get(page_id)
-            return pool.stats.hit_rate
-
-        assert run("midpoint") > run("lru")
-
-    def test_eviction_prefers_probationary_and_writes_back_dirty(self):
-        pool, disk = make_midpoint_pool(capacity=4)
-        protected = [pool.allocate() for _ in range(2)]
-        for page in protected:
-            page.write(b"hot")
-            pool.put(page)
-            pool.get(page.page_id)  # promote
-        for _ in range(6):  # overflow through the probationary segment
-            scratch = pool.allocate()
-            scratch.write(b"cold")
-            pool.put(scratch)
-        for page in protected:
-            assert pool.contains(page.page_id)
-        assert pool.stats.evictions >= 4
-        # evicted dirty pages were written back and are readable from disk
-        assert disk.stats.writes >= 4
-
-    def test_drop_and_flush_cover_both_segments(self):
-        pool, disk = make_midpoint_pool(capacity=8)
-        first = pool.allocate()
-        first.write(b"a")
-        pool.put(first)
-        pool.get(first.page_id)  # promoted + dirty
-        second = pool.allocate()
-        second.write(b"b")
-        pool.put(second)         # probationary + dirty
-        pool.flush()
-        assert disk.peek(first.page_id).data == b"a"
-        assert disk.peek(second.page_id).data == b"b"
-        pool.drop()
-        assert pool.cached_pages == 0
-        assert pool.get(first.page_id).data == b"a"
-        assert pool.get(second.page_id).data == b"b"
-
-    def test_protected_segment_demotes_to_probation_when_full(self):
-        pool, _disk = make_midpoint_pool(capacity=8, old_fraction=0.5)
-        pages = [pool.allocate().page_id for _ in range(6)]
-        for page_id in pages:
-            pool.get(page_id)  # promote everything
-        # protected limit is capacity - old_target = 4: two were demoted
-        assert pool.protected_pages == 4
-        assert pool.probationary_pages == 2
-        assert all(pool.contains(page_id) for page_id in pages)
