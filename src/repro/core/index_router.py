@@ -778,6 +778,7 @@ class IndexRouter:
                     latches=latches,
                     block_size=self.block_size,
                     initial_block=self.initial_block,
+                    postings_of=self.index.stream_item_postings,
                 )
             try:
                 with span("query.merge"):

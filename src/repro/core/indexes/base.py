@@ -35,7 +35,6 @@ from repro.core.posting import (
     LazyBytesReader,
     blocked_postings_enabled,
     peek_blocked_directory,
-    read_blocked_total,
 )
 from repro.obs.trace import span
 from repro.storage.environment import StorageEnvironment
@@ -170,6 +169,9 @@ class InvertedIndex(abc.ABC):
     method_name = "abstract"
     #: Whether long-list postings carry a per-term score.
     stores_term_scores = False
+    #: Postings in one item of a term stream, for methods whose streams
+    #: bundle postings (``None``: one per item); sizes the fan-out pumps.
+    stream_item_postings = None
 
     def __init__(self, env: "StorageEnvironment | ShardedEnvironment",
                  documents: DocumentStore, name: str = "svr",
@@ -238,7 +240,7 @@ class InvertedIndex(abc.ABC):
             self.env.pool.drop(store.page_ids(accounted=accounted))
 
     # ------------------------------------------------------------------
-    # Hot-term list cache + directory-served planner estimates
+    # Hot-term list cache + directory-served plan descriptions
     # ------------------------------------------------------------------
 
     def _make_list_cache(self, list_cache_pages: "int | None") -> "InvertedListCache | None":
@@ -284,29 +286,6 @@ class InvertedIndex(abc.ABC):
         postings = list(self._tag_scan_errors(handle, decode(reader)))
         cache.put(shard, term, postings, nbytes=handle.length)
         return postings
-
-    def estimate_term_list_length(self, term: str) -> "int | None":
-        """Planner estimate of a term's long-list posting count.
-
-        Served from the blocked header alone — four fixed bytes plus one
-        varint on the segment's first page, read through the peek path so the
-        estimate costs zero accounted I/O (``pages_read``-free).  Returns
-        ``None`` when the method has no per-term segments, the payload
-        predates the blocked format, or the header is unreadable; ``0`` when
-        the term has no long list at all.
-        """
-        segments = getattr(self, "_segments", None)
-        long_lists = getattr(self, "_long_lists", None)
-        if segments is None or long_lists is None:
-            return None
-        handle = segments.get(term)
-        if handle is None:
-            return 0
-        reader = LazyBytesReader(long_lists.peek_pages(handle))
-        try:
-            return read_blocked_total(reader)
-        except ReproError:
-            return None
 
     def describe_term_plan(self, term: str) -> dict:
         """Planner-visible description of one term's long-list scan.
@@ -840,3 +819,34 @@ class InvertedIndex(abc.ABC):
         if len(memo) < cache.SCORE_MEMO_LIMIT:
             memo[doc_id] = score
         return score
+
+    def _live_scores(self, doc_ids: "list[int]") -> "dict[int, float | None]":
+        """Batched :meth:`_live_score`: ``{doc_id: score or None}``.
+
+        The deleted flags of every document are read first, then the Score
+        rows of the live ones, each as one bulk pass that descends once per
+        leaf run — the same keys, and so the same pages, as probing one
+        document at a time.  The live-score memo applies exactly as in
+        :meth:`_live_score`.
+        """
+        cache = self.list_cache
+        memo = None if cache is None else cache.scores
+        scores: "dict[int, float | None]" = {}
+        pending = doc_ids
+        if memo is not None:
+            pending = []
+            for doc_id in doc_ids:
+                if doc_id in memo:
+                    scores[doc_id] = memo[doc_id]
+                else:
+                    pending.append(doc_id)
+        deleted = self.deleted_table.get_many(pending)
+        found = self.score_table.get_many(
+            [doc_id for doc_id in pending if doc_id not in deleted]
+        )
+        for doc_id in pending:
+            score = found.get(doc_id)
+            scores[doc_id] = score
+            if memo is not None and len(memo) < cache.SCORE_MEMO_LIMIT:
+                memo[doc_id] = score
+        return scores

@@ -11,13 +11,16 @@ up by **more than one chunk** (``thresholdValueOf(cid) = cid + 1``), which
 makes most updates a single Score-table write.  Queries scan chunks from the
 top downwards, merging short and long lists, and stop one chunk after the
 top-k results can no longer change — the chunk-granularity analogue of the
-Score-Threshold stopping rule.
+Score-Threshold stopping rule.  Because a query may only stop at a chunk
+boundary, it is evaluated a chunk at a time: each term stream yields
+block-local chunk fragments, a chunk's new candidates come out of set
+operations, and they are scored in one batch of B+-tree lookups.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from repro.errors import InvertedIndexError
 from repro.core.indexes.base import InvertedIndex, QueryResult, QueryStats, _StagedDocument, _TermPlan
@@ -30,7 +33,7 @@ from repro.core.posting import (
     iter_blocked_chunk_postings_lazy,
     iter_chunk_postings_lazy,
 )
-from repro.core.result_heap import ResultHeap, merge_ranked_streams
+from repro.core.result_heap import ResultHeap
 from repro.storage.environment import StorageEnvironment
 from repro.storage.heap_file import SegmentHandle
 from repro.text.documents import Document, DocumentStore
@@ -215,6 +218,10 @@ class ChunkIndex(InvertedIndex):
 
     # -- query (Algorithm 2 with chunks) ----------------------------------------------------
 
+    @staticmethod
+    def stream_item_postings(fragment: tuple) -> int:
+        return len(fragment[3])
+
     def _make_term_plan(self, term: str) -> _TermPlan:
         return _TermPlan(
             term,
@@ -224,33 +231,12 @@ class ChunkIndex(InvertedIndex):
     def _merge_term_streams(self, streams: list, terms: list[str], k: int,
                             conjunctive: bool, stats: QueryStats) -> list[QueryResult]:
         assert self.chunk_map is not None
-        required = len(terms) if conjunctive else 1
         heap = ResultHeap(k)
-        merged = merge_ranked_streams(streams)
-        seen_terms: dict[int, set[int]] = {}
-        seen_short: dict[int, bool] = {}
-        processed: set[int] = set()
-        current_chunk: int | None = None
-        for neg_chunk, doc_id, term_index, is_short, _term_score in merged:
-            chunk_id = -neg_chunk
-            if chunk_id != current_chunk:
-                # Crossing into a lower chunk: the previous chunk is complete, so
-                # apply the end-of-chunk stopping rule before going on.
-                if current_chunk is not None and self._can_stop(chunk_id, heap):
-                    stats.stopped_early = True
-                    break
-                current_chunk = chunk_id
-                stats.chunks_scanned += 1
-            if doc_id in processed:
-                continue
-            terms_seen = seen_terms.setdefault(doc_id, set())
-            terms_seen.add(term_index)
-            seen_short[doc_id] = seen_short.get(doc_id, False) or is_short
-            if len(terms_seen) < required:
-                continue
-            processed.add(doc_id)
-            stats.candidates += 1
-            self._process_candidate(doc_id, seen_short[doc_id], heap, stats)
+        candidates = _ChunkCandidates(len(terms), conjunctive, processed=set())
+        for chunk_id, longs, shorts in self._scan_chunks(
+                streams, stats, lambda next_chunk: self._can_stop(next_chunk, heap)):
+            _docs, completed = candidates.complete(chunk_id, longs, shorts)
+            self._resolve_candidates(completed, heap, stats)
         return [QueryResult(entry.doc_id, entry.score) for entry in heap.results()]
 
     def _can_stop(self, next_chunk: int, heap: ResultHeap) -> bool:
@@ -268,47 +254,123 @@ class ChunkIndex(InvertedIndex):
         bound = self.chunk_map.lower_bound(next_chunk + 2)
         return heap.min_score() >= bound
 
-    def _process_candidate(self, doc_id: int, from_short: bool, heap: ResultHeap,
-                           stats: QueryStats) -> None:
-        if not from_short:
-            entry = self._list_chunk.get(doc_id, default=None)
-            if entry is not None and entry[1]:
-                # Short-list postings exist; the long-list occurrence is ignored.
+    @staticmethod
+    def _scan_chunks(streams: list, stats: QueryStats, can_stop):
+        """Pull the term streams one chunk at a time, from the top chunk down.
+
+        Yields ``(chunk_id, longs, shorts)`` per scanned chunk: ``longs[t]``
+        / ``shorts[t]`` map the doc ids of term ``t``'s long / short postings
+        in the chunk to their term scores (``None`` values when the list
+        stores none), or are ``None`` when the term has no such posting
+        there.  Gathering a chunk pulls all of its fragments plus one
+        lookahead fragment per stream — with the per-list lookahead inside
+        each stream, exactly what a posting-at-a-time k-way merge pulls by
+        the time it meets the next chunk — and ``can_stop(next_chunk)`` is
+        asked before crossing into the next chunk, after the consumer has
+        resolved this one.
+        """
+        heads = [next(stream, None) for stream in streams]
+        chunk_id = None
+        while True:
+            pending = [head[0] for head in heads if head is not None]
+            if not pending:
                 return
-        current = self._live_score(doc_id)
-        stats.score_lookups += 1
-        if current is None:
+            neg_chunk = min(pending)
+            if chunk_id is not None and can_stop(-neg_chunk):
+                stats.stopped_early = True
+                return
+            chunk_id = -neg_chunk
+            stats.chunks_scanned += 1
+            longs: list = [None] * len(streams)
+            shorts: list = [None] * len(streams)
+            for position, stream in enumerate(streams):
+                head = heads[position]
+                while head is not None and head[0] == neg_chunk:
+                    _neg, term_index, is_short, doc_ids, term_scores = head
+                    postings = (dict.fromkeys(doc_ids) if term_scores is None
+                                else dict(zip(doc_ids, term_scores)))
+                    side = shorts if is_short else longs
+                    if side[term_index] is None:
+                        side[term_index] = postings
+                    else:
+                        side[term_index].update(postings)
+                    head = next(stream, None)
+                heads[position] = head
+            yield chunk_id, longs, shorts
+
+    def _resolve_candidates(self, completed: list, heap: ResultHeap,
+                            stats: QueryStats) -> None:
+        """Score one chunk's completed documents as a batch, in doc-id order.
+
+        Three bulk passes, each descending once per B+-tree leaf run: the
+        ListChunk rows of the long-only candidates (a document with short
+        postings is represented by those; its long posting is stale), then
+        the deleted flags, then the Score rows of the survivors — the same
+        keys a candidate-at-a-time loop probes, so the same pages.
+        """
+        if not completed:
             return
-        stats.heap_offers += 1
-        heap.add(doc_id, current)
+        stats.candidates += len(completed)
+        rows = self._list_chunk.get_many(
+            [doc_id for doc_id, from_short, _found in completed if not from_short]
+        )
+        scored = [entry for entry in completed
+                  if entry[0] not in rows or not rows[entry[0]][1]]
+        stats.score_lookups += len(scored)
+        scores = self._live_scores([doc_id for doc_id, _short, _found in scored])
+        for doc_id, _from_short, found in scored:
+            score = scores[doc_id]
+            if score is None:
+                continue
+            stats.heap_offers += 1
+            heap.add(doc_id, self._candidate_score(score, found))
+
+    def _candidate_score(self, score: float, found: "dict | None") -> float:
+        """Ranking score of a candidate (the plain Chunk method: its SVR score)."""
+        del found
+        return score
 
     # -- per-term streams ------------------------------------------------------------------
 
-    def _term_stream(self, term_index: int, term: str,
-                     stats: QueryStats) -> Iterator[tuple[int, int, int, bool, float]]:
-        """One term's short + long postings in (decreasing chunk, increasing doc id) order.
+    def _term_stream(self, term_index: int, term: str, stats: QueryStats):
+        """One term's short + long postings as chunk fragments, top chunk first.
 
-        Yields ``(-chunk_id, doc_id, term_index, is_short, term_score)``.
+        Yields ``(-chunk_id, term_index, is_short, doc_ids, term_scores)``;
+        within a chunk the long fragments precede the short one.
         """
-        short_adds, removed = self._load_short(term)
-        long_postings = self._iter_long(term, stats)
+        short_fragments, removed = self._load_short(term_index, term)
+        return heapq.merge(
+            _counted_short(short_fragments, stats),
+            self._long_fragments(term_index, term, removed, stats),
+        )
 
-        def short_iter() -> Iterator[tuple[int, int, int, bool, float]]:
-            for chunk_id, doc_id, term_score in short_adds:
-                stats.postings_scanned += 1
-                yield -chunk_id, doc_id, term_index, True, term_score
+    def _long_fragments(self, term_index: int, term: str, removed: "set[int]",
+                        stats: QueryStats):
+        """The long list's fragments minus the postings the short list REMoved.
 
-        def long_iter() -> Iterator[tuple[int, int, int, bool, float]]:
-            for chunk_id, doc_id, term_score in long_postings:
-                if doc_id in removed:
+        ``postings_scanned`` counts exactly what a posting-at-a-time scan
+        counts: when a fragment is pulled, its postings up to the first one
+        kept; the rest when the next fragment is asked for, which happens
+        only if the merge scanned this fragment's chunk.
+        """
+        for chunk_id, doc_ids, term_scores in self._iter_long(term):
+            count = len(doc_ids)
+            pulled = 1
+            if removed and not removed.isdisjoint(doc_ids):
+                kept = [i for i, doc_id in enumerate(doc_ids) if doc_id not in removed]
+                if not kept:
+                    stats.postings_scanned += count
                     continue
-                yield -chunk_id, doc_id, term_index, False, term_score
+                pulled = kept[0] + 1
+                doc_ids = [doc_ids[i] for i in kept]
+                if term_scores is not None:
+                    term_scores = [term_scores[i] for i in kept]
+            stats.postings_scanned += pulled
+            yield -chunk_id, term_index, False, doc_ids, term_scores
+            stats.postings_scanned += count - pulled
 
-        return heapq.merge(short_iter(), long_iter())
-
-    def _iter_long(self, term: str,
-                   stats: QueryStats) -> "Iterator[tuple[int, int, float]]":
-        """Stream ``(chunk_id, doc_id, term_score)`` triples from the long list."""
+    def _iter_long(self, term: str):
+        """Stream the long list as ``(chunk_id, doc_ids, term_scores)`` fragments."""
         handle = self._segments.get(term)
         if handle is None:
             return
@@ -317,27 +379,171 @@ class ChunkIndex(InvertedIndex):
                 self._long_lists, handle, term, iter_blocked_chunk_postings_lazy
             )
             if cached is not None:
-                for posting in cached:
-                    stats.postings_scanned += 1
-                    yield posting
+                yield from cached
                 return
+            reader = LazyBytesReader(self._long_lists.iter_pages(handle))
+            yield from self._tag_scan_errors(
+                handle, iter_blocked_chunk_postings_lazy(reader))
+            return
+        # The legacy reader decodes posting by posting; each posting becomes
+        # a one-posting fragment, so pulls — and pages read — stay as they were.
         reader = LazyBytesReader(self._long_lists.iter_pages(handle))
-        if self.blocked_postings:
-            postings = iter_blocked_chunk_postings_lazy(reader)
-        else:
-            postings = iter_chunk_postings_lazy(reader)
-        for posting in self._tag_scan_errors(handle, postings):
-            stats.postings_scanned += 1
-            yield posting
+        postings = self._tag_scan_errors(handle, iter_chunk_postings_lazy(reader))
+        for chunk_id, doc_id, term_score in postings:
+            yield chunk_id, [doc_id], [term_score]
 
-    def _load_short(self, term: str) -> tuple[list[tuple[int, int, float]], set[int]]:
-        """One term's short list: (chunk_id, doc_id, term_score) adds plus removed ids."""
-        adds: list[tuple[int, int, float]] = []
+    def _load_short(self, term_index: int, term: str) -> tuple[list, set[int]]:
+        """One term's short list: ADD postings as stream fragments (one per
+        chunk, top chunk first) plus the ids of REMoved long postings."""
+        fragments: list = []
         removed: set[int] = set()
+        # Keys (term, -chunk_id, doc_id) already come in stream order.
         for (_term, neg_chunk, doc_id), (operation, term_score) in self._short.prefix_items((term,)):
-            if operation == _ADD:
-                adds.append((-neg_chunk, doc_id, term_score))
-            else:
+            if operation != _ADD:
                 removed.add(doc_id)
-        adds.sort(key=lambda entry: (-entry[0], entry[1]))
-        return adds, removed
+            elif fragments and fragments[-1][0] == neg_chunk:
+                fragments[-1][3].append(doc_id)
+                fragments[-1][4].append(term_score)
+            else:
+                fragments.append((neg_chunk, term_index, True, [doc_id], [term_score]))
+        return fragments, removed
+
+
+def _counted_short(fragments: list, stats: QueryStats):
+    """Yield short-list fragments, counting postings as a per-posting scan
+    would: the first when a fragment is pulled, the rest once it is scanned."""
+    for fragment in fragments:
+        stats.postings_scanned += 1
+        yield fragment
+        stats.postings_scanned += len(fragment[3]) - 1
+
+
+class _ChunkCandidates:
+    """Which documents complete the query in each chunk, by set arithmetic.
+
+    The decisions are those of a posting-at-a-time merge that walks each
+    chunk in ``(doc_id, term_index, is_short)`` order and makes a document a
+    candidate at the posting that gives it every required term:
+
+    * OR (or a single term): every unprocessed document in the chunk; the
+      completing posting is its first one — the lowest term, long before
+      short.
+    * AND: the unprocessed documents that have every term in this chunk or
+      an earlier one (each term's ``seen`` map intersected with the chunk).
+      The completing posting is the first posting of the highest term not
+      seen earlier.
+
+    ``from_short`` is whether a short posting came up to and including the
+    completing one; ``found`` maps term index to the term score of the
+    latest such posting of each term, in the order the terms were first seen
+    (Chunk-TermScore sums it, so the order fixes float rounding).
+    """
+
+    def __init__(self, term_count: int, conjunctive: bool, processed: "set[int]",
+                 term_scores: bool = False) -> None:
+        self.term_count = term_count
+        self.processed = processed
+        self.all_terms = conjunctive and term_count > 1
+        self.term_scores = term_scores
+        # AND state, per term: doc id -> term score of its latest posting in
+        # an earlier chunk, and (only when term scores are summed) doc id ->
+        # the chunk it was first seen in.
+        self.seen: "list[dict[int, float | None]]" = [{} for _ in range(term_count)]
+        self.first_chunk: "list[dict[int, int]]" = (
+            [{} for _ in range(term_count)] if term_scores else []
+        )
+        self.short_seen: "set[int]" = set()
+
+    def complete(self, chunk_id: int, longs: list, shorts: list
+                 ) -> "tuple[set[int], list[tuple[int, bool, dict | None]]]":
+        """``(docs in the chunk, completions)``; completions are
+        ``(doc_id, from_short, found)`` in ascending doc-id order."""
+        short_docs: set[int] = set().union(*(m for m in shorts if m is not None))
+        docs = short_docs.union(*(m for m in longs if m is not None))
+        fresh = docs.difference(self.processed)
+        if self.all_terms:
+            completed = self._complete_all(chunk_id, longs, shorts, short_docs, fresh)
+        else:
+            completed = self._complete_any(longs, shorts, short_docs, fresh)
+        self.processed.update(doc_id for doc_id, _short, _found in completed)
+        return docs, completed
+
+    def _complete_any(self, longs: list, shorts: list, short_docs: "set[int]",
+                      fresh: "set[int]") -> list:
+        completed = []
+        for doc_id in sorted(fresh):
+            if not self.term_scores and doc_id not in short_docs:
+                completed.append((doc_id, False, None))
+                continue
+            for term in range(self.term_count):
+                postings = longs[term]
+                if postings is not None and doc_id in postings:
+                    completed.append((doc_id, False, {term: postings[doc_id]}))
+                    break
+                postings = shorts[term]
+                if postings is not None and doc_id in postings:
+                    completed.append((doc_id, True, {term: postings[doc_id]}))
+                    break
+        return completed
+
+    def _complete_all(self, chunk_id: int, longs: list, shorts: list,
+                      short_docs: "set[int]", fresh: "set[int]") -> list:
+        seen = self.seen
+        terms = range(self.term_count)
+        ready = fresh
+        for term in terms:
+            absent = ready.difference(*(m for m in (longs[term], shorts[term])
+                                        if m is not None))
+            if absent:
+                ready -= absent.difference(seen[term])
+        completed = []
+        for doc_id in sorted(ready):
+            if not self.term_scores and doc_id not in short_docs:
+                # Every posting of the document in this chunk is long.
+                completed.append((doc_id, doc_id in self.short_seen, None))
+                continue
+            missing = [term for term in terms if doc_id not in seen[term]]
+            last = missing[-1]
+            from_short = (
+                doc_id in self.short_seen
+                or any(shorts[term] is not None and doc_id in shorts[term]
+                       for term in range(last))
+                or longs[last] is None or doc_id not in longs[last]
+            )
+            found = (self._found(doc_id, missing, longs, shorts)
+                     if self.term_scores else None)
+            completed.append((doc_id, from_short, found))
+        for term in terms:
+            for postings in (longs[term], shorts[term]):
+                if postings is None:
+                    continue
+                if self.term_scores:
+                    first_seen = set(postings).difference(seen[term])
+                    if first_seen:
+                        self.first_chunk[term].update(dict.fromkeys(first_seen, chunk_id))
+                seen[term].update(postings)
+        self.short_seen |= short_docs
+        return completed
+
+    def _found(self, doc_id: int, missing: "list[int]", longs: list,
+               shorts: list) -> "dict[int, float]":
+        """Term scores an AND candidate collected up to its completing posting."""
+        seen = self.seen
+        last = missing[-1]
+        earlier = sorted((term for term in range(self.term_count) if doc_id in seen[term]),
+                         key=lambda term: (-self.first_chunk[term][doc_id], term))
+        found = {}
+        for term in earlier + missing:
+            long_postings, short_postings = longs[term], shorts[term]
+            in_long = long_postings is not None and doc_id in long_postings
+            in_short = short_postings is not None and doc_id in short_postings
+            if term == last:
+                # The completing posting: the term's first one in the chunk.
+                found[term] = long_postings[doc_id] if in_long else short_postings[doc_id]
+            elif term < last and in_short:
+                found[term] = short_postings[doc_id]
+            elif term < last and in_long:
+                found[term] = long_postings[doc_id]
+            else:
+                found[term] = seen[term][doc_id]
+        return found

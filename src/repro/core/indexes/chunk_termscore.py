@@ -21,8 +21,8 @@ empty and no remaining document's combined upper bound can enter the top-k.
 from __future__ import annotations
 
 from repro.core.indexes.base import QueryResult, QueryStats, _StagedDocument
-from repro.core.indexes.chunk import ChunkIndex
-from repro.core.result_heap import ResultHeap, merge_ranked_streams
+from repro.core.indexes.chunk import ChunkIndex, _ChunkCandidates
+from repro.core.result_heap import ResultHeap
 from repro.storage.environment import StorageEnvironment
 from repro.text.documents import Document, DocumentStore
 
@@ -148,7 +148,6 @@ class ChunkTermScoreIndex(ChunkIndex):
     def _merge_term_streams(self, streams: list, terms: list[str], k: int,
                             conjunctive: bool, stats: QueryStats) -> list[QueryResult]:
         assert self.chunk_map is not None
-        required = len(terms) if conjunctive else 1
         processed: set[int] = set()
 
         # Phase 1: merge the fancy lists (Algorithm 3, lines 8-9).  The fancy
@@ -160,6 +159,7 @@ class ChunkTermScoreIndex(ChunkIndex):
         heap = ResultHeap(k)
         all_fancy_docs = set().union(*fancy) if fancy else set()
         remain_list: dict[int, dict[int, float]] = {}
+        in_every_list: list[tuple[int, dict[int, float]]] = []
         for doc_id in sorted(all_fancy_docs):
             known = {
                 index: fancy[index][doc_id]
@@ -167,83 +167,62 @@ class ChunkTermScoreIndex(ChunkIndex):
                 if doc_id in fancy[index]
             }
             if len(known) == len(terms):
-                current = self._live_score(doc_id)
-                stats.score_lookups += 1
-                if current is not None:
-                    combined = current + self.term_weight * sum(known.values())
-                    stats.heap_offers += 1
-                    heap.add(doc_id, combined)
+                in_every_list.append((doc_id, known))
                 processed.add(doc_id)
             else:
                 remain_list[doc_id] = known
+        stats.score_lookups += len(in_every_list)
+        scores = self._live_scores([doc_id for doc_id, _known in in_every_list])
+        for doc_id, known in in_every_list:
+            current = scores[doc_id]
+            if current is not None:
+                stats.heap_offers += 1
+                heap.add(doc_id, current + self.term_weight * sum(known.values()))
 
         # Phase 2: merge short and long lists in chunk order (lines 10-34).
-        merged = merge_ranked_streams(streams)
-        seen_terms: dict[int, dict[int, float]] = {}
-        seen_short: dict[int, bool] = {}
-        current_chunk: int | None = None
+        candidates = _ChunkCandidates(len(terms), conjunctive, processed,
+                                      term_scores=True)
         sum_floors = sum(fancy_floors)
-        for neg_chunk, doc_id, term_index, is_short, term_score in merged:
-            chunk_id = -neg_chunk
-            if chunk_id != current_chunk:
-                if current_chunk is not None and self._termscore_can_stop(
-                    chunk_id, heap, remain_list, fancy, fancy_floors, stats, sum_floors
-                ):
-                    stats.stopped_early = True
-                    break
-                current_chunk = chunk_id
-                stats.chunks_scanned += 1
+
+        def can_stop(next_chunk: int) -> bool:
+            return self._termscore_can_stop(next_chunk, heap, remain_list,
+                                            fancy_floors, stats, sum_floors)
+
+        for chunk_id, longs, shorts in self._scan_chunks(streams, stats, can_stop):
+            docs, completed = candidates.complete(chunk_id, longs, shorts)
             if remain_list:
-                remain_list.pop(doc_id, None)
-            if doc_id in processed:
-                continue
-            found = seen_terms.setdefault(doc_id, {})
-            found[term_index] = term_score
-            seen_short[doc_id] = seen_short.get(doc_id, False) or is_short
-            if len(found) < required:
-                continue
-            processed.add(doc_id)
-            stats.candidates += 1
-            self._process_termscore_candidate(doc_id, seen_short[doc_id], found, heap, stats)
+                for doc_id in docs.intersection(remain_list):
+                    del remain_list[doc_id]
+            self._resolve_candidates(completed, heap, stats)
         return [QueryResult(entry.doc_id, entry.score) for entry in heap.results()]
 
-    def _process_termscore_candidate(self, doc_id: int, from_short: bool,
-                                     found: dict[int, float], heap: ResultHeap,
-                                     stats: QueryStats) -> None:
-        if not from_short:
-            entry = self._list_chunk.get(doc_id, default=None)
-            if entry is not None and entry[1]:
-                return
-        current = self._live_score(doc_id)
-        stats.score_lookups += 1
-        if current is None:
-            return
-        combined = current + self.term_weight * sum(found.values())
-        stats.heap_offers += 1
-        heap.add(doc_id, combined)
+    def _candidate_score(self, score: float, found: dict) -> float:
+        return score + self.term_weight * sum(found.values())
 
     def _termscore_can_stop(self, next_chunk: int, heap: ResultHeap,
                             remain_list: dict[int, dict[int, float]],
-                            fancy: list[dict[int, float]], fancy_floors: list[float],
-                            stats: QueryStats, sum_floors: float) -> bool:
+                            fancy_floors: list[float], stats: QueryStats,
+                            sum_floors: float) -> bool:
         """End-of-chunk pruning and stopping test (Algorithm 3, lines 26-34)."""
         assert self.chunk_map is not None
         if not heap.is_full:
             return False
         floor = heap.min_score()
         # Prune remainList entries whose combined upper bound cannot reach the heap.
-        for doc_id in list(remain_list):
-            known = remain_list[doc_id]
-            svr = self._live_score(doc_id)
-            stats.score_lookups += 1
-            if svr is None:
-                del remain_list[doc_id]
-                continue
-            term_bound = sum(
-                known.get(index, fancy_floors[index]) for index in range(len(fancy))
-            )
-            if svr + self.term_weight * term_bound < floor:
-                del remain_list[doc_id]
+        if remain_list:
+            stats.score_lookups += len(remain_list)
+            scores = self._live_scores(list(remain_list))
+            for doc_id, svr in scores.items():
+                if svr is None:
+                    del remain_list[doc_id]
+                    continue
+                known = remain_list[doc_id]
+                term_bound = sum(
+                    known.get(index, fancy_floors[index])
+                    for index in range(len(fancy_floors))
+                )
+                if svr + self.term_weight * term_bound < floor:
+                    del remain_list[doc_id]
         if remain_list:
             return False
         svr_bound = self.chunk_map.lower_bound(next_chunk + 2)

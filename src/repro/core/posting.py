@@ -817,22 +817,6 @@ def _read_blocked_header(reader: LazyBytesReader, expected_kind: int,
                           total=total, blocks=tuple(blocks))
 
 
-def read_blocked_total(reader: LazyBytesReader) -> "int | None":
-    """Read only the posting count from a blocked payload's header.
-
-    Serves the planner's list-length estimates straight from the directory
-    header: four fixed bytes plus one varint, so the answer always comes out
-    of the segment's first page.  Returns ``None`` when the payload is not in
-    the blocked format (legacy flat encodings carry no self-describing count).
-    """
-    if reader.exhausted:
-        return 0
-    head = reader.read_bytes(4)
-    if head[0] != BLOCKED_MAGIC or head[1] != BLOCKED_VERSION:
-        return None
-    return reader.read_varint()
-
-
 def peek_blocked_directory(reader: LazyBytesReader) -> "BlockDirectory | None":
     """Parse a blocked payload's header + directory, tolerating legacy payloads.
 
@@ -910,37 +894,62 @@ def _decode_scored_block(payload: bytes, block: BlockInfo,
     return out
 
 
-def _decode_chunk_block(payload: bytes, block: BlockInfo,
-                        with_term_scores: bool) -> "list[tuple[int, int, float]]":
-    out: list[tuple[int, int, float]] = []
-    append = out.append
+def _decode_chunk_block(payload: bytes, block: BlockInfo, with_term_scores: bool
+                        ) -> "list[tuple[int, list[int], list[float] | None]]":
+    """Decode one chunk block into its fragments.
+
+    A fragment is one chunk's run of postings inside the block:
+    ``(chunk_id, doc_ids, term_scores)``, with ``term_scores`` ``None`` when
+    the payload carries none.  Fragments come in decreasing chunk order.
+    """
+    fragments: list = []
     offset = 0
     size = len(payload)
     remaining = block.count
     previous_chunk = None
-    while remaining:
-        chunk_id, offset = decode_varint(payload, offset)
-        fragment_count, offset = decode_varint(payload, offset)
-        if fragment_count == 0 or fragment_count > remaining:
-            raise ChecksumError("blocked posting list: bad chunk fragment length")
-        if previous_chunk is not None and chunk_id >= previous_chunk:
-            raise ChecksumError("blocked posting list: chunk fragments out of order")
-        previous_chunk = chunk_id
-        doc_id = 0
-        for _ in range(fragment_count):
-            delta, offset = decode_varint(payload, offset)
-            doc_id += delta
-            if with_term_scores:
-                if offset + 4 > size:
-                    raise ChecksumError("blocked posting list: truncated block")
-                append((chunk_id, doc_id, _FLOAT.unpack_from(payload, offset)[0]))
-                offset += 4
-            else:
-                append((chunk_id, doc_id, 0.0))
-        remaining -= fragment_count
-    if offset != size or out[-1][1] != block.last_doc_id or out[0][0] != int(block.bound):
+    unpack_from = _FLOAT.unpack_from
+    try:
+        while remaining:
+            chunk_id, offset = decode_varint(payload, offset)
+            fragment_count, offset = decode_varint(payload, offset)
+            if fragment_count == 0 or fragment_count > remaining:
+                raise ChecksumError("blocked posting list: bad chunk fragment length")
+            if previous_chunk is not None and chunk_id >= previous_chunk:
+                raise ChecksumError("blocked posting list: chunk fragments out of order")
+            previous_chunk = chunk_id
+            doc_ids: list[int] = []
+            append = doc_ids.append
+            term_scores: "list[float] | None" = [] if with_term_scores else None
+            doc_id = 0
+            for _ in range(fragment_count):
+                # Inlined LEB128 delta: one posting costs no function call.
+                byte = payload[offset]
+                offset += 1
+                if byte < 0x80:
+                    doc_id += byte
+                else:
+                    delta = byte & 0x7F
+                    shift = 7
+                    while True:
+                        byte = payload[offset]
+                        offset += 1
+                        delta |= (byte & 0x7F) << shift
+                        if byte < 0x80:
+                            break
+                        shift += 7
+                    doc_id += delta
+                append(doc_id)
+                if term_scores is not None:
+                    term_scores.append(unpack_from(payload, offset)[0])
+                    offset += 4
+            fragments.append((chunk_id, doc_ids, term_scores))
+            remaining -= fragment_count
+    except (IndexError, struct.error):
+        raise ChecksumError("blocked posting list: truncated block") from None
+    if (offset != size or fragments[-1][1][-1] != block.last_doc_id
+            or fragments[0][0] != int(block.bound)):
         raise ChecksumError("blocked posting list: block contents do not match header")
-    return out
+    return fragments
 
 
 _BLOCK_DECODERS = {
@@ -954,8 +963,8 @@ def _iter_blocked_lazy(reader: LazyBytesReader, kind: int) -> Iterator:
     """Shared blocked scan loop: decode one block at a time, in list order.
 
     A block's payload bytes are read only when the consumer pulls its first
-    posting, so a merge that stops early never fetches the pages under the
-    remaining blocks.
+    item (a posting, or a fragment for the chunk kind), so a merge that stops
+    early never fetches the pages under the remaining blocks.
     """
     if reader.exhausted:
         return
@@ -979,8 +988,15 @@ def iter_blocked_scored_postings_lazy(
 
 
 def iter_blocked_chunk_postings_lazy(
-        reader: LazyBytesReader) -> Iterator[tuple[int, int, float]]:
-    """Blocked counterpart of :func:`iter_chunk_postings_lazy` (same triples)."""
+        reader: LazyBytesReader) -> "Iterator[tuple[int, list[int], list[float] | None]]":
+    """Stream a blocked chunked list as block-local chunk fragments.
+
+    Each item is ``(chunk_id, doc_ids, term_scores)``: one chunk's postings
+    within one block, doc ids ascending, ``term_scores`` aligned with them or
+    ``None`` when the list stores none.  A chunk that straddles a block
+    boundary arrives as two fragments.  The Chunk methods merge a chunk at a
+    time, so they consume whole fragments instead of single postings.
+    """
     return _iter_blocked_lazy(reader, BLOCK_KIND_CHUNK)
 
 
@@ -1009,19 +1025,17 @@ def decode_blocked_chunk_runs(data: bytes) -> list[ChunkRun]:
     result compares equal to the runs given to the encoder.
     """
     reader = LazyBytesReader(iter((data,)))
-    runs: list[ChunkRun] = []
-    current_chunk: int | None = None
-    postings: list[Posting] = []
-    for chunk_id, doc_id, term_score in iter_blocked_chunk_postings_lazy(reader):
-        if chunk_id != current_chunk:
-            if current_chunk is not None:
-                runs.append(ChunkRun(chunk_id=current_chunk, postings=tuple(postings)))
-            current_chunk = chunk_id
-            postings = []
-        postings.append(Posting(doc_id=doc_id, term_score=term_score))
-    if current_chunk is not None:
-        runs.append(ChunkRun(chunk_id=current_chunk, postings=tuple(postings)))
-    return runs
+    runs: list[tuple[int, list[Posting]]] = []
+    for chunk_id, doc_ids, term_scores in iter_blocked_chunk_postings_lazy(reader):
+        if not runs or runs[-1][0] != chunk_id:
+            runs.append((chunk_id, []))
+        runs[-1][1].extend(
+            Posting(doc_id=doc_id,
+                    term_score=0.0 if term_scores is None else term_scores[i])
+            for i, doc_id in enumerate(doc_ids)
+        )
+    return [ChunkRun(chunk_id=chunk_id, postings=tuple(postings))
+            for chunk_id, postings in runs]
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,13 @@ query's k-way merge runs on the coordinating (client) thread.
 
 :class:`StreamPump` bridges the two: the scan iterator is *created and
 advanced exclusively on the shard executor*, in blocks of ``block_size``
-postings, and the pump exposes a plain iterator to the merge.  Each delivered
-block immediately schedules the next one, so the executor decodes ahead while
-the coordinator merges (double buffering).  Early termination simply stops
-pulling: at most one speculative block per term is wasted, which bounds the
-over-scan a parallel query can perform beyond the serial engine's stopping
-point.
+postings (whole chunk fragments for the Chunk methods, counted by the
+postings they carry), and the pump exposes a plain iterator to the merge.
+Each delivered block immediately schedules the next one, so the executor
+decodes ahead while the coordinator merges (double buffering).  Early
+termination simply stops pulling: at most one speculative block per term is
+wasted, which bounds the over-scan a parallel query can perform beyond the
+serial engine's stopping point.
 """
 
 from __future__ import annotations
@@ -62,6 +63,11 @@ class StreamPump:
         Optional stream label (the owning term) recorded on the pump's
         ``shard.scan``/``scan.block`` spans, so slow-query trees and
         EXPLAIN ANALYZE traces attribute scan time per term.
+    postings_of:
+        Postings one stream item carries, for streams whose items bundle
+        several (chunk fragments); ``None`` means one per item.  Blocks are
+        sized in postings, so a fragment stream does not read further ahead
+        of the merge's stopping point than a posting stream.
     """
 
     def __init__(self, pool: ExecutorPool, shard: int,
@@ -69,7 +75,8 @@ class StreamPump:
                  latch: "threading.RLock | None" = None,
                  block_size: int = DEFAULT_BLOCK_SIZE,
                  initial_block: int = INITIAL_BLOCK_SIZE,
-                 label: "str | None" = None) -> None:
+                 label: "str | None" = None,
+                 postings_of: "Callable[[Any], int] | None" = None) -> None:
         self._pool = pool
         self._shard = shard
         self._plan = plan
@@ -77,8 +84,9 @@ class StreamPump:
         self._label = label
         self._max_block = max(1, int(block_size))
         self._next_block = min(max(1, int(initial_block)), self._max_block)
+        self._postings_of = postings_of
         self._stream: Iterator[Any] | None = None
-        self._pulled = 0
+        self._more = True
         self._pending: "ShardFuture | Callable[[], list] | None" = (
             self._dispatch(self._open_and_pull)
         )
@@ -102,8 +110,18 @@ class StreamPump:
     def _take_block(self) -> list:
         count = self._next_block
         self._next_block = min(self._max_block, count * 2)
-        block = list(islice(self._stream, count))
-        self._pulled = count
+        postings_of = self._postings_of
+        if postings_of is None:
+            block = list(islice(self._stream, count))
+            self._more = len(block) == count
+            return block
+        block = []
+        for item in self._stream:
+            block.append(item)
+            count -= postings_of(item)
+            if count <= 0:
+                return block
+        self._more = False
         return block
 
     def _open_and_pull(self) -> list:
@@ -119,7 +137,7 @@ class StreamPump:
                 self._stream = self._plan()
                 block = self._take_block()
             if node is not None:
-                node.tags["postings"] = len(block)
+                node.tags["items"] = len(block)
                 if self._label is not None:
                     node.tags["term"] = self._label
             return block
@@ -133,7 +151,7 @@ class StreamPump:
             else:
                 block = self._take_block()
             if node is not None:
-                node.tags["postings"] = len(block)
+                node.tags["items"] = len(block)
                 if self._label is not None:
                     node.tags["term"] = self._label
             return block
@@ -150,7 +168,7 @@ class StreamPump:
             # steal=True: even with eager scatter, if no worker started the
             # block the merge thread computes it instead of sleeping.
             block = self._pending.result(steal=True)
-        if block and len(block) == self._pulled and not self._closed:
+        if block and self._more and not self._closed:
             # The stream may have more: prefetch the next (doubled) block
             # before the merge consumes this one.
             self._pending = self._dispatch(self._pull)
@@ -159,9 +177,9 @@ class StreamPump:
         return block
 
     def stream(self) -> Iterator[Any]:
-        """A plain generator over the pumped postings.
+        """A plain generator over the pumped stream items.
 
-        The k-way merge consumes millions of postings; routing each one
+        The merge consumes millions of stream items; routing each one
         through a Python-level ``__next__`` would dominate the query, so the
         per-item path is a C-speed ``yield from`` over each block and the
         Python-level pump logic runs once per *block*.
@@ -200,11 +218,12 @@ def pump_plans(pool: ExecutorPool,
                plans: "Sequence[tuple]",
                latches: "Sequence[threading.RLock] | None" = None,
                block_size: int = DEFAULT_BLOCK_SIZE,
-               initial_block: int = INITIAL_BLOCK_SIZE) -> list[StreamPump]:
+               initial_block: int = INITIAL_BLOCK_SIZE,
+               postings_of: "Callable[[Any], int] | None" = None) -> list[StreamPump]:
     """Wrap ``(shard, plan)`` — or ``(shard, plan, label)`` — tuples in pumps.
 
     One pump per term stream; the optional third element labels the pump's
-    spans with the owning term.
+    spans with the owning term.  ``postings_of`` is passed to every pump.
     """
     pumps = []
     for entry in plans:
@@ -216,5 +235,6 @@ def pump_plans(pool: ExecutorPool,
             block_size=block_size,
             initial_block=initial_block,
             label=label,
+            postings_of=postings_of,
         ))
     return pumps

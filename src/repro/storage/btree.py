@@ -38,6 +38,7 @@ path: reporting on the tree does not perturb LRU order or hit-rate statistics.
 from __future__ import annotations
 
 import pickle
+from bisect import bisect_left, bisect_right
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.errors import DuplicateKeyError, KeyNotFoundError, StorageError
@@ -161,6 +162,9 @@ def _encode_node(node: _Node) -> bytes:
 #: ``None`` key (reverse iteration's fallback bound must not collide with it).
 _NO_SEPARATOR = object()
 
+#: Default that marks "absent" in membership probes.
+_MISSING = object()
+
 
 class BPlusTree:
     """An ordered map stored in pages and accessed through a buffer pool.
@@ -240,11 +244,10 @@ class BPlusTree:
         return self._size
 
     def __contains__(self, key: Any) -> bool:
-        try:
-            self.get(key)
-        except KeyNotFoundError:
-            return False
-        return True
+        # A sentinel default, not a caught KeyNotFoundError: membership
+        # probes (deleted flags) mostly miss, and a miss must not pay for
+        # formatting an exception message.
+        return self.get(key, _MISSING) is not _MISSING
 
     def get(self, key: Any, default: Any = ...) -> Any:
         """Return the value stored under ``key``.
@@ -253,12 +256,39 @@ class BPlusTree:
         and no ``default`` was supplied.
         """
         leaf = self._find_leaf(key)
-        idx = self._position(leaf.keys, key)
+        idx = bisect_left(leaf.keys, key)
         if idx < len(leaf.keys) and leaf.keys[idx] == key:
             return leaf.values[idx]
         if default is not ...:
             return default
         raise KeyNotFoundError(f"{self.name}: key {key!r} not found")
+
+    def get_many(self, keys: "Iterable[Any]") -> dict:
+        """Bulk lookup: sort the keys and descend once per leaf run.
+
+        The read-side twin of :meth:`insert_many`: consecutive keys that land
+        in the same leaf share one root-to-leaf descent, so the pages read are
+        exactly those ``[get(k) for k in keys]`` would read, with fewer pool
+        hits.  Returns ``{key: value}`` for the keys that are present.
+        """
+        found: dict = {}
+        sorted_keys = sorted(keys)
+        position = 0
+        total = len(sorted_keys)
+        while position < total:
+            path, upper = self._bounded_path_to_leaf(sorted_keys[position])
+            leaf_keys = path[-1].keys
+            leaf_values = path[-1].values
+            size = len(leaf_keys)
+            while position < total:
+                key = sorted_keys[position]
+                if upper is not _NO_SEPARATOR and not key < upper:
+                    break  # the key belongs to a leaf further right
+                idx = bisect_left(leaf_keys, key)
+                if idx < size and leaf_keys[idx] == key:
+                    found[key] = leaf_values[idx]
+                position += 1
+        return found
 
     def insert(self, key: Any, value: Any, overwrite: bool = True) -> None:
         """Insert or update an entry.
@@ -268,7 +298,7 @@ class BPlusTree:
         """
         path = self._path_to_leaf(key)
         leaf = path[-1]
-        idx = self._position(leaf.keys, key)
+        idx = bisect_left(leaf.keys, key)
         if idx < len(leaf.keys) and leaf.keys[idx] == key:
             if not overwrite:
                 raise DuplicateKeyError(f"{self.name}: duplicate key {key!r}")
@@ -321,7 +351,7 @@ class BPlusTree:
         """
         path = self._path_to_leaf(key)
         leaf = path[-1]
-        idx = self._position(leaf.keys, key)
+        idx = bisect_left(leaf.keys, key)
         if idx >= len(leaf.keys) or leaf.keys[idx] != key:
             raise KeyNotFoundError(f"{self.name}: key {key!r} not found")
         value = leaf.values.pop(idx)
@@ -370,7 +400,7 @@ class BPlusTree:
                 key, value, key_size, value_size = entries[position]
                 if upper is not _NO_SEPARATOR and not key < upper:
                     break  # the key belongs to a leaf further right
-                idx = self._position(leaf.keys, key)
+                idx = bisect_left(leaf.keys, key)
                 is_overwrite = idx < len(leaf.keys) and leaf.keys[idx] == key
                 if is_overwrite:
                     if not overwrite:
@@ -457,7 +487,7 @@ class BPlusTree:
                 key = sorted_keys[position]
                 if upper is not _NO_SEPARATOR and not key < upper:
                     break
-                idx = self._position(leaf.keys, key)
+                idx = bisect_left(leaf.keys, key)
                 if idx < len(leaf.keys) and leaf.keys[idx] == key:
                     leaf.keys.pop(idx)
                     leaf.values.pop(idx)
@@ -518,7 +548,7 @@ class BPlusTree:
     def update_value(self, key: Any, fn: Callable[[Any], Any]) -> Any:
         """Apply ``fn`` to the value stored under ``key`` and store the result."""
         leaf = self._find_leaf(key)
-        idx = self._position(leaf.keys, key)
+        idx = bisect_left(leaf.keys, key)
         if idx >= len(leaf.keys) or leaf.keys[idx] != key:
             raise KeyNotFoundError(f"{self.name}: key {key!r} not found")
         old_value = leaf.values[idx]
@@ -678,21 +708,10 @@ class BPlusTree:
                     f"HeapFile and keep only references in the tree"
                 )
 
-    @staticmethod
-    def _position(keys: list[Any], key: Any) -> int:
-        lo, hi = 0, len(keys)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if keys[mid] < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
     def _find_leaf(self, key: Any) -> _Node:
         node = self._read_node(self._root_id)
         while not node.is_leaf:
-            idx = self._child_index(node.keys, key)
+            idx = bisect_right(node.keys, key)
             node = self._read_node(node.children[idx])
         return node
 
@@ -700,7 +719,7 @@ class BPlusTree:
         path = [self._read_node(self._root_id)]
         while not path[-1].is_leaf:
             node = path[-1]
-            idx = self._child_index(node.keys, key)
+            idx = bisect_right(node.keys, key)
             path.append(self._read_node(node.children[idx]))
         return path
 
@@ -717,7 +736,7 @@ class BPlusTree:
         upper: Any = _NO_SEPARATOR
         while not path[-1].is_leaf:
             node = path[-1]
-            idx = self._child_index(node.keys, key)
+            idx = bisect_right(node.keys, key)
             if idx < len(node.keys):
                 upper = node.keys[idx]
             path.append(self._read_node(node.children[idx]))
@@ -739,17 +758,6 @@ class BPlusTree:
         if frame is not None and frame.decoded is node:
             frame.decoded_dirty = True
             frame.dirty = True
-
-    @staticmethod
-    def _child_index(keys: list[Any], key: Any) -> int:
-        lo, hi = 0, len(keys)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if key < keys[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
 
     def _needs_split(self, node: _Node) -> bool:
         """Whether a node must split before being written to its page.
@@ -879,7 +887,7 @@ class BPlusTree:
                 self._root_id = new_root.page_id
                 return
             parent = path[-2]
-            idx = self._child_index(parent.keys, separator)
+            idx = bisect_right(parent.keys, separator)
             parent.keys.insert(idx, separator)
             parent.children.insert(idx + 1, sibling.page_id)
             parent.note_separator(separator)
@@ -901,7 +909,7 @@ class BPlusTree:
             start = 0
         else:
             node = self._find_leaf(low)
-            start = self._position(node.keys, low)
+            start = bisect_left(node.keys, low)
             if start < len(node.keys) and node.keys[start] == low and not include_low:
                 start += 1
         while node is not None:
@@ -952,16 +960,16 @@ class BPlusTree:
                 if bound is None:
                     idx = len(node.children) - 1
                 elif bound_inclusive:
-                    idx = self._child_index(node.keys, bound)
+                    idx = bisect_right(node.keys, bound)
                 else:
-                    idx = self._position(node.keys, bound)
+                    idx = bisect_left(node.keys, bound)
                 if idx > 0:
                     range_low = node.keys[idx - 1]
                 node = self._read_node(node.children[idx])
             if bound is None:
                 end = len(node.keys)
             else:
-                end = self._position(node.keys, bound)
+                end = bisect_left(node.keys, bound)
                 if (bound_inclusive and end < len(node.keys)
                         and node.keys[end] == bound):
                     end += 1

@@ -158,10 +158,19 @@ class BufferPool:
         frames = self._frames
         if page_ids is None:
             targets = list(frames)
-        else:
-            # Inlined membership test: drop() over a large heap file's id set
-            # is on the cold-cache query path, so avoid a method call per id.
+        elif len(page_ids) <= len(frames):
             targets = [pid for pid in page_ids if pid in frames]
+        else:
+            # The cold-cache drop before every query names every page of the
+            # long-list heap file, most of them not resident: walk the frames
+            # instead.  Dirty pages are written back in ``page_ids`` order,
+            # exactly as the walk over the ids would, so disk writes (and a
+            # file backend's WAL) see the same sequence.
+            targets = [pid for pid in frames if pid in page_ids]
+            dirty = {pid for pid in targets if frames[pid].dirty}
+            if len(dirty) > 1:
+                targets = ([pid for pid in page_ids if pid in dirty]
+                           + [pid for pid in targets if pid not in dirty])
         for page_id in targets:
             self.flush_page(page_id)
             frames.pop(page_id, None)

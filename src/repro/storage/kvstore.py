@@ -163,6 +163,12 @@ class KVStore:
         self._check_open()
         return self.tree.get(key, default=default)
 
+    def get_many(self, keys: "Iterable[Any]") -> dict:
+        """``{key: value}`` for the present ``keys``, one descent per leaf run
+        (see :meth:`~repro.storage.btree.BPlusTree.get_many`)."""
+        self._check_open()
+        return self.tree.get_many(keys)
+
     def delete(self, key: Any) -> Any:
         """Delete ``key`` and return its old value."""
         self._check_open()

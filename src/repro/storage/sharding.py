@@ -280,6 +280,20 @@ class ShardedKVStore:
         with self._latches[shard]:
             return self._parts[shard].get(key, default=default)
 
+    def get_many(self, keys: "Iterable[Any]") -> dict:
+        if self._single is not None:
+            with self._latch(0):
+                return self._single.get_many(keys)
+        buckets: list[list[Any]] = [[] for _ in self._parts]
+        for key in keys:
+            buckets[self._route(key)].append(key)
+        found: dict = {}
+        for shard, bucket in enumerate(buckets):
+            if bucket:
+                with self._latch(shard):
+                    found.update(self._parts[shard].get_many(bucket))
+        return found
+
     def delete(self, key: Any) -> Any:
         shard = 0 if self._single is not None else self._route(key)
         if self._latches is None:

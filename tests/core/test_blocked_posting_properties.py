@@ -49,6 +49,15 @@ def reader_for(data: bytes, page_size: int) -> LazyBytesReader:
     return LazyBytesReader(iter(paginate(data, page_size)))
 
 
+def chunk_postings(fragments) -> list[tuple[int, int, float]]:
+    """Flatten ``(chunk_id, doc_ids, term_scores)`` fragments into postings."""
+    return [
+        (chunk_id, doc_id, term_scores[i] if term_scores is not None else 0.0)
+        for chunk_id, doc_ids, term_scores in fragments
+        for i, doc_id in enumerate(doc_ids)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Round trips: eager and lazy, across block spans and page sizes
 # ---------------------------------------------------------------------------
@@ -133,12 +142,21 @@ def test_blocked_chunk_round_trip(triples, with_term_scores, block_span, page_si
         (run.chunk_id, tuple((p.doc_id, p.term_score) for p in run.postings))
         for run in decoded
     ] == expected_runs
-    lazy = list(iter_blocked_chunk_postings_lazy(reader_for(data, page_size)))
-    assert lazy == [
+    fragments = list(iter_blocked_chunk_postings_lazy(reader_for(data, page_size)))
+    assert chunk_postings(fragments) == [
         (chunk_id, doc_id, ts)
         for chunk_id, postings in expected_runs
         for doc_id, ts in postings
     ]
+    # One fragment per (block, chunk) pair: a chunk only splits at a block edge.
+    assert len(fragments) == sum(
+        len({chunk_id for chunk_id, _doc, _ts in block})
+        for block in (
+            chunk_postings(fragments)[start:start + block_span]
+            for start in range(0, len(triples), block_span)
+        )
+    )
+    assert all((ts is None) == (not with_term_scores) for _c, _d, ts in fragments)
 
 
 def test_empty_lists_round_trip():
@@ -206,10 +224,11 @@ def test_torn_chunk_tail_raises_typed_error(triples, block_span, page_size, data
     runs = build_chunk_runs(triples)
     encoded = encode_blocked_chunk_runs(runs, block_span=block_span)
     cut = data.draw(st.integers(min_value=1, max_value=len(encoded) - 1))
-    produced = []
+    fragments = []
     with pytest.raises((ChecksumError, InvertedIndexError)):
         for item in iter_blocked_chunk_postings_lazy(reader_for(encoded[:cut], page_size)):
-            produced.append(item)
+            fragments.append(item)
+    produced = chunk_postings(fragments)
     expected = [
         (run.chunk_id, p.doc_id, 0.0) for run in runs for p in run.postings
     ]

@@ -267,6 +267,21 @@ class TestStreamPump:
             # one 16-posting block materialized; no runaway prefetch
             assert len(pulled) == 16
 
+    @pytest.mark.parametrize("scatter", [False, True])
+    def test_bundled_items_are_sized_in_postings(self, scatter):
+        """Items that bundle postings (chunk fragments) fill a block by
+        postings, so the first block reads no further ahead than a posting
+        stream's would."""
+        items = [[i] * (1 + i % 5) for i in range(300)]
+        with ExecutorPool(shard_count=1, threads=2, scatter=scatter) as pool:
+            pump = StreamPump(pool, shard=0, plan=lambda: iter(items),
+                              block_size=64, initial_block=8, postings_of=len)
+            first = pump.next_block()
+            # 1 + 2 + 3 + 4 postings: the fourth item reaches 8.
+            assert first == items[:4]
+            assert first + list(pump.stream()) == items
+            pump.close()
+
     def test_latch_serializes_block_pulls(self):
         latch = threading.RLock()
         with ExecutorPool(shard_count=1, threads=2, scatter=True) as pool:

@@ -281,3 +281,78 @@ class TestBulkAccounting:
         assert stats.dirty_writebacks > 0
         assert stats.accesses == stats.hits + stats.misses
         assert list(tree.keys()) == list(range(400))
+
+
+class TestBulkGet:
+    """``get_many`` is the read-side twin of ``insert_many``."""
+
+    @staticmethod
+    def _build(count, order=8, page_size=512):
+        tree = make_tree(order=order, page_size=page_size, cache_pages=512)
+        tree.insert_many([(2 * key, f"v{key}") for key in range(count)])
+        return tree
+
+    @pytest.mark.parametrize("seed", [3, 29, 511])
+    def test_get_many_matches_model(self, seed):
+        rng = random.Random(seed)
+        tree = make_tree(order=8, page_size=512, cache_pages=32)
+        model = {}
+        for _ in range(400):
+            key = (f"t{rng.randrange(9)}", rng.randrange(300))
+            model[key] = rng.randrange(1000)
+            tree.insert(key, model[key])
+        for _ in range(20):
+            keys = [(f"t{rng.randrange(10)}", rng.randrange(320))
+                    for _ in range(rng.randrange(0, 80))]
+            assert tree.get_many(keys) == {key: model[key] for key in keys if key in model}
+
+    def test_every_leaf_boundary_and_the_rightmost_spine(self):
+        tree = self._build(300)
+        assert tree.height() > 2
+        # Every present key (first and last of each leaf included), every gap
+        # between two keys, and keys beyond both ends of the tree.
+        keys = list(range(-3, 604))
+        random.Random(8).shuffle(keys)
+        assert tree.get_many(keys) == {2 * key: f"v{key}" for key in range(300)}
+        assert tree.get_many([598, 599, 10 ** 9]) == {598: "v299"}
+
+    def test_empty_tree_single_key_and_empty_batch(self):
+        empty = make_tree()
+        assert empty.get_many([1, 2, 3]) == {}
+        assert empty.get_many([]) == {}
+        single = make_tree()
+        single.insert(7, "seven")
+        assert single.get_many([6, 7, 7, 8]) == {7: "seven"}
+
+    @pytest.mark.parametrize("seed", [1, 5, 42])
+    def test_same_disk_reads_and_no_more_hits_than_point_gets(self, seed, monkeypatch):
+        """Cold pool, same keys: ``get_many`` reads exactly the pages the
+        point gets read, and shares descents instead of re-hitting them."""
+        rng = random.Random(seed)
+        tree = self._build(500)
+        keys = [rng.randrange(-5, 1005) for _ in range(rng.randrange(1, 120))]
+        disk = tree.pool.disk
+        read_log = []
+        original_read = disk.read
+
+        def logged_read(page_id):
+            read_log.append(page_id)
+            return original_read(page_id)
+
+        monkeypatch.setattr(disk, "read", logged_read)
+
+        def cold_run(lookup):
+            tree.pool.drop()
+            read_log.clear()
+            before = tree.pool.stats.snapshot()
+            result = lookup()
+            return result, sorted(read_log), tree.pool.stats.diff(before)
+
+        point, point_reads, point_stats = cold_run(
+            lambda: {key: value for key in keys
+                     if (value := tree.get(key, None)) is not None})
+        bulk, bulk_reads, bulk_stats = cold_run(lambda: tree.get_many(keys))
+        assert bulk == point
+        assert bulk_reads == point_reads
+        assert bulk_stats.misses == point_stats.misses
+        assert bulk_stats.hits <= point_stats.hits

@@ -111,6 +111,8 @@ class TestShardedKVStore:
             assert store.get(key) == value
             assert key in store
         assert list(store.items()) == sorted(model.items())
+        probes = [(term, doc) for term in terms for doc in range(45)]
+        assert store.get_many(probes) == model
 
     def test_prefix_items_stays_on_the_owning_shard(self):
         env, store = self._store()
