@@ -8,39 +8,24 @@ the term space.  On top of the delegated API it exposes the shard-level
 observability the experiments need — the term→shard resolver, per-shard I/O
 snapshots/deltas, and the lifetime load/skew report.
 
-With ``threads=1`` (the default) the router adds no storage behaviour of its
-own: every keyed operation is routed inside the store facades
-(:mod:`repro.storage.sharding`), so a router over a single-shard (or plain)
-environment is fingerprint-identical to the classic engine.
+There is one execution pipeline: every operation runs on its caller's
+thread.  With ``threads=1`` (the default) the router adds no storage
+behaviour and no lock of its own — every keyed operation is routed inside
+the store facades (:mod:`repro.storage.sharding`), so a router over a
+single-shard (or plain) environment is fingerprint-identical to the classic
+engine.  ``threads > 1`` declares that several client threads share the
+index (see ARCHITECTURE.md "Concurrent execution"):
 
-With ``threads > 1`` the router becomes the concurrent execution subsystem's
-coordinator (see :mod:`repro.exec` and ARCHITECTURE.md "Concurrent
-execution"):
-
-* **Parallel query fan-out** — a query takes a per-shard epoch snapshot,
-  scatters its per-term top-k scans to the owning shard executors through
-  block-prefetching stream pumps, and gathers the partial results through the
-  k-way merge into the method's existing result heap.  Queries run
-  concurrently with each other under a shared lock.
-* **Single-writer updates with window combining** — anything that mutates
-  index state runs under the writer lock; batched update windows that queue
-  while a writer (or readers) hold the lock are drained *together* and
-  applied as one combined batch, whose per-shard sub-batches execute
-  concurrently across the shard executors.  Combining is semantically exact:
-  ``apply_batch`` is defined to equal sequential application, so
+* every query, write and maintenance step runs under one engine lock;
+* batched update windows that arrive together are *combined*: the client
+  whose window starts an empty queue leads, pauses :data:`COMBINE_GATHER_S`
+  so other clients can enqueue theirs, then applies everything queued as
+  one batch.  ``apply_batch`` is defined to equal sequential application, so
   concatenating windows in ticket order preserves contents and top-k.
-* **Deterministic accounting mode** — ``deterministic=True`` keeps the worker
-  pool (bulk writes still fan out across shards, which is accounting-exact
-  because every shard's operation sequence is unchanged and aggregate
-  counters are per-category sums) but serializes whole operations and skips
-  the query pumps, making every I/O fingerprint identical to the serial
-  engine for *any* thread count.  ``REPRO_THREADS`` runs the tier-1 suite in
-  this mode.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import deque
@@ -58,14 +43,11 @@ from repro.core.indexes.registry import create_index
 from repro.core.list_cache import list_cache_pages_from_environ
 from repro.errors import (
     HARD_FAULT_ERRORS,
-    ExecutorError,
     ReproError,
     ShardQuarantinedError,
     StorageError,
     shard_of_error,
 )
-from repro.exec import ExecutorPool, ReadWriteLock, pump_plans
-from repro.exec.fanout import DEFAULT_BLOCK_SIZE, INITIAL_BLOCK_SIZE
 from repro.obs.events import EventLog, event_log_capacity_from_environ
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SLOTracker
@@ -74,7 +56,7 @@ from repro.obs.timeseries import (
     SamplerDaemon,
     sample_interval_from_environ,
 )
-from repro.obs.trace import SLOW_QUERIES, current_span, span, tracing_enabled
+from repro.obs.trace import SLOW_QUERIES, span, tracing_enabled
 from repro.storage.environment import IOSnapshot, StorageEnvironment
 from repro.storage.sharding import (
     ShardedEnvironment,
@@ -86,20 +68,15 @@ from repro.storage.sharding import (
 from repro.text.documents import DocumentStore
 
 
-def threads_from_environ() -> int:
-    """Worker-thread default from ``REPRO_THREADS`` (1 when unset/invalid).
+#: Group-commit gather interval: how long the leading update window of a
+#: drain parks so concurrent clients can enqueue theirs.  Paid once per
+#: drain, not per window.  Measured on the ``service_hot`` benchmark: without
+#: the pause ``update_ops_s`` rises 30 % but ``query_ops_s`` falls 17 %,
+#: because writers then take the engine lock back to back.
+COMBINE_GATHER_S = 0.001
 
-    The CI threaded leg sets ``REPRO_THREADS=4`` to rerun the tier-1 suite
-    through the concurrent router; indexes built through that default run in
-    deterministic-accounting mode so every fingerprint assertion still holds.
-    """
-    raw = os.environ.get("REPRO_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+#: Safety bound on a follower's wait for the leader to apply its window.
+_FOLLOWER_WAIT_S = 1.0
 
 
 @dataclass(frozen=True)
@@ -140,49 +117,30 @@ class IndexRouter:
     index:
         The wrapped index method.
     threads:
-        Worker-thread budget for the concurrent execution subsystem.  ``1``
-        (the default) creates no threads and no locks — the serial engine.
-    deterministic:
-        Serialize operations and skip the query pumps so I/O accounting is
-        fingerprint-identical to the serial engine at any thread count.
-        Defaults to ``False``; forced ``True`` when the environment is not
-        sharded (the parallel fan-out needs the facade layer's latches).
-    block_size:
-        Postings per stream-pump block in the parallel query fan-out.
-    combine_window_s:
-        Group-commit gather interval: how long the leading update window of
-        a drain parks so concurrent clients can enqueue theirs (see
-        :meth:`_apply_batch_combined`).  The pause is paid once per *drain*
-        (a lone client pays it per window — the same latency-for-throughput
-        trade as a fixed fsync group-commit interval); zero disables
-        gathering entirely.
+        ``1`` (the default): one client thread, no lock — the serial engine.
+        ``> 1``: concurrent client threads share this index; every operation
+        takes the engine lock and update windows are write-combined.  No
+        worker thread is ever started.
     """
 
-    def __init__(self, index: InvertedIndex, threads: int = 1,
-                 deterministic: bool = False,
-                 block_size: int = DEFAULT_BLOCK_SIZE,
-                 initial_block: int = INITIAL_BLOCK_SIZE,
-                 combine_window_s: float = 0.001) -> None:
+    def __init__(self, index: InvertedIndex, threads: int = 1) -> None:
         self.index = index
         self.env = index.env
         self.threads = max(1, int(threads))
-        self.block_size = block_size
-        self.initial_block = initial_block
-        self.combine_window_s = max(0.0, combine_window_s)
-        self._pool: ExecutorPool | None = None
-        self._lock: ReadWriteLock | None = None
+        #: The engine lock (a no-op context on the serial engine).  Re-entrant
+        #: so a maintenance step holding it may call back into the router.
+        self._lock = threading.RLock() if self.threads > 1 else nullcontext()
         self._pending: "deque[_UpdateTicket]" = deque()
         self._pending_lock = threading.Lock()
         self.combined_windows = 0
         #: Quarantined failure domains: shard index -> reason.  Guarded by
-        #: ``_health_lock`` (quarantine decisions can race on the concurrent
-        #: engine); reads of the bare dict are snapshot-consistent enough for
-        #: the fast-path emptiness checks.
+        #: ``_health_lock``; reads of the bare dict are snapshot-consistent
+        #: enough for the fast-path emptiness checks.
         self._quarantined: dict[int, str] = {}
         self._shard_failures: dict[int, int] = {}
         self._health_lock = threading.Lock()
-        #: Engine-wide metrics registry: the router, the executor pool and
-        #: the hot-term list cache all feed it (see :mod:`repro.obs`).
+        #: Engine-wide metrics registry: the router and the hot-term list
+        #: cache both feed it (see :mod:`repro.obs`).
         self.metrics = MetricsRegistry()
         if index.list_cache is not None:
             index.list_cache.metrics = self.metrics
@@ -205,30 +163,13 @@ class IndexRouter:
         if interval_s is not None:
             self._sampler_daemon = SamplerDaemon(interval_s, self._obs_roll)
             self._sampler_daemon.start()
-        if self.threads > 1 and not isinstance(self.env, ShardedEnvironment):
-            # Without the facade layer there are no per-shard latches to
-            # protect concurrent readers; run serialized instead of unsafely.
-            deterministic = True
-        self.deterministic = bool(deterministic)
-        if self.threads > 1:
-            self._pool = ExecutorPool(self.shard_count, threads=self.threads)
-            self._pool.metrics = self.metrics
-            self._lock = ReadWriteLock()
-            if isinstance(self.env, ShardedEnvironment) and not self.deterministic:
-                # Deterministic mode serializes whole operations, so the
-                # facades need no latches — and must not get them, because
-                # latched range scans trade laziness for isolation and an
-                # eagerly drained prefix scan would charge I/O past the
-                # serial engine's early-termination point.
-                self.env.attach_execution(self._pool)
 
     @classmethod
     def build(cls, method: str, shard_count: int = 1,
               documents: DocumentStore | None = None, name: str = "svr",
               cache_pages: int = 4096, page_size: int = 4096,
               env: "StorageEnvironment | ShardedEnvironment | None" = None,
-              threads: int = 1, deterministic: bool = False,
-              **options: Any) -> "IndexRouter":
+              threads: int = 1, **options: Any) -> "IndexRouter":
         """Create a sharded environment plus an index method routed over it.
 
         When the hot-term list cache is enabled (``list_cache_pages`` option
@@ -257,48 +198,24 @@ class IndexRouter:
         if documents is None:
             documents = DocumentStore()
         return cls(create_index(method, env, documents, name=name, **options),
-                   threads=threads, deterministic=deterministic)
+                   threads=threads)
 
-    # -- concurrency plumbing ------------------------------------------------------
-
-    @property
-    def parallel(self) -> bool:
-        """Whether queries fan out and update windows combine across threads."""
-        return (self._pool is not None and self._pool.parallel
-                and not self.deterministic)
-
-    def _read_ctx(self):
-        """Shared-mode context for queries and point reads."""
-        if self._lock is None:
-            return nullcontext()
-        if self.deterministic:
-            # Deterministic accounting: reads also change buffer-pool state
-            # (LRU order, evictions), so even queries run one at a time.
-            return self._lock.write_locked()
-        return self._lock.read_locked()
-
-    def _write_ctx(self):
-        """Exclusive-mode context for anything that mutates index state."""
-        if self._lock is None:
-            return nullcontext()
-        return self._lock.write_locked()
+    # -- lifecycle ------------------------------------------------------------------
 
     def exclusive(self):
-        """Writer-exclusive context for maintenance work (commit, checkpoint).
+        """The engine lock, for maintenance work (commit, checkpoint).
 
         The storage facades flush buffer pools during these operations, so
-        they must not overlap queries or update windows.  A plain no-op
-        context on the serial engine.
+        they must not overlap queries or update windows.  A no-op context on
+        the serial engine.
         """
-        return self._write_ctx()
+        return self._lock
 
     def shutdown(self) -> None:
-        """Stop the executor pool (idempotent; a no-op on the serial engine)."""
+        """Stop the sampler daemon, if one runs (idempotent)."""
         if self._sampler_daemon is not None:
             self._sampler_daemon.stop()
             self._sampler_daemon = None
-        if self._pool is not None:
-            self._pool.close()
 
     # -- observability plumbing ----------------------------------------------------
 
@@ -430,11 +347,11 @@ class IndexRouter:
     def _quarantine_from_error(self, error: BaseException) -> bool:
         """Quarantine the failure domain a hard error is tagged with.
 
-        Only errors that mark a shard's storage (or executor) untrustworthy
-        count: escalated retry exhaustion, ENOSPC, checksum failures, failed
-        commits and executor death.  Returns whether a shard was quarantined.
+        Only errors that mark a shard's storage untrustworthy count:
+        escalated retry exhaustion, ENOSPC, checksum failures and failed
+        commits.  Returns whether a shard was quarantined.
         """
-        if not isinstance(error, HARD_FAULT_ERRORS + (ExecutorError,)):
+        if not isinstance(error, HARD_FAULT_ERRORS):
             return False
         shard = shard_of_error(error)
         if shard is None or not 0 <= shard < self.shard_count:
@@ -488,11 +405,11 @@ class IndexRouter:
         """Re-admit a quarantined shard from its checkpoint + WAL.
 
         Recovers the shard's environment to its last committed batch (see
-        :meth:`ShardedEnvironment.reopen_shard`), revives its executor when
-        one died, and lifts the quarantine.  Runs writer-exclusive, so no
-        query or update window observes the swap mid-flight.
+        :meth:`ShardedEnvironment.reopen_shard`) and lifts the quarantine.
+        Runs under the engine lock, so no query or update window observes
+        the swap mid-flight.
         """
-        with self._write_ctx():
+        with self._lock:
             if isinstance(self.env, ShardedEnvironment):
                 self.env.reopen_shard(shard)
             else:
@@ -500,8 +417,6 @@ class IndexRouter:
                     "reopen_shard needs a sharded environment; recover the "
                     "whole environment instead"
                 )
-            if self._pool is not None:
-                self._pool.revive(shard)
             # The recovered shard is a fresh environment object; re-route its
             # events into this router's log.
             self._attach_event_sinks()
@@ -535,29 +450,29 @@ class IndexRouter:
     def add_document(self, doc_id: int, score: float,
                      terms: Iterable[str] | None = None) -> None:
         terms = self._check_writable(doc_id=doc_id, terms=terms)
-        with self._write_ctx():
+        with self._lock:
             self._guard_write(
                 lambda: self.index.add_document(doc_id, score, terms=terms)
             )
         self.metrics.inc("write.ops", op="add_document")
 
     def finalize(self) -> None:
-        with self._write_ctx():
+        with self._lock:
             self._guard_write(self.index.finalize)
 
     def current_score(self, doc_id: int) -> float | None:
-        with self._read_ctx():
+        with self._lock:
             return self.index.current_score(doc_id)
 
     def current_scores(self, doc_ids: Iterable[int]) -> dict[int, float]:
         """Latest scores of several documents under one lock acquisition.
 
         The service drivers resolve every update window against current
-        scores; doing it per document would pay one reader-lock round trip
-        per lookup under the concurrent engine, so the bulk form exists for
+        scores; doing it per document would pay one engine-lock round trip
+        per lookup, so the bulk form exists for
         them.  Unknown or deleted documents are absent from the result.
         """
-        with self._read_ctx():
+        with self._lock:
             scores: dict[int, float] = {}
             for doc_id in doc_ids:
                 score = self.index.current_score(doc_id)
@@ -566,12 +481,12 @@ class IndexRouter:
             return scores
 
     def document_count(self) -> int:
-        with self._read_ctx():
+        with self._lock:
             return self.index.document_count()
 
     def update_score(self, doc_id: int, new_score: float) -> None:
         self._check_writable(doc_id=doc_id)
-        with self._write_ctx():
+        with self._lock:
             self._guard_write(lambda: self.index.update_score(doc_id, new_score))
         self.metrics.inc("write.ops", op="update_score")
 
@@ -582,11 +497,10 @@ class IndexRouter:
                 self._check_writable(doc_id=doc_id)
         started = time.perf_counter()
         with span("write.window", updates=len(updates)):
-            if not self.parallel:
-                with self._write_ctx():
-                    applied = self._guard_write(
-                        lambda: self.index.apply_batch(updates)
-                    )
+            if self.threads == 1:
+                applied = self._guard_write(
+                    lambda: self.index.apply_batch(updates)
+                )
             else:
                 applied = self._guard_write(
                     lambda: self._apply_batch_combined(updates)
@@ -603,7 +517,7 @@ class IndexRouter:
 
     def insert_document(self, doc_id: int, terms: Iterable[str], score: float) -> None:
         terms = self._check_writable(doc_id=doc_id, terms=terms)
-        with self._write_ctx():
+        with self._lock:
             self._guard_write(
                 lambda: self.index.insert_document(doc_id, terms, score)
             )
@@ -611,7 +525,7 @@ class IndexRouter:
 
     def delete_document(self, doc_id: int) -> None:
         self._check_writable(doc_id=doc_id)
-        with self._write_ctx():
+        with self._lock:
             self._guard_write(lambda: self.index.delete_document(doc_id))
         self.metrics.inc("write.ops", op="delete_document")
 
@@ -620,7 +534,7 @@ class IndexRouter:
         # the forward index by the doc_id check) and its new ones.
         new_terms = self._check_writable(doc_id=doc_id, terms=new_terms)
         self._check_writable(doc_id=doc_id)
-        with self._write_ctx():
+        with self._lock:
             self._guard_write(lambda: self.index.update_content(doc_id, new_terms))
         self.metrics.inc("write.ops", op="update_content")
 
@@ -653,9 +567,10 @@ class IndexRouter:
             elapsed_ms = (time.perf_counter() - started) * 1000.0
         self._record_query(response.stats, elapsed_ms)
         if root is not None:
-            SLOW_QUERIES.maybe_record(
-                root, keywords, self._term_attribution(root, response.stats)
-            )
+            SLOW_QUERIES.maybe_record(root, keywords, {"*": {
+                "pages_read": response.stats.pages_read,
+                "postings_scanned": response.stats.postings_scanned,
+            }})
         return response
 
     def _record_query(self, stats: QueryStats, elapsed_ms: float) -> None:
@@ -672,46 +587,14 @@ class IndexRouter:
         self.metrics.add_many(values)
         self._obs_tick()
 
-    @staticmethod
-    def _term_attribution(root, stats: QueryStats) -> dict:
-        """Per-term page/posting attribution for the slow-query log.
-
-        The fan-out path tags its span with exact per-term scan stats; the
-        serial path has only the aggregate, reported under ``"*"``.
-        """
-        nodes = [root]
-        while nodes:
-            node = nodes.pop()
-            term_stats = node.tags.get("term_stats")
-            if term_stats is not None:
-                return term_stats
-            nodes.extend(node.children)
-        return {"*": {
-            "pages_read": stats.pages_read,
-            "postings_scanned": stats.postings_scanned,
-        }}
-
     def _query_impl(self, keywords: list, k: int,
                     conjunctive: bool) -> QueryResponse:
-        if self._lock is None and not self._quarantined:
-            # Single-route fast lane (threads=1, healthy): no latch context to
-            # enter, no degradation filtering, no retry-loop bookkeeping —
-            # straight into the method's query path.  A hard shard-tagged
-            # fault still quarantines on the way out, and the retry re-enters
-            # through the full path (``_quarantined`` is now non-empty).
-            try:
-                return self.index.query(keywords, k=k, conjunctive=conjunctive)
-            except ReproError as exc:
-                if not self._quarantine_from_error(exc):
-                    raise
-                return self._query_impl(keywords, k, conjunctive)
         attempts = self.shard_count + 1
         while True:
+            kept = keywords
             if self._quarantined:
                 kept = [kw for kw in keywords
                         if self.shard_of_term(kw) not in self._quarantined]
-            else:
-                kept = keywords
             skipped = len(keywords) - len(kept)
             try:
                 if not kept and skipped:
@@ -719,12 +602,10 @@ class IndexRouter:
                     # empty-but-flagged answer (the empty query still raises
                     # its usual QueryError below).
                     response = QueryResponse(results=(), stats=QueryStats())
-                elif not self.parallel:
-                    with self._read_ctx():
+                else:
+                    with self._lock:
                         response = self.index.query(kept, k=k,
                                                     conjunctive=conjunctive)
-                else:
-                    response = self._query_fanout(kept, k, conjunctive)
             except ReproError as exc:
                 attempts -= 1
                 if attempts > 0 and self._quarantine_from_error(exc):
@@ -736,151 +617,44 @@ class IndexRouter:
             return response
 
     def long_list_size_bytes(self) -> int:
-        with self._read_ctx():
+        with self._lock:
             return self.index.long_list_size_bytes()
 
     def short_list_size_bytes(self) -> int:
-        with self._read_ctx():
+        with self._lock:
             return self.index.short_list_size_bytes()
 
     def drop_long_list_cache(self) -> None:
         # Evicting mutates every shard's pool; treat it as a write.
-        with self._write_ctx():
+        with self._lock:
             self.index.drop_long_list_cache()
-
-    # -- parallel query fan-out ----------------------------------------------------
-
-    def _query_fanout(self, keywords: Iterable[str], k: int,
-                      conjunctive: bool) -> QueryResponse:
-        """Scatter per-term scans to the shard executors, gather into the heap.
-
-        The per-shard epoch snapshot taken at admission attributes the I/O the
-        query's scans perform on each shard; under concurrent traffic the
-        attribution is approximate (another query's blocks may land inside the
-        window), which is the documented accounting contract of the parallel
-        mode — contents and top-k results remain exact.
-        """
-        assert self._lock is not None and self._pool is not None
-        with self._lock.read_locked():
-            with span("query.plan"):
-                terms = self.index.prepare_query(keywords, k)
-                stats = QueryStats()
-                per_term = [QueryStats() for _ in terms]
-                epoch = self.shard_snapshots()
-                plans = self.index._term_scan_plans(
-                    terms, lambda index: per_term[index]
-                )
-                latches = getattr(self.env, "shard_latches", None)
-                pumps = pump_plans(
-                    self._pool,
-                    [(self.shard_of_term(routing_term), plan, routing_term)
-                     for routing_term, plan in plans],
-                    latches=latches,
-                    block_size=self.block_size,
-                    initial_block=self.initial_block,
-                    postings_of=self.index.stream_item_postings,
-                )
-            try:
-                with span("query.merge"):
-                    results = self.index._merge_term_streams(
-                        [pump.stream() for pump in pumps], terms, k,
-                        conjunctive, stats
-                    )
-            finally:
-                for pump in pumps:
-                    pump.close()
-            for scan_stats in per_term:
-                stats.postings_scanned += scan_stats.postings_scanned
-                stats.chunks_scanned += scan_stats.chunks_scanned
-            deltas = self.shard_deltas(epoch)
-            stats.pages_read = sum(delta.page_reads for delta in deltas)
-            stats.page_writes = sum(delta.page_writes for delta in deltas)
-            stats.pool_hits = sum(delta.pool_hits for delta in deltas)
-            stats.estimated_io_ms = sum(delta.cost_ms() for delta in deltas)
-            self._record_fanout_shards(terms, per_term, deltas)
-            return QueryResponse(results=tuple(results), stats=stats)
-
-    def _record_fanout_shards(self, terms: list, per_term: "list[QueryStats]",
-                              deltas: list) -> None:
-        """Per-shard ``shard.*`` attribution for one fanned-out query.
-
-        Only the fan-out path records per-shard metrics: it already paid for
-        the epoch snapshot the page/pool attribution is derived from, whereas
-        the serial fast lane would have to add shard snapshots to its hot
-        path just to feed them.  Serial deployments still get per-shard
-        list-cache and lifetime-I/O series.
-        """
-        per_shard: "dict[int, dict[str, float]]" = {}
-        for term, scan_stats in zip(terms, per_term):
-            bucket = per_shard.setdefault(self.shard_of_term(term), {
-                "shard.postings_scanned": 0.0,
-            })
-            bucket["shard.postings_scanned"] += float(scan_stats.postings_scanned)
-        for shard, delta in enumerate(deltas):
-            if delta.page_reads or delta.pool_hits:
-                bucket = per_shard.setdefault(shard, {})
-                bucket["shard.pages_read"] = float(delta.page_reads)
-                bucket["shard.pool_hits"] = float(delta.pool_hits)
-        for shard, values in per_shard.items():
-            self.metrics.add_many(values, shard=shard)
-        if tracing_enabled():
-            node = current_span()
-            if node is not None:
-                node.tags["term_stats"] = {
-                    term: {
-                        "shard": self.shard_of_term(term),
-                        "postings_scanned": scan_stats.postings_scanned,
-                        "chunks_scanned": scan_stats.chunks_scanned,
-                    }
-                    for term, scan_stats in zip(terms, per_term)
-                }
 
     # -- combined update windows -----------------------------------------------------
 
     def _apply_batch_combined(self, updates: list) -> int:
-        """Queue the window, let whoever holds the writer lock drain the queue.
+        """Queue the window; whoever takes the engine lock drains the queue.
 
-        Windows that pile up while queries (or an earlier window) hold the
-        lock are concatenated *in queue order* and applied as one batch —
-        cross-client group application, the single-writer mailbox's analogue
-        of group commit.  Each per-shard sub-batch of the combined window then
-        executes concurrently on its shard executor via the store facades.
-
-        Group-commit pacing, leader elected by queue position: the client
-        whose window starts an empty queue becomes the *leader* and parks for
-        the gather interval — its core time goes to whoever has work, and
-        queries keep answering the whole time.  Clients whose windows arrive
-        during that interval are *followers*: they park on their ticket
-        without any deadline of their own (plus a generous safety timeout)
-        because the leader is guaranteed to scoop their windows up.  One
-        drain then applies everything queued as a single batch whose sorted
-        per-shard sub-batches descend the trees once per leaf run instead of
-        once per window — the same trade fsync group commit makes, paying at
-        most one gather interval of latency per *drain* rather than per
-        window.  ``combine_window_s=0`` disables the pause (every window
-        drains immediately, still scooping whatever queued meanwhile).
+        Leader elected by queue position: the client whose window starts an
+        empty queue parks for :data:`COMBINE_GATHER_S` while queries keep
+        running, then takes the lock and applies every queued window as one
+        batch whose sorted per-shard sub-batches descend the trees once per
+        leaf run instead of once per window — the trade fsync group commit
+        makes.  Clients that enqueue during the pause are followers: they
+        wait on their ticket (with a safety timeout, after which they drain
+        the queue themselves).
         """
-        assert self._lock is not None
         ticket = _UpdateTicket(updates)
         with self._pending_lock:
             self._pending.append(ticket)
             leader = len(self._pending) == 1
-        if leader:
-            if self.combine_window_s > 0.0 and ticket.event.wait(self.combine_window_s):
-                return ticket.resolve()
-        elif ticket.event.wait(max(1.0, 100.0 * self.combine_window_s)):
+        if ticket.event.wait(COMBINE_GATHER_S if leader else _FOLLOWER_WAIT_S):
             return ticket.resolve()
-        self._lock.acquire_write()
-        try:
-            if ticket.event.is_set():
-                return ticket.resolve()
-            with self._pending_lock:
-                drained = []
-                while self._pending:
-                    drained.append(self._pending.popleft())
-            self._drain_windows(drained)
-        finally:
-            self._lock.release_write()
+        with self._lock:
+            if not ticket.event.is_set():
+                with self._pending_lock:
+                    drained = list(self._pending)
+                    self._pending.clear()
+                self._drain_windows(drained)
         return ticket.resolve()
 
     def _drain_windows(self, drained: "list[_UpdateTicket]") -> None:

@@ -113,26 +113,6 @@ class _StagedDocument:
     term_frequencies: Mapping[str, int] = field(default_factory=dict)
 
 
-class _TermPlan:
-    """One term's reusable scan-plan object.
-
-    Built once per ``(index, term)`` by :meth:`InvertedIndex._make_term_plan`
-    and cached on the index.  The plan closes over nothing but the index and
-    the term, so it never goes stale — all storage access happens inside the
-    stream it constructs.  Invoking the plan with the query-specific inputs
-    (term position, stats sink) builds a fresh scan iterator for that query.
-    """
-
-    __slots__ = ("term", "_build")
-
-    def __init__(self, term: str, build) -> None:
-        self.term = term
-        self._build = build
-
-    def __call__(self, term_index: int, stats: "QueryStats"):
-        return self._build(term_index, stats)
-
-
 class InvertedIndex(abc.ABC):
     """Abstract base class of all index methods.
 
@@ -169,9 +149,6 @@ class InvertedIndex(abc.ABC):
     method_name = "abstract"
     #: Whether long-list postings carry a per-term score.
     stores_term_scores = False
-    #: Postings in one item of a term stream, for methods whose streams
-    #: bundle postings (``None``: one per item); sizes the fan-out pumps.
-    stream_item_postings = None
 
     def __init__(self, env: "StorageEnvironment | ShardedEnvironment",
                  documents: DocumentStore, name: str = "svr",
@@ -185,7 +162,6 @@ class InvertedIndex(abc.ABC):
             else bool(blocked_postings)
         )
         self.list_cache = self._make_list_cache(list_cache_pages)
-        self._plan_cache: "dict[str, _TermPlan]" = {}
         self.score_table = self._create_kvstore(f"{name}.score", key_shard="doc")
         self.deleted_table = self._create_kvstore(f"{name}.deleted", key_shard="doc")
         self.update_stats = UpdateStats()
@@ -570,17 +546,10 @@ class InvertedIndex(abc.ABC):
 
     def _execute_query(self, terms: list[str], k: int, conjunctive: bool,
                        stats: QueryStats) -> list[QueryResult]:
-        """Method-specific query evaluation: build every term's scan, merge.
-
-        The two halves are separate hooks so the concurrent router can build
-        the scans on the owning shard executors (through stream pumps) and
-        still reuse the method's merge loop unchanged; this serial default
-        constructs the streams inline, in term order, exactly as the
-        pre-refactor monolithic implementations did.
-        """
+        """Method-specific query evaluation: build every term's scan, merge."""
         with span("query.plan", terms=len(terms)):
-            plans = self._term_scan_plans(terms, lambda term_index: stats)
-            streams = [plan() for _term, plan in plans]
+            streams = [self._term_stream(index, term, stats)
+                       for index, term in enumerate(terms)]
         with span("query.merge", k=k):
             return self._merge_term_streams(streams, terms, k, conjunctive,
                                             stats)
@@ -610,63 +579,19 @@ class InvertedIndex(abc.ABC):
 
         return tagged()
 
-    #: Bound on the reusable per-term plan cache.  Plan objects are tiny
-    #: (a term string plus one bound callable), so the cap only guards a
-    #: pathological ad-hoc workload from growing the dict to vocabulary size.
-    _PLAN_CACHE_LIMIT = 4096
-
-    def _term_scan_plans(self, terms: list[str],
-                         stats_for) -> "list[tuple[str, Any]]":
-        """One ``(routing_term, build_stream)`` pair per query term.
-
-        ``build_stream`` is a zero-argument callable constructing the term's
-        scan iterator; *all* storage access of the scan (including any eager
-        short-list load at construction time) happens inside it, which is
-        what lets the parallel fan-out run it on the shard owning
-        ``routing_term``.  ``stats_for(term_index)`` supplies the
-        :class:`QueryStats` sink the scan should count into — the serial path
-        passes one shared object, the parallel path one per term (merged
-        afterwards) so concurrent scans never race on a counter.
-
-        The per-term plan itself (:class:`_TermPlan`, built by the
-        method-specific :meth:`_make_term_plan` hook) is reusable and cached
-        on the index: repeat queries over the same terms re-invoke the same
-        plan objects with fresh query inputs instead of re-allocating the
-        planning closures every time.
-        """
-        cache = self._plan_cache
-        pairs: "list[tuple[str, Any]]" = []
-        for index, term in enumerate(terms):
-            plan = cache.get(term)
-            if plan is None:
-                if len(cache) >= self._PLAN_CACHE_LIMIT:
-                    cache.clear()
-                plan = cache[term] = self._make_term_plan(term)
-            pairs.append((
-                term,
-                lambda plan=plan, index=index, stats=stats_for(index):
-                    plan(index, stats),
-            ))
-        return pairs
-
     @abc.abstractmethod
-    def _make_term_plan(self, term: str) -> "_TermPlan":
-        """The reusable scan-plan object for ``term``.
+    def _term_stream(self, term_index: int, term: str, stats: QueryStats):
+        """The scan iterator over ``term``'s postings for one query.
 
-        Called at most once per term per index instance (the base class
-        caches the result); the plan must close over nothing but the index
-        and the term so it can never go stale — every storage access happens
-        inside the stream it builds at invocation time.
+        ``term_index`` is the term's position in the query (methods tag
+        postings with it); every scan counts into the one shared ``stats``.
         """
 
     @abc.abstractmethod
     def _merge_term_streams(self, streams: list, terms: list[str], k: int,
                             conjunctive: bool, stats: QueryStats) -> list[QueryResult]:
-        """Merge pre-built per-term streams into the ranked top-k results.
-
-        ``streams`` is aligned with ``terms`` and contains whatever
-        ``_term_scan_plans`` built (plain iterators in the serial engine,
-        stream pumps under the parallel fan-out)."""
+        """Merge the per-term streams (aligned with ``terms``) into the
+        ranked top-k results."""
 
     def _after_score_update(self, doc_id: int, old_score: float, new_score: float) -> None:
         """Method-specific reaction to a score update (default: Score table only)."""

@@ -23,7 +23,7 @@ import heapq
 from typing import Callable, Sequence
 
 from repro.errors import InvertedIndexError
-from repro.core.indexes.base import InvertedIndex, QueryResult, QueryStats, _StagedDocument, _TermPlan
+from repro.core.indexes.base import InvertedIndex, QueryResult, QueryStats, _StagedDocument
 from repro.core.indexes.chunking import ChunkMap, ratio_chunks
 from repro.core.posting import (
     LazyBytesReader,
@@ -218,21 +218,12 @@ class ChunkIndex(InvertedIndex):
 
     # -- query (Algorithm 2 with chunks) ----------------------------------------------------
 
-    @staticmethod
-    def stream_item_postings(fragment: tuple) -> int:
-        return len(fragment[3])
-
-    def _make_term_plan(self, term: str) -> _TermPlan:
-        return _TermPlan(
-            term,
-            lambda index, stats: self._term_stream(index, term, stats),
-        )
-
     def _merge_term_streams(self, streams: list, terms: list[str], k: int,
                             conjunctive: bool, stats: QueryStats) -> list[QueryResult]:
         assert self.chunk_map is not None
         heap = ResultHeap(k)
-        candidates = _ChunkCandidates(len(terms), conjunctive, processed=set())
+        candidates = _ChunkCandidates(len(terms), conjunctive, processed=set(),
+                                      stale_of=self._stale_long_docs)
         for chunk_id, longs, shorts in self._scan_chunks(
                 streams, stats, lambda next_chunk: self._can_stop(next_chunk, heap)):
             _docs, completed = candidates.complete(chunk_id, longs, shorts)
@@ -298,27 +289,29 @@ class ChunkIndex(InvertedIndex):
                 heads[position] = head
             yield chunk_id, longs, shorts
 
+    def _stale_long_docs(self, doc_ids: "list[int]") -> "set[int]":
+        """The documents whose ListChunk row says they live in the short lists.
+
+        Their long postings are stale: the short postings represent them.
+        One bulk pass that descends once per B+-tree leaf run.
+        """
+        rows = self._list_chunk.get_many(doc_ids)
+        return {doc_id for doc_id, (_chunk, in_short) in rows.items() if in_short}
+
     def _resolve_candidates(self, completed: list, heap: ResultHeap,
                             stats: QueryStats) -> None:
         """Score one chunk's completed documents as a batch, in doc-id order.
 
-        Three bulk passes, each descending once per B+-tree leaf run: the
-        ListChunk rows of the long-only candidates (a document with short
-        postings is represented by those; its long posting is stale), then
-        the deleted flags, then the Score rows of the survivors — the same
-        keys a candidate-at-a-time loop probes, so the same pages.
+        Two bulk passes, each descending once per B+-tree leaf run: the
+        deleted flags, then the Score rows of the survivors — the same keys
+        a candidate-at-a-time loop probes, so the same pages.
         """
         if not completed:
             return
         stats.candidates += len(completed)
-        rows = self._list_chunk.get_many(
-            [doc_id for doc_id, from_short, _found in completed if not from_short]
-        )
-        scored = [entry for entry in completed
-                  if entry[0] not in rows or not rows[entry[0]][1]]
-        stats.score_lookups += len(scored)
-        scores = self._live_scores([doc_id for doc_id, _short, _found in scored])
-        for doc_id, _from_short, found in scored:
+        stats.score_lookups += len(completed)
+        scores = self._live_scores([doc_id for doc_id, _short, _found in completed])
+        for doc_id, _from_short, found in completed:
             score = scores[doc_id]
             if score is None:
                 continue
@@ -437,12 +430,23 @@ class _ChunkCandidates:
     completing one; ``found`` maps term index to the term score of the
     latest such posting of each term, in the order the terms were first seen
     (Chunk-TermScore sums it, so the order fixes float rounding).
+
+    A completion made only of long postings is checked against ListChunk
+    (``stale_of``).  When the row says the document lives in the short
+    lists, its long postings are stale — it was deleted and re-inserted at a
+    lower chunk — so they are dropped, for this chunk and every later one,
+    and the document completes from its short postings when they arrive.
+    It is not marked processed on the stale completion.
     """
 
     def __init__(self, term_count: int, conjunctive: bool, processed: "set[int]",
+                 stale_of: "Callable[[list[int]], set[int]]",
                  term_scores: bool = False) -> None:
         self.term_count = term_count
         self.processed = processed
+        self.stale_of = stale_of
+        #: Documents whose long postings are known to be stale.
+        self.stale: "set[int]" = set()
         self.all_terms = conjunctive and term_count > 1
         self.term_scores = term_scores
         # AND state, per term: doc id -> term score of its latest posting in
@@ -458,15 +462,46 @@ class _ChunkCandidates:
                  ) -> "tuple[set[int], list[tuple[int, bool, dict | None]]]":
         """``(docs in the chunk, completions)``; completions are
         ``(doc_id, from_short, found)`` in ascending doc-id order."""
+        if self.stale:
+            longs = self._drop_stale(longs)
         short_docs: set[int] = set().union(*(m for m in shorts if m is not None))
         docs = short_docs.union(*(m for m in longs if m is not None))
-        fresh = docs.difference(self.processed)
+        completed = self._completions(longs, shorts, short_docs,
+                                      docs.difference(self.processed))
+        long_only = [doc_id for doc_id, from_short, _found in completed if not from_short]
+        stale = self.stale_of(long_only) if long_only else None
+        if stale:
+            self.stale |= stale
+            for by_doc in (*self.seen, *self.first_chunk):
+                for doc_id in stale.intersection(by_doc):
+                    del by_doc[doc_id]
+            longs = self._drop_stale(longs)
+            docs = short_docs.union(*(m for m in longs if m is not None))
+            redone = self._completions(longs, shorts, short_docs,
+                                       stale & short_docs)
+            completed = sorted(
+                [entry for entry in completed if entry[0] not in stale] + redone,
+                key=lambda entry: entry[0],
+            )
         if self.all_terms:
-            completed = self._complete_all(chunk_id, longs, shorts, short_docs, fresh)
-        else:
-            completed = self._complete_any(longs, shorts, short_docs, fresh)
+            self._record(chunk_id, longs, shorts, short_docs)
         self.processed.update(doc_id for doc_id, _short, _found in completed)
         return docs, completed
+
+    def _drop_stale(self, longs: list) -> list:
+        stale = self.stale
+        return [
+            postings if postings is None or stale.isdisjoint(postings)
+            else ({doc_id: score for doc_id, score in postings.items()
+                   if doc_id not in stale} or None)
+            for postings in longs
+        ]
+
+    def _completions(self, longs: list, shorts: list, short_docs: "set[int]",
+                     fresh: "set[int]") -> list:
+        if self.all_terms:
+            return self._complete_all(longs, shorts, short_docs, fresh)
+        return self._complete_any(longs, shorts, short_docs, fresh)
 
     def _complete_any(self, longs: list, shorts: list, short_docs: "set[int]",
                       fresh: "set[int]") -> list:
@@ -486,7 +521,7 @@ class _ChunkCandidates:
                     break
         return completed
 
-    def _complete_all(self, chunk_id: int, longs: list, shorts: list,
+    def _complete_all(self, longs: list, shorts: list,
                       short_docs: "set[int]", fresh: "set[int]") -> list:
         seen = self.seen
         terms = range(self.term_count)
@@ -513,7 +548,13 @@ class _ChunkCandidates:
             found = (self._found(doc_id, missing, longs, shorts)
                      if self.term_scores else None)
             completed.append((doc_id, from_short, found))
-        for term in terms:
+        return completed
+
+    def _record(self, chunk_id: int, longs: list, shorts: list,
+                short_docs: "set[int]") -> None:
+        """Fold this chunk's postings into the AND state."""
+        seen = self.seen
+        for term in range(self.term_count):
             for postings in (longs[term], shorts[term]):
                 if postings is None:
                     continue
@@ -523,7 +564,6 @@ class _ChunkCandidates:
                         self.first_chunk[term].update(dict.fromkeys(first_seen, chunk_id))
                 seen[term].update(postings)
         self.short_seen |= short_docs
-        return completed
 
     def _found(self, doc_id: int, missing: "list[int]", longs: list,
                shorts: list) -> "dict[int, float]":

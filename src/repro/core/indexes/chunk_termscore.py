@@ -150,10 +150,7 @@ class ChunkTermScoreIndex(ChunkIndex):
         assert self.chunk_map is not None
         processed: set[int] = set()
 
-        # Phase 1: merge the fancy lists (Algorithm 3, lines 8-9).  The fancy
-        # lists are small and cache-resident; they are read on the coordinating
-        # thread even under the parallel fan-out (the sharded facade's latches
-        # serialize them against scans on the owning shards).
+        # Phase 1: merge the fancy lists (Algorithm 3, lines 8-9).
         fancy = [self._load_fancy(term) for term in terms]
         fancy_floors = [self._fancy_floor(term) for term in terms]
         heap = ResultHeap(k)
@@ -181,6 +178,7 @@ class ChunkTermScoreIndex(ChunkIndex):
 
         # Phase 2: merge short and long lists in chunk order (lines 10-34).
         candidates = _ChunkCandidates(len(terms), conjunctive, processed,
+                                      stale_of=self._stale_long_docs,
                                       term_scores=True)
         sum_floors = sum(fancy_floors)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from repro.core.indexes.base import InvertedIndex, QueryResult, QueryStats, _StagedDocument, _TermPlan
+from repro.core.indexes.base import InvertedIndex, QueryResult, QueryStats, _StagedDocument
 from repro.core.posting import (
     LazyBytesReader,
     Posting,
@@ -162,9 +162,6 @@ class IDIndex(InvertedIndex):
 
     # -- query -------------------------------------------------------------------
 
-    def _make_term_plan(self, term: str) -> _TermPlan:
-        return _TermPlan(term, lambda index, stats: self._term_stream(term, stats))
-
     def _merge_term_streams(self, streams: list, terms: list[str], k: int,
                             conjunctive: bool, stats: QueryStats) -> list[QueryResult]:
         heap = ResultHeap(k)
@@ -187,7 +184,8 @@ class IDIndex(InvertedIndex):
         del doc_id, found, terms
         return svr_score
 
-    def _term_stream(self, term: str, stats: QueryStats) -> "Iterator[tuple[int, float]]":
+    def _term_stream(self, term_index: int, term: str,
+                     stats: QueryStats) -> "Iterator[tuple[int, float]]":
         """Long-list postings merged with the delta list for one term, ID order.
 
         Postings flow through the scan as plain ``(doc_id, term_score)`` tuples

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.core.indexes.base import InvertedIndex, QueryResult, QueryStats, _StagedDocument, _TermPlan
+from repro.core.indexes.base import InvertedIndex, QueryResult, QueryStats, _StagedDocument
 from repro.core.posting import build_rekey_operations
 from repro.core.result_heap import ResultHeap, merge_ranked_streams
 from repro.storage.environment import StorageEnvironment
@@ -138,15 +138,11 @@ class ScoreIndex(InvertedIndex):
 
     # -- query --------------------------------------------------------------------
 
-    def _make_term_plan(self, term: str) -> _TermPlan:
-        return _TermPlan(
-            term, lambda index, stats: self._stream_list(term, index, stats))
-
-    def _stream_list(self, term: str, index: int,
+    def _term_stream(self, term_index: int, term: str,
                      stats: QueryStats) -> Iterator[tuple[float, int, int]]:
         for (_term, neg_score, doc_id), _ in self._lists.prefix_items((term,)):
             stats.postings_scanned += 1
-            yield neg_score, doc_id, index
+            yield neg_score, doc_id, term_index
 
     def _merge_term_streams(self, streams: list, terms: list[str], k: int,
                             conjunctive: bool, stats: QueryStats) -> list[QueryResult]:

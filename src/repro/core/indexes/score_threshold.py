@@ -21,7 +21,7 @@ import heapq
 from typing import Iterator
 
 from repro.errors import InvertedIndexError
-from repro.core.indexes.base import InvertedIndex, QueryResult, QueryStats, _StagedDocument, _TermPlan
+from repro.core.indexes.base import InvertedIndex, QueryResult, QueryStats, _StagedDocument
 from repro.core.posting import (
     LazyBytesReader,
     ScoredPosting,
@@ -167,12 +167,6 @@ class ScoreThresholdIndex(InvertedIndex):
 
     # -- query (Algorithm 2) ----------------------------------------------------------------
 
-    def _make_term_plan(self, term: str) -> _TermPlan:
-        return _TermPlan(
-            term,
-            lambda index, stats: self._term_stream(index, term, stats),
-        )
-
     def _merge_term_streams(self, streams: list, terms: list[str], k: int,
                             conjunctive: bool, stats: QueryStats) -> list[QueryResult]:
         required = len(terms) if conjunctive else 1
@@ -181,6 +175,8 @@ class ScoreThresholdIndex(InvertedIndex):
         seen_terms: dict[int, set[int]] = {}
         seen_short: dict[int, bool] = {}
         processed: set[int] = set()
+        # Documents whose long postings are stale (see _long_postings_stale).
+        stale: set[int] = set()
         for neg_score, doc_id, term_index, is_short in merged:
             list_score = -neg_score
             # Early termination: every remaining posting has list score <= the
@@ -190,39 +186,36 @@ class ScoreThresholdIndex(InvertedIndex):
             if heap.is_full and self.threshold_value_of(list_score) < heap.min_score():
                 stats.stopped_early = True
                 break
-            if doc_id in processed:
+            if doc_id in processed or (doc_id in stale and not is_short):
                 continue
             terms_seen = seen_terms.setdefault(doc_id, set())
             terms_seen.add(term_index)
             seen_short[doc_id] = seen_short.get(doc_id, False) or is_short
             if len(terms_seen) < required:
                 continue
+            if not seen_short[doc_id] and self._long_postings_stale(doc_id):
+                # Forget the stale postings; the document completes from its
+                # short postings when they arrive, further down the lists.
+                stale.add(doc_id)
+                del seen_terms[doc_id], seen_short[doc_id]
+                continue
             processed.add(doc_id)
             stats.candidates += 1
-            self._process_candidate(doc_id, seen_short[doc_id], heap, stats)
-        return [QueryResult(entry.doc_id, entry.score) for entry in heap.results()]
-
-    def _process_candidate(self, doc_id: int, from_short: bool, heap: ResultHeap,
-                           stats: QueryStats) -> None:
-        if from_short:
             current = self._live_score(doc_id)
             stats.score_lookups += 1
-            if current is None:
-                return
-            stats.heap_offers += 1
-            heap.add(doc_id, current)
-            return
+            if current is not None:
+                stats.heap_offers += 1
+                heap.add(doc_id, current)
+        return [QueryResult(entry.doc_id, entry.score) for entry in heap.results()]
+
+    def _long_postings_stale(self, doc_id: int) -> bool:
+        """Whether ListScore says the document lives in the short lists.
+
+        Its long postings are then stale — the document was deleted and
+        re-inserted with a lower score — and the short postings represent it.
+        """
         entry = self._list_score.get(doc_id, default=None)
-        if entry is not None and entry[1]:
-            # The document has short-list postings; its long-list postings are
-            # ignored (it has been or will be processed through the short lists).
-            return
-        current = self._live_score(doc_id)
-        stats.score_lookups += 1
-        if current is None:
-            return
-        stats.heap_offers += 1
-        heap.add(doc_id, current)
+        return entry is not None and entry[1]
 
     # -- per-term stream construction ------------------------------------------------------
 

@@ -8,10 +8,7 @@ early-termination conditions of Algorithms 2 and 3 compare against.
 
 :func:`merge_ranked_streams` is the gather side of the scan: every method's
 query loop k-way merges its per-term posting streams through it and offers
-the merged candidates into the heap.  The serial engine passes plain
-generators; the parallel fan-out passes :class:`~repro.exec.fanout.StreamPump`
-iterators whose blocks materialize on the owning shard executors — the merge
-(and the heap) are agnostic to which one they are fed.
+the merged candidates into the heap.
 """
 
 from __future__ import annotations

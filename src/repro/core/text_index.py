@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Any, Iterable
 
 from repro.errors import QueryError, StorageError
-from repro.core.index_router import IndexRouter, threads_from_environ
+from repro.core.index_router import IndexRouter
 from repro.core.indexes.base import InvertedIndex, QueryResponse
 from repro.core.indexes.registry import create_index
 from repro.storage.environment import StorageEnvironment
@@ -42,10 +42,10 @@ def _capture_index_state(index: InvertedIndex) -> dict[str, Any]:
     return {
         key: value
         for key, value in vars(index).items()
-        # ``list_cache`` and ``_plan_cache`` are ephemeral by design: a
-        # recovered index starts with a cold hot-term cache (its entries may
-        # predate the recovery point) and rebuilds its per-term scan plans.
-        if key not in ("env", "documents", "list_cache", "_plan_cache")
+        # ``list_cache`` is ephemeral by design: a recovered index starts
+        # with a cold hot-term cache (its entries may predate the recovery
+        # point).
+        if key not in ("env", "documents", "list_cache")
         and not isinstance(value, _STORE_TYPES)
     }
 
@@ -75,20 +75,12 @@ class SVRTextIndex:
         :class:`~repro.storage.sharding.ShardedEnvironment` whose total cache
         budget is still ``cache_pages``.
     threads:
-        Worker threads for the concurrent execution subsystem (see
-        :mod:`repro.exec`).  ``1`` — the serial engine, byte-for-byte.  More
-        threads run queries concurrently (per-term scans fan out to the
-        single-writer shard executors) and apply batched update windows as
-        combined per-shard sub-batches.  Defaults to the ``REPRO_THREADS``
-        environment variable (or 1); when the default comes from the
-        environment the router runs in deterministic-accounting mode so
-        existing I/O fingerprints hold.  ``threads > 1`` with ``shards = 1``
-        still builds a (fingerprint-identical) single-shard
-        ``ShardedEnvironment`` so the execution layer has store facades to
-        work through.
-    deterministic:
-        Force (or disable) the deterministic-accounting mode explicitly; see
-        :class:`~repro.core.index_router.IndexRouter`.
+        How many client threads may use this index at once.  ``1`` (the
+        default) is the serial engine: no lock, byte-for-byte the paper's
+        algorithms.  ``> 1`` makes every operation take one engine lock and
+        combines batched update windows that arrive together (see
+        :class:`~repro.core.index_router.IndexRouter`).  Every operation
+        still runs on its caller's thread; no worker thread is started.
     path:
         Optional directory for a durable index: pages live in one file-backed
         environment (or one per shard) with a write-ahead log, and
@@ -104,18 +96,8 @@ class SVRTextIndex:
                  env: "StorageEnvironment | ShardedEnvironment | None" = None,
                  analyzer: Analyzer | None = None, name: str = "svr",
                  cache_pages: int = 4096, page_size: int = 4096,
-                 shards: int = 1, threads: int | None = None,
-                 deterministic: bool | None = None, path: str | None = None,
+                 shards: int = 1, threads: int = 1, path: str | None = None,
                  **method_options: Any) -> None:
-        if threads is None:
-            threads = threads_from_environ()
-            if deterministic is None and threads > 1:
-                # The env-var route exists to rerun existing (fingerprint-
-                # asserting) workloads through the concurrent plumbing.
-                deterministic = True
-        threads = max(1, int(threads))
-        if deterministic is None:
-            deterministic = False
         if env is None:
             if path is not None:
                 from repro.storage.persistence import is_environment_dir
@@ -126,16 +108,13 @@ class SVRTextIndex:
                         f"{path!r} already holds a persistent index; "
                         "use SVRTextIndex.open() to recover it"
                     )
-            if shards <= 1 and threads <= 1:
+            if shards <= 1:
                 env = StorageEnvironment(
                     cache_pages=cache_pages, page_size=page_size, path=path
                 )
             else:
-                # threads > 1 needs the facade layer even at one shard; the
-                # single-shard sharded environment is fingerprint-identical
-                # to the plain one (pinned by the shard-invariance suite).
                 env = ShardedEnvironment(
-                    shard_count=max(1, shards), cache_pages=cache_pages,
+                    shard_count=shards, cache_pages=cache_pages,
                     page_size=page_size, path=path,
                 )
         elif path is not None:
@@ -150,16 +129,14 @@ class SVRTextIndex:
         self.index: InvertedIndex = create_index(
             method, self.env, self.documents, name=name, **method_options
         )
-        self.router = IndexRouter(self.index, threads=threads,
-                                  deterministic=deterministic)
+        self.router = IndexRouter(self.index, threads=threads)
         self._obs_server = self._maybe_serve_observability()
 
     # -- durability ---------------------------------------------------------------
 
     @classmethod
     def open(cls, path: str, cache_pages: int | None = None,
-             threads: int | None = None,
-             deterministic: bool | None = None) -> "SVRTextIndex":
+             threads: int = 1) -> "SVRTextIndex":
         """Recover a durable index to its last committed batch boundary.
 
         Replays each environment's write-ahead log onto its paged file,
@@ -171,12 +148,6 @@ class SVRTextIndex:
         """
         from repro.storage.persistence import open_any_environment
 
-        if threads is None:
-            threads = threads_from_environ()
-            if deterministic is None and threads > 1:
-                deterministic = True
-        if deterministic is None:
-            deterministic = False
         env = open_any_environment(path, cache_pages=cache_pages)
         blob = env.recovered_app_state
         if not isinstance(blob, dict) or blob.get("kind") != "svr-text-index":
@@ -198,8 +169,7 @@ class SVRTextIndex:
         )
         for key, value in blob["index_state"].items():
             setattr(self.index, key, value)
-        self.router = IndexRouter(self.index, threads=threads,
-                                  deterministic=deterministic)
+        self.router = IndexRouter(self.index, threads=threads)
         self._obs_server = self._maybe_serve_observability()
         return self
 
@@ -252,9 +222,7 @@ class SVRTextIndex:
     def close(self) -> None:
         """Checkpoint (when durable) and release all file handles, idempotently.
 
-        Also joins the concurrent execution subsystem's worker threads (a
-        no-op on the serial engine); the executor pool drains before the
-        environment closes, so no shard task can outlive its storage.
+        Also stops the router's sampler daemon, if one runs.
         Quarantined shards are crash-closed rather than checkpointed — their
         in-memory state is untrustworthy, and their durable state must stay
         at the last commit they participated in.
@@ -301,7 +269,7 @@ class SVRTextIndex:
 
     @property
     def threads(self) -> int:
-        """Worker threads of the execution subsystem (1 = serial engine)."""
+        """Client threads this index was built for (1 = serial engine, no lock)."""
         return self.router.threads
 
     def shard_load(self) -> ShardLoad:
@@ -405,8 +373,8 @@ class SVRTextIndex:
         return self.router.current_score(doc_id)
 
     def current_scores(self, doc_ids: "Iterable[int]") -> dict[int, float]:
-        """Latest scores for several documents (one lock round trip when
-        concurrent); unknown and deleted documents are omitted."""
+        """Latest scores for several documents (one engine-lock round trip
+        when ``threads > 1``); unknown and deleted documents are omitted."""
         return self.router.current_scores(doc_ids)
 
     # -- build ----------------------------------------------------------------------
@@ -421,9 +389,10 @@ class SVRTextIndex:
         The synthetic workloads generate term sequences directly; this entry
         point skips the tokenisation pass they do not need.
         """
-        self.documents.add_terms(doc_id, terms)
-        self.dictionary.add_document_terms(self.documents.get(doc_id).distinct_terms)
-        self.router.add_document(doc_id, score)
+        with self.router.exclusive():
+            self.documents.add_terms(doc_id, terms)
+            self.dictionary.add_document_terms(self.documents.get(doc_id).distinct_terms)
+            self.router.add_document(doc_id, score)
 
     def finalize(self) -> None:
         """Build the long inverted lists; required before updates and queries."""
@@ -452,21 +421,25 @@ class SVRTextIndex:
 
     def insert_document_terms(self, doc_id: int, terms: Iterable[str], score: float) -> None:
         """Insert a pre-analysed document after the index has been built."""
-        self.router.insert_document(doc_id, terms, score)
-        self.dictionary.add_document_terms(self.documents.get(doc_id).distinct_terms)
+        with self.router.exclusive():
+            self.router.insert_document(doc_id, terms, score)
+            self.dictionary.add_document_terms(self.documents.get(doc_id).distinct_terms)
 
     def delete_document(self, doc_id: int) -> None:
         """Delete a document (it stops appearing in query results immediately)."""
-        old_terms = self.documents.get(doc_id).distinct_terms
-        self.router.delete_document(doc_id)
-        self.dictionary.remove_document_terms(old_terms)
+        with self.router.exclusive():
+            old_terms = self.documents.get(doc_id).distinct_terms
+            self.router.delete_document(doc_id)
+            self.dictionary.remove_document_terms(old_terms)
 
     def update_content(self, doc_id: int, new_text: str) -> None:
         """Replace a document's text content."""
-        old_terms = self.documents.get(doc_id).distinct_terms
         new_terms = self.analyzer.analyze(new_text)
-        self.router.update_content(doc_id, new_terms)
-        self.dictionary.update_document_terms(old_terms, self.documents.get(doc_id).distinct_terms)
+        with self.router.exclusive():
+            old_terms = self.documents.get(doc_id).distinct_terms
+            self.router.update_content(doc_id, new_terms)
+            self.dictionary.update_document_terms(
+                old_terms, self.documents.get(doc_id).distinct_terms)
 
     # -- queries -----------------------------------------------------------------------
 

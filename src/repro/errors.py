@@ -117,33 +117,6 @@ def shard_of_error(error: BaseException) -> "int | None":
 
 
 # ---------------------------------------------------------------------------
-# Execution layer
-# ---------------------------------------------------------------------------
-
-
-class ExecutorError(ReproError):
-    """Base class for shard-executor failures.
-
-    Carries an optional ``shard`` attribute when the pool can attribute the
-    failure to a specific shard (quarantine attribution).
-    """
-
-    shard: "int | None" = None
-
-
-class ExecutorClosedError(ExecutorError):
-    """A task was submitted to an executor that is closed or whose worker died."""
-
-
-class ShardTimeoutError(ExecutorError, TimeoutError):
-    """Awaiting a shard task exceeded its deadline.
-
-    Also a builtin :class:`TimeoutError`, so callers using the standard idiom
-    keep working.
-    """
-
-
-# ---------------------------------------------------------------------------
 # Relational layer
 # ---------------------------------------------------------------------------
 

@@ -1,35 +1,9 @@
-"""Concurrent execution subsystem for the sharded storage engine.
+"""Inline executor stubs kept for the frozen benchmark tracer.
 
-The paper's premise is serving top-k queries *while* score updates stream in;
-PR 3 partitioned the term space into independent storage environments and
-PR 4 made them durable, but execution stayed single-threaded.  This package
-adds the execution layer:
-
-* :mod:`repro.exec.executor` — :class:`ShardExecutor` worker threads (one
-  single-writer mailbox per shard) behind an :class:`ExecutorPool` whose
-  ``threads <= 1`` configuration degenerates to inline serial execution.
-* :mod:`repro.exec.locks` — the :class:`ReadWriteLock` the router uses to run
-  queries concurrently while update windows execute exclusively.
-* :mod:`repro.exec.fanout` — :class:`StreamPump`, which advances a per-term
-  scan iterator in blocks *on the owning shard's executor*, so parallel query
-  fan-out keeps every shard's state accessed from a single thread at a time.
-
-The subsystem is layered strictly on top of the storage engine: with one
-thread nothing here is ever invoked and the engine is byte-for-byte the
-serial engine; with more threads, contents and top-k answers remain identical
-while I/O accounting attribution becomes approximate (see the "Concurrent
-execution" section of ARCHITECTURE.md for the exact contract).
+Queries and writes run on their caller's thread; see
+:mod:`repro.exec.executor` and ARCHITECTURE.md "Concurrent execution".
 """
 
-from repro.exec.executor import ExecutorPool, ShardExecutor, ShardFuture
-from repro.exec.fanout import StreamPump, pump_plans
-from repro.exec.locks import ReadWriteLock
+from repro.exec.executor import ExecutorPool, ShardFuture
 
-__all__ = [
-    "ExecutorPool",
-    "ShardExecutor",
-    "ShardFuture",
-    "StreamPump",
-    "pump_plans",
-    "ReadWriteLock",
-]
+__all__ = ["ExecutorPool", "ShardFuture"]

@@ -1,362 +1,40 @@
-"""Single-writer shard executors behind a submit/await mailbox.
-
-Each :class:`ShardExecutor` is one worker thread draining a FIFO mailbox of
-submitted callables.  The pool assigns every storage shard to exactly one
-executor, so all access to a shard's environment that goes through the pool
-is serialized on a single thread — the shard needs no internal locks, exactly
-like a single-writer event loop per partition.
-
-``ExecutorPool(shard_count, threads=1)`` (or fewer shards than threads) keeps
-a degenerate **inline** mode: ``submit`` runs the callable immediately on the
-calling thread and returns an already-completed future.  That mode is the
-serial engine — no threads are created, no queues exist, and the instruction
-stream is identical to calling the function directly.
-"""
+"""Inline stubs kept only because the frozen tracer ``benchmarks/e2e/e2e_tracing.py`` patches them."""
 
 from __future__ import annotations
 
-import os
-import queue
-import threading
 from typing import Any, Callable, Iterable
-
-from repro.errors import (
-    ExecutorClosedError,
-    ShardTimeoutError,
-    StorageError,
-)
-from repro.obs.trace import bind_current, tracing_enabled
 
 
 class ShardFuture:
-    """Result slot for one submitted task, with opt-in work stealing.
+    """The already-settled outcome of one inline task."""
 
-    A future created for a queued task carries the callable and a claim lock;
-    whichever thread wins the claim — the executor's worker, or the awaiting
-    caller via ``result(steal=True)`` — runs the task exactly once.  Stealing
-    matters on machines where cores are scarce: instead of sleeping until the
-    scheduler hands the worker thread a slice, the caller that needs the
-    block right now just computes it (the callable carries its own shard
-    latch, so the single-access discipline is preserved either way).
-    """
+    __slots__ = ("_value", "_error")
 
-    __slots__ = ("_event", "_result", "_exception", "_fn", "_claim", "_steal_note")
+    def __init__(self, value: Any = None, error: "Exception | None" = None) -> None:
+        self._value = value
+        self._error = error
 
-    def __init__(self, fn: "Callable[[], Any] | None" = None) -> None:
-        self._event = threading.Event()
-        self._result: Any = None
-        self._exception: BaseException | None = None
-        self._fn = fn
-        self._claim = threading.Lock() if fn is not None else None
-        #: Optional observability callback fired when a caller steals the
-        #: task (set by the pool when a metrics registry is attached).
-        self._steal_note: "Callable[[], None] | None" = None
-
-    @classmethod
-    def completed(cls, result: Any) -> "ShardFuture":
-        """An already-resolved future (the inline execution mode)."""
-        future = cls()
-        future._result = result
-        future._event.set()
-        return future
-
-    @classmethod
-    def failed(cls, exception: BaseException) -> "ShardFuture":
-        """An already-failed future (inline execution that raised)."""
-        future = cls()
-        future._exception = exception
-        future._event.set()
-        return future
-
-    def _resolve(self, result: Any) -> None:
-        self._result = result
-        self._event.set()
-
-    def _fail(self, exception: BaseException) -> None:
-        self._exception = exception
-        self._event.set()
-
-    def _try_claim(self) -> bool:
-        """Atomically claim the right to run the task (at most one winner)."""
-        return self._claim is not None and self._claim.acquire(blocking=False)
-
-    def _run_claimed(self) -> None:
-        """Execute the claimed task (claim must have been won first)."""
-        assert self._fn is not None
-        try:
-            self._resolve(self._fn())
-        except BaseException as exc:  # propagate to the awaiting caller
-            self._fail(exc)
-
-    def cancel(self) -> bool:
-        """Win the claim so the task never runs; resolve to ``None``.
-
-        Returns ``False`` when a worker (or a stealing caller) already owns
-        the task — the caller must then await it instead.  Used by the stream
-        pumps to drop a speculative prefetch block after early termination
-        without anyone paying to compute it.
-        """
-        if self._try_claim():
-            self._resolve(None)
-            return True
-        return False
-
-    @property
-    def done(self) -> bool:
-        return self._event.is_set()
-
-    def result(self, timeout: float | None = None, steal: bool = False) -> Any:
-        """Block until the task finishes; re-raise its exception if it failed.
-
-        With ``steal=True`` and the task still unclaimed, run it on the
-        calling thread instead of waiting for the worker.
-        """
-        if steal and not self._event.is_set() and self._try_claim():
-            if self._steal_note is not None:
-                self._steal_note()
-            self._run_claimed()
-        if not self._event.wait(timeout):
-            raise ShardTimeoutError("shard task did not complete in time")
-        if self._exception is not None:
-            raise self._exception
-        return self._result
-
-
-#: Mailbox sentinel asking a worker to exit after draining earlier tasks.
-_SHUTDOWN = object()
-
-
-class ShardExecutor:
-    """One worker thread owning the shards assigned to it.
-
-    Tasks submitted to the same executor run strictly in submission order;
-    tasks for a given shard therefore never overlap (the single-writer
-    guarantee).  The executor is oblivious to what the callables do — the
-    pool's shard→executor mapping is what scopes them to shard state.
-    """
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._mailbox: "queue.SimpleQueue[ShardFuture | Any]" = queue.SimpleQueue()
-        self._closed = False
-        self._dead = False
-        self._thread = threading.Thread(target=self._run, name=name, daemon=True)
-        self._thread.start()
-
-    def submit(self, fn: Callable[[], Any]) -> ShardFuture:
-        """Enqueue a callable; returns a future resolving to its return value."""
-        if self._closed or self._dead:
-            state = "dead" if self._dead else "closed"
-            raise ExecutorClosedError(f"executor {self.name} is {state}")
-        future = ShardFuture(fn)
-        self._mailbox.put(future)
-        return future
-
-    def close(self) -> None:
-        """Drain the mailbox and join the worker thread (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        self._mailbox.put(_SHUTDOWN)
-        self._thread.join()
-
-    def kill(self) -> None:
-        """Chaos hook: simulate the worker dying (idempotent).
-
-        The worker finishes tasks already in its mailbox — they were claimed
-        work, and abandoning claimed futures would hang their awaiters — then
-        exits; further submissions raise
-        :class:`~repro.errors.ExecutorClosedError` until the pool revives the
-        executor.
-        """
-        if self._closed or self._dead:
-            return
-        self._dead = True
-        self._mailbox.put(_SHUTDOWN)
-        self._thread.join()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def dead(self) -> bool:
-        """Whether :meth:`kill` stopped the worker (pending pool revival)."""
-        return self._dead
-
-    def _run(self) -> None:
-        while True:
-            item = self._mailbox.get()
-            if item is _SHUTDOWN:
-                return
-            if item._try_claim():
-                item._run_claimed()
-            # else: the awaiting caller stole and ran the task already.
+    def result(self) -> Any:
+        """The task's return value; re-raises its exception if it failed."""
+        if self._error is not None:
+            raise self._error
+        return self._value
 
 
 class ExecutorPool:
-    """Shard→executor assignment plus scatter/await helpers.
-
-    Parameters
-    ----------
-    shard_count:
-        Number of storage shards served.  Shards are assigned to executors
-        round-robin; with at least as many threads as shards each shard owns
-        a dedicated worker.
-    threads:
-        Worker-thread budget.  ``threads <= 1`` creates **no** threads: every
-        ``submit`` executes inline on the caller, which is the serial engine.
-    scatter:
-        Whether readers should *eagerly* hand scan blocks to the worker
-        threads (true parallel decode) or keep them as lazily-computed local
-        thunks (the workers only back the write fan-out).  Defaults to
-        "are there physical cores for the workers to run on": on a
-        single-core host an executor hop can never overlap with anything, so
-        eager scatter would pay queue/wakeup latency for nothing.
-    """
-
-    def __init__(self, shard_count: int, threads: int = 1,
-                 scatter: "bool | None" = None) -> None:
-        if shard_count < 1:
-            raise StorageError(f"shard_count must be at least 1, got {shard_count}")
-        self.shard_count = shard_count
-        self.threads = max(1, int(threads))
-        if scatter is None:
-            scatter = (os.cpu_count() or 1) > 1
-        self.scatter = bool(scatter)
-        #: Optional :class:`~repro.obs.metrics.MetricsRegistry` (duck-typed)
-        #: attached by the router; when set, submissions/steals/revivals feed
-        #: ``exec.*`` counters.
-        self.metrics = None
-        self._closed = False
-        if self.threads <= 1:
-            self._executors: list[ShardExecutor] = []
-        else:
-            worker_count = min(self.threads, shard_count)
-            self._executors = [
-                ShardExecutor(name=f"repro-shard-exec-{index}")
-                for index in range(worker_count)
-            ]
-
-    @property
-    def parallel(self) -> bool:
-        """Whether submissions actually run on worker threads."""
-        return bool(self._executors)
-
-    @property
-    def worker_count(self) -> int:
-        return len(self._executors)
-
-    def executor_for(self, shard: int) -> "ShardExecutor | None":
-        """The executor owning ``shard`` (``None`` in inline mode)."""
-        if not self._executors:
-            return None
-        return self._executors[shard % len(self._executors)]
+    """Runs ``(shard, fn)`` tasks inline, in submission order."""
 
     def submit(self, shard: int, fn: Callable[[], Any]) -> ShardFuture:
-        """Run ``fn`` on the shard's executor (or inline when not parallel).
-
-        Executor failures are tagged with the shard they were submitted for,
-        so the router can attribute them to a failure domain.
-        """
-        executor = self.executor_for(shard)
-        if executor is None:
-            # Inline mode runs on the calling thread, where any open trace
-            # span is already current — no context binding needed.
-            try:
-                return ShardFuture.completed(fn())
-            except BaseException as exc:
-                return ShardFuture.failed(exc)
-        if tracing_enabled():
-            # Carry the submitting thread's current span into the task, so
-            # spans the task opens land under the query/window that caused it
-            # — on the worker thread, or on whichever caller steals the task
-            # (the binding travels inside the submitted closure).
-            fn = bind_current(fn)
-        metrics = self.metrics
         try:
-            future = executor.submit(fn)
-        except ExecutorClosedError as exc:
-            if exc.shard is None:
-                exc.shard = shard
-            raise
-        if metrics is not None:
-            metrics.inc("exec.submitted", shard=shard)
-            future._steal_note = lambda: metrics.inc("exec.steals", shard=shard)
-        return future
-
-    def kill_executor(self, shard: int) -> bool:
-        """Chaos hook: kill the executor owning ``shard`` (inline: ``False``)."""
-        executor = self.executor_for(shard)
-        if executor is None:
-            return False
-        executor.kill()
-        return True
-
-    def revive(self, shard: int) -> bool:
-        """Replace a dead executor with a fresh worker (shard re-admission).
-
-        Returns whether a replacement was made; a live executor (or the
-        inline pool) is left untouched.
-        """
-        if not self._executors or self._closed:
-            return False
-        index = shard % len(self._executors)
-        executor = self._executors[index]
-        if not executor.dead:
-            return False
-        self._executors[index] = ShardExecutor(name=executor.name)
-        if self.metrics is not None:
-            self.metrics.inc("exec.revived", shard=shard)
-        return True
-
-    def run_on(self, shard: int, fn: Callable[[], Any]) -> Any:
-        """Submit and await one task."""
-        return self.submit(shard, fn).result()
+            return ShardFuture(fn())
+        except Exception as exc:
+            return ShardFuture(error=exc)
 
     def map_shards(self, tasks: "Iterable[tuple[int, Callable[[], Any]]]") -> list[Any]:
-        """Scatter ``(shard, fn)`` tasks and gather every result.
+        """Run every task and return the results in task order.
 
-        All futures are awaited even when one fails, so the shards are
-        guaranteed quiescent when this returns; the first failure is then
-        re-raised in task order.
+        Every task runs even when one fails; the first failure is then
+        re-raised.
         """
         futures = [self.submit(shard, fn) for shard, fn in tasks]
-        results: list[Any] = []
-        first_error: BaseException | None = None
-        for future in futures:
-            try:
-                # steal=True: on a saturated host the gathering thread works
-                # through unclaimed sub-batches itself instead of sleeping.
-                results.append(future.result(steal=True))
-            except BaseException as exc:
-                if first_error is None:
-                    first_error = exc
-                results.append(None)
-        if first_error is not None:
-            raise first_error
-        return results
-
-    def barrier(self) -> None:
-        """Wait until every live executor has drained its mailbox."""
-        for executor in self._executors:
-            if not executor.dead:
-                executor.submit(lambda: None).result()
-
-    def close(self) -> None:
-        """Join every worker thread (idempotent; inline mode is a no-op)."""
-        if self._closed:
-            return
-        self._closed = True
-        for executor in self._executors:
-            executor.close()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def __enter__(self) -> "ExecutorPool":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
+        return [future.result() for future in futures]

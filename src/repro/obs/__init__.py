@@ -4,10 +4,10 @@ The engine's telemetry used to be fragmented — ``QueryStats`` per query,
 ``ShardLoad`` per run, fault counters per injector, buffer-pool stats per
 shard — each with its own dialect.  This package is the shared substrate:
 
-* :mod:`repro.obs.trace` — per-query / per-window span trees propagated
-  through the executor pool into worker threads, plus a slow-query log;
+* :mod:`repro.obs.trace` — per-query / per-window span trees plus a
+  slow-query log;
 * :mod:`repro.obs.metrics` — a thread-safe registry of counters, gauges and
-  fixed-bucket latency histograms fed by the router, executors, caches, the
+  fixed-bucket latency histograms fed by the router, caches, the
   WAL and the retry/quarantine paths;
 * :mod:`repro.obs.events` — a ring-buffered structured event log for
   lifecycle events (quarantine, reopen, recovery, checkpoint, escalation),
@@ -61,7 +61,6 @@ from repro.obs.trace import (
     SLOW_QUERIES,
     SlowQueryLog,
     Span,
-    bind_current,
     current_span,
     set_tracing,
     span,
@@ -83,7 +82,6 @@ __all__ = [
     "SamplerDaemon",
     "SlowQueryLog",
     "Span",
-    "bind_current",
     "current_span",
     "emit",
     "event_log_capacity_from_environ",

@@ -12,8 +12,8 @@ whether a plan was ever described.
 With ``analyze=True`` the query really runs — through the exact
 :meth:`IndexRouter.query` path a caller would use, so the returned top-k is
 bit-identical to a plain query — and the plan is grafted with actuals:
-postings scanned vs estimated, per-shard latency and pages/pool-hit splits,
-and the plan/scan/merge phase breakdown read off the span tree.
+postings scanned vs estimated, per-shard pages/pool-hit splits, and the
+plan/merge phase breakdown read off the span tree.
 
 The module doubles as a CLI::
 
@@ -49,8 +49,6 @@ def _engine_section(router) -> dict:
         "method": router.method_name,
         "shards": router.shard_count,
         "threads": router.threads,
-        "parallel": router.parallel,
-        "deterministic": router.deterministic,
         "blocked_postings": index.blocked_postings,
         "list_cache_enabled": index.list_cache is not None,
         "degraded": router.degraded,
@@ -88,29 +86,11 @@ def _run_analysis(router, keywords: list[str], k: int,
         set_tracing(previous)
 
     stats = response.stats
-    phase_ms = {"plan_ms": None, "merge_ms": None, "scan_ms": None}
-    shard_rows: "dict[int, dict]" = {}
-    term_actuals = None
+    phase_ms = {"plan_ms": None, "merge_ms": None}
     for node in _walk_spans(root):
-        if node.duration_ms is None:
-            continue
-        if node.name == "query.plan":
-            phase_ms["plan_ms"] = (phase_ms["plan_ms"] or 0.0) + node.duration_ms
-        elif node.name == "query.merge":
-            phase_ms["merge_ms"] = (phase_ms["merge_ms"] or 0.0) + node.duration_ms
-        elif node.name == "shard.scan":
-            phase_ms["scan_ms"] = (phase_ms["scan_ms"] or 0.0) + node.duration_ms
-            shard = node.tags.get("shard")
-            if shard is not None:
-                row = shard_rows.setdefault(int(shard), {"scan_ms": 0.0})
-                row["scan_ms"] += node.duration_ms
-        if term_actuals is None:
-            term_actuals = node.tags.get("term_stats")
-    for shard, delta in enumerate(deltas):
-        row = shard_rows.setdefault(shard, {})
-        row["pages_read"] = delta.page_reads
-        row["pool_hits"] = delta.pool_hits
-        row["cost_ms"] = round(delta.cost_ms(), 4)
+        phase = {"query.plan": "plan_ms", "query.merge": "merge_ms"}.get(node.name)
+        if phase is not None and node.duration_ms is not None:
+            phase_ms[phase] = (phase_ms[phase] or 0.0) + node.duration_ms
     return {
         "latency_ms": round(elapsed_ms, 4),
         "results": [
@@ -131,14 +111,10 @@ def _run_analysis(router, keywords: list[str], k: int,
             key: (None if value is None else round(value, 4))
             for key, value in phase_ms.items()
         },
-        # The serial engine shares one stats object across term scans, so
-        # exact per-term actuals exist only where the fan-out tagged them.
-        "per_term_actuals": "exact" if term_actuals else "aggregate-only",
-        "term_stats": term_actuals,
         "shards": [
-            {"shard": shard, **{key: row.get(key) for key in
-                                ("pages_read", "pool_hits", "cost_ms", "scan_ms")}}
-            for shard, row in sorted(shard_rows.items())
+            {"shard": shard, "pages_read": delta.page_reads,
+             "pool_hits": delta.pool_hits, "cost_ms": round(delta.cost_ms(), 4)}
+            for shard, delta in enumerate(deltas)
         ],
         "trace": root.to_dict() if root is not None else None,
     }
@@ -170,9 +146,6 @@ def explain_query(engine, keywords: list[str], k: int = 10,
     if analyze:
         plan["execution"] = _run_analysis(router, list(keywords), k,
                                           conjunctive)
-        term_stats = plan["execution"]["term_stats"] or {}
-        for term_plan in plan["terms"]:
-            term_plan["actual"] = dict(term_stats.get(term_plan["term"], {}))
     return plan
 
 
@@ -201,7 +174,7 @@ def render_text(plan: dict) -> str:
     ]
     lines.append(
         "  engine: blocked_postings={blocked_postings} "
-        "cache={list_cache_enabled} parallel={parallel}".format(**engine)
+        "cache={list_cache_enabled}".format(**engine)
     )
     for term_plan in plan["terms"]:
         parts = [
@@ -218,9 +191,6 @@ def render_text(plan: dict) -> str:
         if term_plan["quarantined"]:
             parts.append("QUARANTINED")
         lines.append(" ".join(parts))
-        actual = term_plan.get("actual")
-        if actual and "postings_scanned" in actual:
-            lines.append(f"    actual: postings={actual['postings_scanned']}")
     execution = plan["execution"]
     if execution is not None:
         totals = execution["totals"]
@@ -241,11 +211,9 @@ def render_text(plan: dict) -> str:
         if phase_note:
             lines.append(f"  phases: {phase_note}")
         for row in execution["shards"]:
-            scan = row["scan_ms"]
-            scan_note = "" if scan is None else f" scan={scan:.3f}ms"
             lines.append(
                 f"  shard {row['shard']}: pages={row['pages_read']} "
-                f"pool_hits={row['pool_hits']} io={row['cost_ms']}ms{scan_note}"
+                f"pool_hits={row['pool_hits']} io={row['cost_ms']}ms"
             )
         top = " ".join(
             f"{result['doc_id']}({result['score']:.4g})"

@@ -2,12 +2,12 @@
 
 One :class:`MetricsRegistry` lives on each :class:`~repro.core.index_router.
 IndexRouter` and is shared by everything in that engine instance — the router
-itself, the executor pool, the hot-term list cache, and the bench/workload
+itself, the hot-term list cache, and the bench/workload
 exporters.  All mutation goes through one lock, which is what makes the
 per-shard aggregation of racy per-query counters (``postings_scanned``,
 cache hits) exact rather than best-effort.
 
-Metric names are dotted strings (``query.count``, ``shard.pages_read``);
+Metric names are dotted strings (``query.count``, ``list_cache.hits``);
 labels are keyword arguments canonicalised into a sorted tuple, so
 ``shard=3`` always lands on the same series.  The registry never touches
 storage — feeding it is always reading an *existing* counter or a clock.

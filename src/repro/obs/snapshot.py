@@ -162,9 +162,6 @@ _METRIC_HELP = {
     "update.windows": "Batched update windows applied.",
     "update.windows_combined": "Update windows combined by the group leader.",
     "update.batch_window": "Adaptive batch-window size chosen by the runner.",
-    "shard.postings_scanned": "Postings decoded, attributed to the owning shard.",
-    "shard.pages_read": "Query page reads attributed to the owning shard.",
-    "shard.pool_hits": "Query pool hits attributed to the owning shard.",
     "shard.quarantined": "Shard quarantine transitions.",
     "shard.reopened": "Shard reopen (re-admission) transitions.",
     "shard.load_skew": "Max/mean of per-shard buffer-pool accesses (1.0 = balanced).",

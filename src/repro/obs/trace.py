@@ -1,25 +1,23 @@
-"""Span-tree tracing with executor propagation and a slow-query log.
+"""Span-tree tracing and a slow-query log.
 
 A *span* is one timed region of a query or write window (``query.plan``,
-``shard.scan``, ``wal.commit`` …) with free-form tags.  Spans form a tree via
-a thread-local "current span": :func:`span` opens a child of whatever is
-current on the calling thread, and :func:`bind_current` captures the caller's
-current span into a closure so a task submitted to the executor pool (or
-stolen by a waiting thread — the closure travels with the task) records its
-spans under the submitting query's tree, whichever thread runs it.
+``query.merge``, ``write.window`` …) with free-form tags.  Spans form a tree
+via a thread-local "current span": :func:`span` opens a child of whatever is
+current on the calling thread, which is the thread that runs the whole
+query or write.
 
 Tracing is **off by default** and enabled with ``REPRO_TRACE=1`` (or
 :func:`set_tracing` in tests).  When off, :func:`span` yields ``None``
-without allocating and :func:`bind_current` returns its argument — the whole
-module costs one global read per instrumentation site.
+without allocating — the whole module costs one global read per
+instrumentation site.
 
 Invisibility contract: spans record wall-clock and caller-provided tags only.
 Nothing here reads a page, so enabling tracing cannot change a single I/O
 accounting counter (pinned by ``tests/obs/test_invisibility.py``).
 
 The :class:`SlowQueryLog` keeps the last N span trees whose root exceeded
-``REPRO_SLOW_QUERY_MS`` (default 100 ms) together with per-term page/block
-attribution supplied by the router.
+``REPRO_SLOW_QUERY_MS`` (default 100 ms) together with the page/posting
+attribution supplied by the router (the query's totals, under ``"*"``).
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from typing import Callable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from repro.errors import ObservabilityError
 
@@ -139,30 +137,6 @@ def span(name: str, **tags: object) -> "Iterator[Span | None]":
         _state.span = parent
 
 
-def bind_current(fn: Callable) -> Callable:
-    """Bind the caller's current span into ``fn`` for cross-thread execution.
-
-    The wrapper installs the captured span as the running thread's current
-    span for the duration of the call (restoring whatever was there), so
-    spans the task opens land under the submitting query's tree.  Because
-    the binding lives in the returned closure, it holds on *any* executing
-    thread — a shard executor worker or a caller that work-steals the task.
-    """
-    if not _enabled:
-        return fn
-    parent = getattr(_state, "span", None)
-    if parent is None:
-        return fn
-
-    def bound(*args, **kwargs):
-        previous = getattr(_state, "span", None)
-        _state.span = parent
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            _state.span = previous
-
-    return bound
 
 
 class SlowQueryLog:

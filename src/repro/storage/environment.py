@@ -251,9 +251,8 @@ class StorageEnvironment:
         Closing twice is fine, as is closing after :meth:`crash` (the crash
         already dropped the file handles; nothing is re-opened or re-closed).
         The lifecycle lock makes concurrent teardown safe: exactly one caller
-        performs the checkpoint-and-close, so an executor pool shutting down
-        while a context manager exits can never double-close the WAL file
-        handle.  Operations on a closed environment raise
+        performs the checkpoint-and-close, so a client thread closing while
+        a context manager exits can never double-close the WAL file handle.  Operations on a closed environment raise
         :class:`~repro.errors.StoreClosedError`.
         """
         with self._lifecycle_lock:

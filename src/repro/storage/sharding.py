@@ -37,7 +37,6 @@ import os
 import pickle
 import threading
 import zlib
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -203,30 +202,6 @@ class ShardedKVStore:
         self._parts = [store for _env, store in parts]
         self._route = route
         self._single = self._parts[0] if len(self._parts) == 1 else None
-        #: Executor pool + per-shard latches, set by the environment when a
-        #: parallel execution context attaches (see ``attach_execution``).
-        self._exec_pool = None
-        self._latches: "Sequence[threading.RLock] | None" = None
-
-    # -- concurrent execution ----------------------------------------------------
-
-    def _attach_execution(self, pool, latches) -> None:
-        """Enable parallel bulk fan-out and point-read latching.
-
-        ``pool`` owns one single-writer executor per shard; bulk operations
-        scatter their per-shard buckets onto it.  ``latches`` (one re-entrant
-        lock per shard) serialize the *brief* point reads coordinator threads
-        perform during a query merge against block scans running on the same
-        shard's executor.  With ``None``/``None`` the facade behaves exactly
-        as before — the serial engine never pays for any of this.
-        """
-        self._exec_pool = pool
-        self._latches = latches
-
-    def _latch(self, shard: int):
-        if self._latches is None:
-            return nullcontext()
-        return self._latches[shard]
 
     # -- routing ---------------------------------------------------------------
 
@@ -244,11 +219,6 @@ class ShardedKVStore:
         """The underlying per-shard store (tests and skew reports)."""
         return self._parts[shard]
 
-    def _part(self, key: Any) -> KVStore:
-        if self._single is not None:
-            return self._single
-        return self._parts[self._route(key)]
-
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
@@ -260,158 +230,77 @@ class ShardedKVStore:
         return all(part.closed for part in self._parts)
 
     # -- point operations ------------------------------------------------------
-    # Each computes the owning shard once; the latch branch costs nothing on
-    # the serial engine (``_latches is None``) and one C-level RLock round
-    # trip under the concurrent router.  These are the hottest facade calls
-    # (every candidate's score/deleted lookup during a query merge).
+    # These are the hottest facade calls (every candidate's score/deleted
+    # lookup during a query merge), so each routes inline.
 
     def put(self, key: Any, value: Any) -> None:
-        shard = 0 if self._single is not None else self._route(key)
-        if self._latches is None:
-            self._parts[shard].put(key, value)
-        else:
-            with self._latches[shard]:
-                self._parts[shard].put(key, value)
+        part = self._single if self._single is not None else self._parts[self._route(key)]
+        part.put(key, value)
 
     def get(self, key: Any, default: Any = ...) -> Any:
-        shard = 0 if self._single is not None else self._route(key)
-        if self._latches is None:
-            return self._parts[shard].get(key, default=default)
-        with self._latches[shard]:
-            return self._parts[shard].get(key, default=default)
+        part = self._single if self._single is not None else self._parts[self._route(key)]
+        return part.get(key, default=default)
 
     def get_many(self, keys: "Iterable[Any]") -> dict:
         if self._single is not None:
-            with self._latch(0):
-                return self._single.get_many(keys)
-        buckets: list[list[Any]] = [[] for _ in self._parts]
-        for key in keys:
-            buckets[self._route(key)].append(key)
+            return self._single.get_many(keys)
         found: dict = {}
-        for shard, bucket in enumerate(buckets):
+        for shard, bucket in enumerate(self._buckets(keys, self._route)):
             if bucket:
-                with self._latch(shard):
-                    found.update(self._parts[shard].get_many(bucket))
+                found.update(self._parts[shard].get_many(bucket))
         return found
 
     def delete(self, key: Any) -> Any:
-        shard = 0 if self._single is not None else self._route(key)
-        if self._latches is None:
-            return self._parts[shard].delete(key)
-        with self._latches[shard]:
-            return self._parts[shard].delete(key)
+        part = self._single if self._single is not None else self._parts[self._route(key)]
+        return part.delete(key)
 
     def delete_if_present(self, key: Any) -> bool:
-        shard = 0 if self._single is not None else self._route(key)
-        if self._latches is None:
-            return self._parts[shard].delete_if_present(key)
-        with self._latches[shard]:
-            return self._parts[shard].delete_if_present(key)
+        part = self._single if self._single is not None else self._parts[self._route(key)]
+        return part.delete_if_present(key)
 
     def contains(self, key: Any) -> bool:
-        shard = 0 if self._single is not None else self._route(key)
-        if self._latches is None:
-            return self._parts[shard].contains(key)
-        with self._latches[shard]:
-            return self._parts[shard].contains(key)
+        part = self._single if self._single is not None else self._parts[self._route(key)]
+        return part.contains(key)
 
     def __contains__(self, key: Any) -> bool:
         return self.contains(key)
 
     def __len__(self) -> int:
-        total = 0
-        for shard, part in enumerate(self._parts):
-            with self._latch(shard):
-                total += len(part)
-        return total
+        return sum(len(part) for part in self._parts)
 
     # -- bulk operations -------------------------------------------------------
+    # The (caller-sorted) batch is partitioned into per-shard subsequences,
+    # which stay sorted, and each shard's bucket is applied inline in shard
+    # order: every shard sees exactly the operation sequence a single-shard
+    # engine over its keys would, so per-shard accounting is unchanged.
 
-    def _scatter_bulk(self, operation: "Callable[[KVStore, list], int]",
-                      buckets: "list[list]") -> int:
-        """Run one bulk operation's per-shard buckets, in parallel when attached.
-
-        Each shard receives exactly the bucket (and bucket order) the serial
-        loop would have given it, and a shard's work runs entirely on the
-        executor owning it — so per-shard page layouts and accounting are
-        identical to serial execution, and the aggregate counters (per-category
-        sums) are fingerprint-identical however many threads are active.
-        """
-        pool = self._exec_pool
-        if pool is None or not pool.parallel or not pool.scatter:
-            # Serial engine, or a saturated host where an executor hop cannot
-            # overlap with anything: apply the buckets inline (latched when a
-            # concurrent context is attached), in shard order like the
-            # scatter path's gather order.
-            total = 0
-            for shard, bucket in enumerate(buckets):
-                if bucket:
-                    with self._latch(shard):
-                        total += operation(self._parts[shard], bucket)
-            return total
-
-        def shard_task(shard: int, bucket: list) -> Callable[[], int]:
-            def run() -> int:
-                with self._latch(shard):
-                    return operation(self._parts[shard], bucket)
-            return run
-
-        counts = pool.map_shards(
-            (shard, shard_task(shard, bucket))
-            for shard, bucket in enumerate(buckets)
-            if bucket
-        )
-        return sum(counts)
+    def _buckets(self, entries: Iterable, route: Callable[[Any], int]) -> list[list]:
+        buckets: list[list] = [[] for _ in self._parts]
+        for entry in entries:
+            buckets[route(entry)].append(entry)
+        return buckets
 
     def put_many(self, items: "Iterable[tuple[Any, Any]]") -> int:
         if self._single is not None:
-            with self._latch(0):
-                return self._single.put_many(items)
-        buckets: list[list[tuple[Any, Any]]] = [[] for _ in self._parts]
-        for key, value in items:
-            buckets[self._route(key)].append((key, value))
-        return self._scatter_bulk(lambda part, bucket: part.put_many(bucket), buckets)
+            return self._single.put_many(items)
+        buckets = self._buckets(items, lambda item: self._route(item[0]))
+        return sum(self._parts[shard].put_many(bucket)
+                   for shard, bucket in enumerate(buckets) if bucket)
 
     def delete_many(self, keys: "Iterable[Any]", ignore_missing: bool = False) -> int:
         if self._single is not None:
-            with self._latch(0):
-                return self._single.delete_many(keys, ignore_missing=ignore_missing)
-        buckets: list[list[Any]] = [[] for _ in self._parts]
-        for key in keys:
-            buckets[self._route(key)].append(key)
-        return self._scatter_bulk(
-            lambda part, bucket: part.delete_many(bucket, ignore_missing=ignore_missing),
-            buckets,
-        )
+            return self._single.delete_many(keys, ignore_missing=ignore_missing)
+        buckets = self._buckets(keys, self._route)
+        return sum(self._parts[shard].delete_many(bucket, ignore_missing=ignore_missing)
+                   for shard, bucket in enumerate(buckets) if bucket)
 
     # -- range operations --------------------------------------------------------
 
-    def _part_scan(self, shard: int, make_iterator: "Callable[[KVStore], Iterator]"):
-        """One part's range scan, isolated from concurrent shard access.
-
-        A term-scan plan executing on the shard's executor already holds the
-        shard latch for *every* advance (the stream pump wraps each block
-        pull), so the scan stays lazy there — early termination keeps its
-        serial I/O profile.  A scan from any other thread (fancy-list loads
-        and contents checks on a coordinator) cannot hold a lock across
-        ``next()`` calls, so it trades laziness for isolation and
-        materializes under the latch; those scans are small and fully
-        consumed anyway.
-        """
-        if self._latches is None:
-            return make_iterator(self._parts[shard])
-        latch = self._latches[shard]
-        if latch._is_owned():  # executor/pump context: latched per advance
-            return make_iterator(self._parts[shard])
-        with latch:
-            return iter(list(make_iterator(self._parts[shard])))
-
     def items(self, low: Any = None, high: Any = None) -> Iterator[tuple[Any, Any]]:
         if self._single is not None:
-            return self._part_scan(0, lambda part: part.items(low=low, high=high))
+            return self._single.items(low=low, high=high)
         return heapq.merge(
-            *(self._part_scan(shard, lambda part: part.items(low=low, high=high))
-              for shard in range(len(self._parts))),
+            *(part.items(low=low, high=high) for part in self._parts),
             key=lambda pair: pair[0],
         )
 
@@ -419,21 +308,17 @@ class ShardedKVStore:
         """Prefix scan; the prefix must pin the routing component (it does for
         every per-term short list, whose keys lead with the term)."""
         if self._single is not None:
-            return self._part_scan(0, lambda part: part.prefix_items(prefix))
-        shard = self._route(tuple(prefix))
-        return self._part_scan(shard, lambda part: part.prefix_items(prefix))
+            return self._single.prefix_items(prefix)
+        return self._parts[self._route(tuple(prefix))].prefix_items(prefix)
 
     def cursor(self, low: Any = None, high: Any = None,
                inclusive: tuple[bool, bool] = (True, True)) -> Cursor:
         if self._single is not None:
-            with self._latch(0):
-                return self._single.cursor(low=low, high=high, inclusive=inclusive)
+            return self._single.cursor(low=low, high=high, inclusive=inclusive)
         return Cursor(
             iterator=heapq.merge(
-                *(self._part_scan(
-                    shard,
-                    lambda part: part.cursor(low=low, high=high, inclusive=inclusive))
-                  for shard in range(len(self._parts))),
+                *(part.cursor(low=low, high=high, inclusive=inclusive)
+                  for part in self._parts),
                 key=lambda pair: pair[0],
             )
         )
@@ -441,11 +326,7 @@ class ShardedKVStore:
     # -- statistics ----------------------------------------------------------------
 
     def size_bytes(self) -> int:
-        total = 0
-        for shard, part in enumerate(self._parts):
-            with self._latch(shard):
-                total += part.size_bytes()
-        return total
+        return sum(part.size_bytes() for part in self._parts)
 
     def drop_from_cache(self, accounted: bool = False) -> None:
         """Evict this store's pages from every shard's buffer pool.
@@ -499,19 +380,6 @@ class ShardedHeapFile:
         self._envs = [env for env, _heap in parts]
         self._parts = [heap for _env, heap in parts]
         self._route = route
-        self._exec_pool = None
-        self._latches: "Sequence[threading.RLock] | None" = None
-
-    def _attach_execution(self, pool, latches) -> None:
-        """Record the execution context (see ``ShardedKVStore._attach_execution``).
-
-        Heap segments are immutable and only ever scanned inside term-scan
-        plans (which run on the owning shard's executor) or mutated under the
-        router's writer exclusivity, so the heap facade needs no per-operation
-        latching; the context is kept for the whole-segment ``read`` path.
-        """
-        self._exec_pool = pool
-        self._latches = latches
 
     @property
     def shard_count(self) -> int:
@@ -533,9 +401,6 @@ class ShardedHeapFile:
         return ShardedSegmentHandle(shard=shard, handle=self._parts[shard].write(payload))
 
     def read(self, handle: ShardedSegmentHandle) -> bytes:
-        if self._latches is not None:
-            with self._latches[handle.shard]:
-                return self._parts[handle.shard].read(handle.handle)
         return self._parts[handle.shard].read(handle.handle)
 
     def iter_pages(self, handle: ShardedSegmentHandle) -> Iterator[bytes]:
@@ -601,10 +466,6 @@ class ShardedEnvironment:
         self.recovered = False
         self._closed = False
         self._lifecycle_lock = threading.Lock()
-        self._exec_pool = None
-        #: One re-entrant latch per shard once a parallel execution context is
-        #: attached (``None`` on the serial engine).
-        self.shard_latches: "list[threading.RLock] | None" = None
         if path is not None:
             os.makedirs(path, exist_ok=True)
         base, remainder = divmod(cache_pages, shard_count)
@@ -721,9 +582,9 @@ class ShardedEnvironment:
         """Checkpoint (when durable) and close every shard.
 
         Idempotent and safe under concurrent teardown: the lifecycle lock
-        makes exactly one caller perform the shard close fan-out, so an
-        executor pool shutting down while ``__exit__`` runs (or a ``close``
-        racing a ``crash``) can never double-close a shard's WAL handle.
+        makes exactly one caller perform the shard close fan-out, so two
+        client threads closing at once (or a ``close`` racing a ``crash``)
+        can never double-close a shard's WAL handle.
         Closing after :meth:`crash` is a no-op.
         """
         with self._lifecycle_lock:
@@ -768,8 +629,6 @@ class ShardedEnvironment:
         env.recovered = True
         env._closed = False
         env._lifecycle_lock = threading.Lock()
-        env._exec_pool = None
-        env.shard_latches = None
         env.shards = shards
         for index, shard in enumerate(shards):
             shard.obs_shard = index
@@ -861,28 +720,6 @@ class ShardedEnvironment:
                 self._heapfiles[name]._replace_part(index, env, env.heapfile(name))
         return env
 
-    # -- concurrent execution -----------------------------------------------------
-
-    def attach_execution(self, pool) -> None:
-        """Attach an executor pool: parallel bulk fan-out + per-shard latches.
-
-        Called by the concurrent :class:`~repro.core.index_router.IndexRouter`.
-        Every existing and future store facade gains (a) scatter/gather bulk
-        operations on the pool's single-writer shard executors and (b) a
-        per-shard latch serializing coordinator point reads against executor
-        block scans.  Attaching an inline (``threads<=1``) pool is a no-op, so
-        the serial engine never takes a lock or touches a queue.
-        """
-        if not getattr(pool, "parallel", False):
-            return
-        self._exec_pool = pool
-        if self.shard_latches is None:
-            self.shard_latches = [threading.RLock() for _ in self.shards]
-        for store in self._kvstores.values():
-            store._attach_execution(pool, self.shard_latches)
-        for heap in self._heapfiles.values():
-            heap._attach_execution(pool, self.shard_latches)
-
     # -- store management -------------------------------------------------------
 
     def create_kvstore(self, name: str, order: int | None = None,
@@ -898,8 +735,6 @@ class ShardedEnvironment:
         parts = [(shard, shard.create_kvstore(name, order=order)) for shard in self.shards]
         count = self.shard_count
         store = ShardedKVStore(name, parts, route=lambda key: policy(key, count))
-        if self._exec_pool is not None:
-            store._attach_execution(self._exec_pool, self.shard_latches)
         self._kvstores[name] = store
         self._store_policies[name] = ("kv", key_shard, order)
         if self.durable:
@@ -914,8 +749,6 @@ class ShardedEnvironment:
         parts = [(shard, shard.create_heapfile(name)) for shard in self.shards]
         count = self.shard_count
         heap = ShardedHeapFile(name, parts, route=lambda key: policy(key, count))
-        if self._exec_pool is not None:
-            heap._attach_execution(self._exec_pool, self.shard_latches)
         self._heapfiles[name] = heap
         self._store_policies[name] = ("heap", key_shard, None)
         if self.durable:

@@ -5,9 +5,10 @@ query/update traffic *single-threadedly* (round-robin), which is what the
 determinism harnesses need.  :class:`ServiceLoadDriver` replays the **same
 per-client schedules** the way a service actually runs them: one thread per
 client, closed-loop (each client issues its next operation as soon as the
-previous one returns), against an index whose concurrent execution subsystem
-(``SVRTextIndex(shards=N, threads=M)``) fans queries out across shard
-executors and combines update windows that queue behind the writer lock.
+previous one returns), against an index built for concurrent clients
+(``SVRTextIndex(shards=N, threads=M)`` with ``M > 1``): every operation runs
+on its client's thread under the engine lock, and update windows that arrive
+together are combined into one batch.
 
 Besides aggregate throughput the driver records what a service cares about —
 the *latency profile*: per-operation wall times with p50/p95/p99 summaries
@@ -257,8 +258,9 @@ class ServiceLoadDriver:
         """Run every client thread to completion against ``index``.
 
         ``index`` is an ``SVRTextIndex``; with ``threads > 1`` its router
-        fans queries out and combines queued update windows, which is the
-        configuration this driver exists to measure.  Raises the first client
+        serializes operations under the engine lock and combines update
+        windows that arrive together, which is the configuration this driver
+        exists to measure.  Raises the first client
         (or checkpointer) error after all threads have stopped.
         """
         result = ServiceLoadResult(

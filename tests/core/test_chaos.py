@@ -260,35 +260,6 @@ class TestQuarantine:
         index.close()
 
 
-class TestExecutorQuarantine:
-    def test_dead_executor_error_quarantines_and_reopen_revives(self, tmp_path):
-        # On a single-core host the engine runs scans/writes inline and may
-        # never hop to a worker, so drive the failure-domain wiring directly:
-        # a submit to a killed executor yields a shard-tagged typed error,
-        # that error quarantines the shard, and reopen_shard revives the
-        # executor along with the storage.
-        index = _build(path=str(tmp_path / "i"), threads=2)
-        index.checkpoint()
-        pool = index.router._pool
-        assert pool is not None and pool.parallel
-        assert pool.kill_executor(1)
-        assert pool.executor_for(1).dead
-        from repro.errors import ExecutorClosedError
-        with pytest.raises(ExecutorClosedError) as excinfo:
-            pool.submit(1, lambda: "never runs")
-        assert excinfo.value.shard == 1
-        assert index.router._quarantine_from_error(excinfo.value)
-        assert 1 in index.quarantined_shards()
-        bad = _term_on_shard(index, 1)
-        good = _term_on_shard(index, 0)
-        assert index.search([good, bad], k=5).stats.degraded
-        index.reopen_shard(1)  # revives the executor and lifts quarantine
-        assert not index.degraded
-        assert not pool.executor_for(1).dead
-        assert not index.search([good, bad], k=5).stats.degraded
-        index.close()
-
-
 # ---------------------------------------------------------------------------
 # REPRO_FAULT_SEED plumbing
 # ---------------------------------------------------------------------------

@@ -1,28 +1,26 @@
-"""Concurrency determinism: the threaded engine answers exactly like serial.
+"""Concurrency contract: shared-index clients answer exactly like serial.
 
-The concurrent execution subsystem's fidelity contract (ARCHITECTURE.md,
-"Concurrent execution"):
+The router runs every operation on its caller's thread (ARCHITECTURE.md,
+"Concurrent execution"); ``threads > 1`` adds one engine lock and write
+combining, and nothing else:
 
-* for **any** ``threads × shards`` configuration, a deterministic operation
-  sequence produces identical logical contents and identical top-k answers to
-  the serial single-environment engine — parallel query fan-out and combined
-  update windows are invisible in results;
-* in **deterministic-accounting mode** the per-category I/O fingerprints are
-  additionally identical for any thread count (``REPRO_THREADS`` runs the
-  whole tier-1 suite that way);
-* under genuinely concurrent clients (the service driver), queries after the
-  storm still match the brute-force reference over the final state, and the
-  write-combining path is semantically exact (combined == windows applied in
+* concurrent clients issuing inserts, deletes, score updates, update windows
+  and queries leave contents and top-k answers equal to a serial replay of
+  the same acknowledged operations;
+* a ``threads > 1`` index never starts a thread;
+* a deterministic operation sequence gives identical answers and contents
+  whether the index was built for one client or for several;
+* write combining is semantically exact (combined == windows applied in
   ticket order), including its per-window error fallback.
 
-The storms follow the shard-invariance suite's patterns; seeds come from
-``tests.conftest.UPDATE_STORM_SEEDS``.
+Seeds come from ``tests.conftest.UPDATE_STORM_SEEDS``.
 """
 
 from __future__ import annotations
 
-import os
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -37,26 +35,20 @@ from tests.conftest import (
     UPDATE_STORM_SEEDS,
     make_corpus,
 )
-from tests.helpers import category_fingerprint, reference_top_k
+from tests.helpers import reference_top_k
 
 ALL_METHODS = SVR_ONLY_METHODS + TERMSCORE_METHODS
 
-#: threads × shards grid; CI's concurrency leg runs the full matrix.
-THREAD_GRID = tuple(
-    int(value)
-    for value in os.environ.get("REPRO_THREAD_COUNTS", "1,4").split(",")
-    if value.strip()
-)
+THREAD_GRID = (1, 4)
 SHARD_GRID = (1, 4)
 
 VOCABULARY = [f"w{i:03d}" for i in range(16)]
 
 
-def build_text_index(method: str, corpus, shards: int = 1, threads: int = 1,
-                     deterministic: bool = False) -> SVRTextIndex:
+def build_text_index(method: str, corpus, shards: int = 1,
+                     threads: int = 1) -> SVRTextIndex:
     index = SVRTextIndex(method=method, shards=shards, threads=threads,
-                         deterministic=deterministic, cache_pages=512,
-                         page_size=512, **METHOD_OPTIONS[method])
+                         cache_pages=512, page_size=512, **METHOD_OPTIONS[method])
     for doc_id, terms, score in corpus:
         index.add_document_terms(doc_id, terms, score)
     index.finalize()
@@ -124,14 +116,13 @@ def final_state(index: SVRTextIndex):
 @pytest.mark.parametrize("threads", THREAD_GRID)
 @pytest.mark.parametrize("shards", SHARD_GRID)
 def test_threaded_storm_matches_serial(method, threads, shards):
-    """contents + top-k identical to the serial engine at every grid point."""
+    """A deterministic storm: contents + top-k identical to the serial
+    engine at every grid point."""
     seed = UPDATE_STORM_SEEDS[0]
     corpus = make_corpus(random.Random(seed), num_docs=30, vocabulary=16,
                          terms_per_doc=8)
     serial = build_text_index(method, corpus)
     threaded = build_text_index(method, corpus, shards=shards, threads=threads)
-    if threads > 1:
-        assert threaded.router.parallel
     serial_answers = mixed_storm(serial, random.Random(seed + 1),
                                  [doc_id for doc_id, _t, _s in corpus])
     threaded_answers = mixed_storm(threaded, random.Random(seed + 1),
@@ -153,28 +144,140 @@ def test_threaded_storm_matches_serial(method, threads, shards):
     serial.close()
 
 
-@pytest.mark.parametrize("method", ("chunk", "score_threshold", "score", "id"))
-def test_deterministic_mode_fingerprint_identical(method):
-    """threads=4 deterministic mode: physical I/O fingerprint equals serial.
+CLIENTS = 4
 
-    This is the contract the ``REPRO_THREADS=4`` tier-1 CI leg relies on —
-    every existing accounting assertion must hold unchanged.
+
+def client_script(client: int, rng: random.Random, owned: list[int]) -> list:
+    """One client's operations, touching only the documents it owns.
+
+    Clients own disjoint document ids (existing ones by ``doc_id % CLIENTS``,
+    inserted ones from a private id range), so the final state does not
+    depend on how the clients interleave — a serial replay of every
+    client's acknowledged operations, client after client, must reproduce it.
     """
-    seed = UPDATE_STORM_SEEDS[1]
-    corpus = make_corpus(random.Random(seed), num_docs=30, vocabulary=16,
+    live = list(owned)
+    next_id = 1000 * (client + 1)
+    ops = []
+    for _ in range(16):
+        action = rng.random()
+        if action < 0.3:
+            ops.append(("window", [(rng.choice(live), round(rng.uniform(0, 3000), 2))
+                                   for _ in range(6)]))
+        elif action < 0.45:
+            ops.append(("update", rng.choice(live), round(rng.uniform(0, 3000), 2)))
+        elif action < 0.6:
+            next_id += 1
+            ops.append(("insert", next_id, [rng.choice(VOCABULARY) for _ in range(7)],
+                        round(rng.uniform(0, 2000), 2)))
+            live.append(next_id)
+        elif action < 0.7 and len(live) > 3:
+            victim = rng.choice(live)
+            live.remove(victim)
+            ops.append(("delete", victim))
+        elif action < 0.8:
+            ops.append(("content", rng.choice(live),
+                        " ".join(rng.choice(VOCABULARY) for _ in range(7))))
+        else:
+            ops.append(("query", [rng.choice(VOCABULARY), rng.choice(VOCABULARY)],
+                        bool(rng.getrandbits(1))))
+    return ops
+
+
+def apply_op(index: SVRTextIndex, op) -> None:
+    kind = op[0]
+    if kind == "window":
+        index.apply_score_updates(list(op[1]))
+    elif kind == "update":
+        index.update_score(op[1], op[2])
+    elif kind == "insert":
+        index.insert_document_terms(op[1], op[2], op[3])
+    elif kind == "delete":
+        index.delete_document(op[1])
+    elif kind == "content":
+        index.update_content(op[1], op[2])
+    else:
+        response = index.search(op[1], k=5, conjunctive=op[2])
+        scores = [result.score for result in response.results]
+        assert scores == sorted(scores, reverse=True)
+
+
+def probe_answers(index: SVRTextIndex) -> list:
+    return [
+        [(r.doc_id, r.score) for r in index.search(keywords, k=6,
+                                                   conjunctive=conjunctive).results]
+        for keywords in (["w001"], ["w002", "w005"], ["w003", "w007"])
+        for conjunctive in (True, False)
+    ]
+
+
+@pytest.mark.parametrize("method", ALL_METHODS)
+@pytest.mark.parametrize("shards", SHARD_GRID)
+def test_concurrent_clients_match_serial_replay(method, shards):
+    """4 client threads on one index == a serial replay of their acked ops."""
+    seed = UPDATE_STORM_SEEDS[3]
+    corpus = make_corpus(random.Random(seed), num_docs=32, vocabulary=16,
                          terms_per_doc=8)
-    serial = build_text_index(method, corpus)
-    deterministic = build_text_index(method, corpus, shards=1, threads=4,
-                                     deterministic=True)
-    assert not deterministic.router.parallel
-    mixed_storm(serial, random.Random(seed + 1),
-                [doc_id for doc_id, _t, _s in corpus])
-    mixed_storm(deterministic, random.Random(seed + 1),
-                [doc_id for doc_id, _t, _s in corpus])
-    assert (category_fingerprint(deterministic.env)
-            == category_fingerprint(serial.env))
-    deterministic.close()
-    serial.close()
+    doc_ids = [doc_id for doc_id, _t, _s in corpus]
+    scripts = [
+        client_script(client, random.Random(seed * 10 + client),
+                      [doc_id for doc_id in doc_ids if doc_id % CLIENTS == client])
+        for client in range(CLIENTS)
+    ]
+    shared = build_text_index(method, corpus, shards=shards, threads=CLIENTS)
+    acked: list[list] = [[] for _ in range(CLIENTS)]
+    errors: list[BaseException] = []
+    start = threading.Barrier(CLIENTS)
+
+    def client(number: int) -> None:
+        start.wait(timeout=30)
+        for op in scripts[number]:
+            try:
+                apply_op(shared, op)
+            except Exception as exc:  # pragma: no cover - the regression
+                errors.append(exc)
+                return
+            acked[number].append(op)
+
+    threads = [threading.Thread(target=client, args=(number,))
+               for number in range(CLIENTS)]
+    # Preempt every few microseconds so operations genuinely interleave.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    replay = build_text_index(method, corpus, shards=shards)
+    for ops in acked:
+        for op in ops:
+            apply_op(replay, op)
+    try:
+        assert final_state(shared) == final_state(replay)
+        assert logical_contents(shared) == logical_contents(replay)
+        assert probe_answers(shared) == probe_answers(replay)
+    finally:
+        shared.close()
+        replay.close()
+
+
+def test_shared_index_starts_no_thread():
+    """``threads > 1`` is a lock and write combining, never a worker."""
+    seed = UPDATE_STORM_SEEDS[0]
+    corpus = make_corpus(random.Random(seed), num_docs=20, vocabulary=12,
+                         terms_per_doc=6)
+    before = threading.active_count()
+    index = build_text_index("chunk", corpus, shards=4, threads=4)
+    assert threading.active_count() == before
+    index.search(["w001", "w002"], k=5, conjunctive=False)
+    assert threading.active_count() == before
+    index.apply_score_updates([(1, 500.0), (2, 750.0)])
+    assert threading.active_count() == before
+    index.close()
 
 
 @pytest.mark.parametrize("method", ("chunk", "id", "score_threshold"))

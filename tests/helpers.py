@@ -92,10 +92,9 @@ def query_doc_scores(index: InvertedIndex, keywords: Sequence[str], k: int,
 def _plain_env(env):
     """Unwrap a single-shard ShardedEnvironment to its one plain environment.
 
-    ``REPRO_THREADS`` makes ``SVRTextIndex`` build single-shard sharded
-    environments (the execution layer needs the facades), which stay
-    physically fingerprint-identical to the plain engine — so the physical
-    helpers below transparently reach through to the one shard.
+    A single-shard sharded environment is physically fingerprint-identical
+    to the plain engine, so the physical helpers below reach through to the
+    one shard.
     """
     shards = getattr(env, "shards", None)
     if shards is not None and len(shards) == 1:

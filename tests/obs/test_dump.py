@@ -91,7 +91,7 @@ class TestPrometheusExport:
         try:
             index.search(["w001", "w004"], k=5, conjunctive=False)
             text = to_prometheus_text(index)
-            assert 'shard_postings_scanned{shard=' in text
+            assert 'pool_hit_rate{shard="3"}' in text
         finally:
             index.close()
 

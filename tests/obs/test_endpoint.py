@@ -48,7 +48,7 @@ def _prometheus_value(body: str, series: str,
 
 class TestRoutes:
     def test_metrics_scrape_matches_registry_exactly(self):
-        index = _build(threads=4)  # the fanout path feeds per-shard series
+        index = _build(threads=4)
         try:
             for _ in range(7):
                 index.search(["w001", "w004"], k=5)
@@ -63,15 +63,8 @@ class TestRoutes:
             assert _prometheus_value(body, "query_count") == \
                 metrics.counter_value("query.count") == 7.0
             assert _prometheus_value(body, "query_latency_ms_count") == 7.0
-            # Only shards owning a probed term carry a series; absent means 0.
-            scraped_per_shard = sum(
-                _prometheus_value(
-                    body, 'shard_postings_scanned{shard="%d"}' % shard,
-                    default=0.0)
-                for shard in range(4)
-            )
-            assert scraped_per_shard == \
-                metrics.counter_value("query.postings_scanned")
+            assert _prometheus_value(body, "query_postings_scanned") == \
+                metrics.counter_value("query.postings_scanned") > 0
         finally:
             index.close()
 

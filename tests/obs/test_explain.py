@@ -161,13 +161,9 @@ def test_analyze_execution_section():
         execution = plan["execution"]
         assert execution["latency_ms"] >= 0.0
         assert execution["totals"]["postings_scanned"] > 0
-        assert set(execution["phases"]) >= {"plan_ms", "merge_ms", "scan_ms"}
-        assert execution["per_term_actuals"] in ("exact", "aggregate-only")
+        assert set(execution["phases"]) == {"plan_ms", "merge_ms"}
         assert execution["trace"]["name"] == "explain.analyze"
-        assert len(execution["shards"]) >= 1
-        if execution["per_term_actuals"] == "exact":
-            for row in plan["terms"]:
-                assert "actual" in row
+        assert [row["shard"] for row in execution["shards"]] == [0, 1, 2, 3]
     finally:
         index.close()
 

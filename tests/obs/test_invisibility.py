@@ -108,27 +108,6 @@ def test_metrics_registry_records_without_tracing():
         index.close()
 
 
-def test_fanout_records_per_shard_series():
-    corpus = make_corpus(random.Random(97), num_docs=40, vocabulary=25)
-    index = SVRTextIndex(method="chunk", shards=4, threads=4,
-                         cache_pages=256, **METHOD_OPTIONS["chunk"])
-    try:
-        for doc_id, terms, score in corpus:
-            index.add_document_terms(doc_id, terms, score)
-        index.finalize()
-        for keywords, k, conjunctive in _PROBES:
-            index.search(keywords, k=k, conjunctive=conjunctive)
-        metrics = index.router.metrics
-        per_shard = sum(
-            metrics.counter_value("shard.postings_scanned", shard=shard)
-            for shard in range(4)
-        )
-        assert per_shard == metrics.counter_value("query.postings_scanned")
-        assert per_shard > 0
-    finally:
-        index.close()
-
-
 def test_list_cache_counts_aggregate_per_shard():
     """Satellite: list-cache hit/miss counts land on race-free shard series."""
     corpus = make_corpus(random.Random(97), num_docs=40, vocabulary=25)

@@ -1,4 +1,4 @@
-"""Span trees, cross-thread propagation, and the slow-query log."""
+"""Span trees and the slow-query log."""
 
 from __future__ import annotations
 
@@ -8,10 +8,8 @@ import pytest
 
 from repro.core.text_index import SVRTextIndex
 from repro.errors import ObservabilityError
-from repro.exec.executor import ExecutorPool
 from repro.obs.trace import (
     SlowQueryLog,
-    bind_current,
     current_span,
     set_tracing,
     slow_query_threshold_from_environ,
@@ -84,55 +82,6 @@ class TestSpanTree:
         text = root.format_tree()
         assert "query" in text and "shard.scan" in text
 
-    def test_bind_current_installs_span_on_other_thread(self, traced):
-        import threading
-
-        seen = {}
-        with span("query") as root:
-            fn = bind_current(lambda: seen.setdefault("span", current_span()))
-            thread = threading.Thread(target=fn)
-            thread.start()
-            thread.join()
-        assert seen["span"] is root
-
-    def test_bind_current_is_identity_when_disabled(self):
-        previous = set_tracing(False)
-        try:
-            fn = lambda: None  # noqa: E731
-            assert bind_current(fn) is fn
-        finally:
-            set_tracing(previous)
-
-
-class TestExecutorPropagation:
-    def test_worker_thread_spans_land_under_query_root(self, traced):
-        pool = ExecutorPool(shard_count=2, threads=2, scatter=True)
-        try:
-            with span("query") as root:
-                def scan():
-                    with span("shard.scan", shard=0):
-                        return 42
-                assert pool.submit(0, scan).result() == 42
-            assert [child.name for child in root.children] == ["shard.scan"]
-        finally:
-            pool.close()
-
-    def test_stolen_task_still_records_under_root(self, traced):
-        # Whether the worker claims the task or the caller steals it via
-        # result(steal=True), the binding travels inside the closure and the
-        # scan span lands under the submitting query's root either way.
-        pool = ExecutorPool(shard_count=1, threads=2, scatter=True)
-        try:
-            with span("query") as root:
-                def scan():
-                    with span("shard.scan", shard=0):
-                        return "stolen"
-                future = pool.submit(0, scan)
-                assert future.result(steal=True) == "stolen"
-            assert [child.name for child in root.children] == ["shard.scan"]
-        finally:
-            pool.close()
-
 
 class TestSlowQueryLog:
     def _closed_span(self, name="query", duration_ms=5.0):
@@ -174,36 +123,6 @@ class TestEngineTracing:
             index.add_document_terms(doc_id, terms, score)
         index.finalize()
         return index
-
-    def test_slow_query_log_captures_fanout_term_attribution(self, traced):
-        from repro.obs.trace import SLOW_QUERIES
-
-        SLOW_QUERIES.clear()
-        previous = SLOW_QUERIES.threshold_ms
-        SLOW_QUERIES.threshold_ms = 0.0  # every query is "slow"
-        index = self._build(shards=4, threads=4)
-        try:
-            index.search(["w001", "w004"], k=5)
-            entries = SLOW_QUERIES.entries()
-            assert entries, "threshold 0 must record the query"
-            entry = entries[-1]
-            assert entry["keywords"] == ["w001", "w004"]
-            assert set(entry["terms"]) == {"w001", "w004"}
-            for stats in entry["terms"].values():
-                assert "postings_scanned" in stats and "shard" in stats
-            assert entry["tree"]["name"] == "query"
-            # The fan-out's shard scans must appear inside the tree.
-            names = set()
-            nodes = [entry["tree"]]
-            while nodes:
-                node = nodes.pop()
-                names.add(node["name"])
-                nodes.extend(node["children"])
-            assert "shard.scan" in names
-        finally:
-            SLOW_QUERIES.threshold_ms = previous
-            SLOW_QUERIES.clear()
-            index.close()
 
     def test_serial_engine_records_aggregate_attribution(self, traced):
         from repro.obs.trace import SLOW_QUERIES

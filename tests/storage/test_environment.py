@@ -157,14 +157,3 @@ class TestLifecycleIdempotence:
         assert env.closed
         env.close()
         env.crash()
-
-    def test_text_index_close_joins_executors(self):
-        from repro.core.text_index import SVRTextIndex
-
-        index = SVRTextIndex(method="id", shards=2, threads=4, cache_pages=64,
-                             page_size=512)
-        pool = index.router._pool
-        assert pool is not None and pool.parallel
-        index.close()
-        index.close()
-        assert pool.closed
