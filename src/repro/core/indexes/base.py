@@ -444,16 +444,20 @@ class InvertedIndex(abc.ABC):
         """Insert a new document after the index has been built (Appendix A.2)."""
         self._check_finalized("insert_document")
         score = self._validate_score(score)
-        if self.score_table.contains(doc_id) and not self.deleted_table.contains(doc_id):
+        indexed = self.score_table.contains(doc_id)
+        if indexed and not self.deleted_table.contains(doc_id):
             raise InvertedIndexError(f"document {doc_id} already exists")
+        previous = None
         if self.documents.contains(doc_id):
-            self.documents.remove(doc_id)
+            removed = self.documents.remove(doc_id)
+            if indexed:
+                previous = removed
         self.documents.add_terms(doc_id, terms)
         self.deleted_table.delete_if_present(doc_id)
         self.score_table.put(doc_id, score)
         self.update_stats.documents_inserted += 1
         self._invalidate_list_cache()
-        self._after_insert(doc_id, score)
+        self._after_insert(doc_id, score, previous)
 
     def delete_document(self, doc_id: int) -> None:
         """Delete a document (Appendix A.2): mark it deleted in the Score table."""
@@ -484,7 +488,7 @@ class InvertedIndex(abc.ABC):
     def prepare_query(self, keywords: Iterable[str], k: int) -> list[str]:
         """Validate a query and return its deduplicated term list.
 
-        Shared by :meth:`query` and the router's parallel fan-out path, so
+        Shared by :meth:`query` and EXPLAIN (:mod:`repro.obs.explain`), so
         both reject exactly the same inputs.
         """
         self._check_finalized("query")
@@ -609,8 +613,13 @@ class InvertedIndex(abc.ABC):
         for doc_id, old_score, new_score in changes:
             self._after_score_update(doc_id, old_score, new_score)
 
-    def _after_insert(self, doc_id: int, score: float) -> None:
-        """Method-specific reaction to a document insertion."""
+    def _after_insert(self, doc_id: int, score: float,
+                      previous: "Document | None") -> None:
+        """Method-specific reaction to a document insertion.
+
+        ``previous`` is the deleted document a re-insert replaces (its
+        postings may still sit in the long lists), ``None`` for a new id.
+        """
         raise InvertedIndexError(
             f"{self.method_name} does not support incremental document insertion"
         )

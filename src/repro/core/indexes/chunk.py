@@ -187,7 +187,9 @@ class ChunkIndex(InvertedIndex):
 
     # -- document changes (Appendix A) ----------------------------------------------------
 
-    def _after_insert(self, doc_id: int, score: float) -> None:
+    def _after_insert(self, doc_id: int, score: float,
+                      previous: "Document | None") -> None:
+        del previous  # the old terms' long postings are not filtered yet
         assert self.chunk_map is not None
         chunk_id = self.chunk_map.chunk_of(score)
         entries = sorted(

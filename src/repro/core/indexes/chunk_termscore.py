@@ -129,8 +129,9 @@ class ChunkTermScoreIndex(ChunkIndex):
 
     # -- document changes ----------------------------------------------------------------
 
-    def _after_insert(self, doc_id: int, score: float) -> None:
-        super()._after_insert(doc_id, score)
+    def _after_insert(self, doc_id: int, score: float,
+                      previous: "Document | None") -> None:
+        super()._after_insert(doc_id, score, previous)
         self._fancy.put_many(self._fancy_additions(doc_id, self._content_terms(doc_id)))
 
     def _after_content_update(self, doc_id: int, old_document: Document,

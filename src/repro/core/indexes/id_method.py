@@ -8,15 +8,19 @@ their current scores.
 * **Score updates** only touch the Score table — the cheapest possible update.
 * **Queries** must merge the *entire* long list of every query term, because a
   document anywhere in the lists may hold the highest current score.  This is
-  the full-scan behaviour the paper measures as the ID method's weakness.
+  the full-scan behaviour the paper measures as the ID method's weakness.  The
+  merge runs a doc-id window at a time, with set-based candidates scored in
+  one batch of Score-table lookups per window.
 * **Incremental document changes** are handled with a small ID-ordered delta
   list per term (``(term, doc_id) -> ADD | REM``), merged with the long list at
-  query time; this mirrors Appendix A applied to the ID layout.
+  query time; this mirrors Appendix A applied to the ID layout.  A re-insert
+  of a deleted id REMs the terms the document no longer has.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from bisect import bisect_left
+from typing import Iterator
 
 from repro.core.indexes.base import InvertedIndex, QueryResult, QueryStats, _StagedDocument
 from repro.core.posting import (
@@ -27,7 +31,7 @@ from repro.core.posting import (
     iter_blocked_id_postings_lazy,
     iter_id_postings_lazy,
 )
-from repro.core.result_heap import ResultHeap, merge_ranked_streams
+from repro.core.result_heap import ResultHeap
 from repro.storage.environment import StorageEnvironment
 from repro.storage.heap_file import SegmentHandle
 from repro.text.documents import Document, DocumentStore
@@ -35,36 +39,6 @@ from repro.text.documents import Document, DocumentStore
 #: Marker values stored in the delta list.
 _ADD = "ADD"
 _REM = "REM"
-
-
-def merge_streams_by_doc_id(
-    streams: "list[Iterator[tuple[int, float]]]",
-) -> Iterator[tuple[int, dict[int, tuple[int, float]]]]:
-    """Merge ID-ordered ``(doc_id, term_score)`` streams, grouping by document id.
-
-    Yields ``(doc_id, {stream_index: posting})`` in increasing document-id
-    order; the mapping records which streams contained the document (and with
-    which posting tuple, so term scores survive the merge).
-    """
-    def tag(index: int, stream: "Iterator[tuple[int, float]]") -> Iterator[tuple[int, int, tuple[int, float]]]:
-        for posting in stream:
-            yield posting[0], index, posting
-
-    merged = merge_ranked_streams(
-        tag(index, stream) for index, stream in enumerate(streams)
-    )
-    current_doc: int | None = None
-    found: dict[int, tuple[int, float]] = {}
-    for doc_id, index, posting in merged:
-        if current_doc is None:
-            current_doc = doc_id
-        if doc_id != current_doc:
-            yield current_doc, found
-            current_doc = doc_id
-            found = {}
-        found[index] = posting
-    if current_doc is not None:
-        yield current_doc, found
 
 
 class IDIndex(InvertedIndex):
@@ -135,10 +109,14 @@ class IDIndex(InvertedIndex):
 
     # -- incremental document changes ----------------------------------------------
 
-    def _after_insert(self, doc_id: int, score: float) -> None:
+    def _after_insert(self, doc_id: int, score: float,
+                      previous: "Document | None") -> None:
+        terms = self._content_terms(doc_id)
+        gone = set() if previous is None else previous.distinct_terms - terms
         entries = sorted(
-            ((term, doc_id), (_ADD, self._delta_term_score(doc_id, term)))
-            for term in self._content_terms(doc_id)
+            [((term, doc_id), (_ADD, self._delta_term_score(doc_id, term)))
+             for term in terms]
+            + [((term, doc_id), (_REM, 0.0)) for term in gone]
         )
         self._delta.put_many(entries)
         self.update_stats.short_list_postings_written += len(entries)
@@ -164,39 +142,127 @@ class IDIndex(InvertedIndex):
 
     def _merge_term_streams(self, streams: list, terms: list[str], k: int,
                             conjunctive: bool, stats: QueryStats) -> list[QueryResult]:
+        """Merge every term's blocks to the end, a doc-id window at a time.
+
+        A window ends at the smallest bound of the terms' current blocks.  It
+        resolves every doc id below the bound, then pulls the next block of
+        each term whose bound it is, in term order; the bound joins the next
+        window.  A posting-at-a-time merge read each block at that point too,
+        so list and Score-table pages reach the disk in the same order.
+        """
         heap = ResultHeap(k)
-        required = len(terms) if conjunctive else 1
-        for doc_id, found in merge_streams_by_doc_id(streams):
-            if len(found) < required:
-                continue
-            stats.candidates += 1
-            score = self._live_score(doc_id)
-            stats.score_lookups += 1
-            if score is None:
-                continue
-            stats.heap_offers += 1
-            heap.add(doc_id, self._result_score(doc_id, score, found, terms))
+        count = len(streams)
+        with_scores = self.stores_term_scores
+        docs: list[list[int]] = [[] for _ in streams]
+        term_scores: list = [[] for _ in streams]
+        bounds: list = [None] * count
+
+        def advance(term_index: int) -> None:
+            block = next(streams[term_index], None)
+            if block is None:
+                bounds[term_index] = None
+                return
+            bounds[term_index], block_docs, block_scores = block
+            docs[term_index] += block_docs
+            if with_scores:
+                term_scores[term_index] += block_scores
+
+        for term_index in range(count):
+            advance(term_index)
+        while True:
+            live = [bound for bound in bounds if bound is not None]
+            window_end = min(live) if live else None
+            windows: list[list[int]] = []
+            score_maps: list = []
+            for term_index in range(count):
+                term_docs = docs[term_index]
+                cut = (len(term_docs) if window_end is None
+                       else bisect_left(term_docs, window_end))
+                windows.append(term_docs[:cut])
+                del term_docs[:cut]
+                if with_scores:
+                    term_score_list = term_scores[term_index]
+                    score_maps.append(dict(zip(windows[-1], term_score_list[:cut])))
+                    del term_score_list[:cut]
+            self._resolve_window(windows, conjunctive, score_maps, heap, stats)
+            if window_end is None:
+                break
+            for term_index in range(count):
+                if bounds[term_index] == window_end:
+                    advance(term_index)
         return [QueryResult(entry.doc_id, entry.score) for entry in heap.results()]
 
-    def _result_score(self, doc_id: int, svr_score: float,
-                      found: dict[int, tuple[int, float]], terms: list[str]) -> float:
-        """Final ranking score for a candidate (SVR only for the plain ID method)."""
-        del doc_id, found, terms
-        return svr_score
+    def _resolve_window(self, windows: "list[list[int]]", conjunctive: bool,
+                        score_maps: list, heap: ResultHeap,
+                        stats: QueryStats) -> None:
+        """Score a window's candidates in one ``_live_scores`` batch, doc-id order."""
+        if len(windows) == 1:
+            ordered = windows[0]
+        elif conjunctive:
+            if not all(windows):
+                return
+            ordered = sorted(set(min(windows, key=len)).intersection(*windows))
+        else:
+            ordered = sorted(set().union(*windows))
+        if not ordered:
+            return
+        stats.candidates += len(ordered)
+        stats.score_lookups += len(ordered)
+        scores = self._live_scores(ordered)
+        offered = [doc_id for doc_id in ordered if scores[doc_id] is not None]
+        stats.heap_offers += len(offered)
+        ranks = self._result_scores(offered, [scores[doc_id] for doc_id in offered],
+                                    score_maps)
+        for doc_id, rank in zip(offered, ranks):
+            heap.add(doc_id, rank)
+
+    def _result_scores(self, doc_ids: "list[int]", svr_scores: "list[float]",
+                       score_maps: "list[dict[int, float]]") -> "list[float]":
+        """Final ranking scores of a window's live candidates (SVR only for
+        the plain ID method)."""
+        del doc_ids, score_maps
+        return svr_scores
 
     def _term_stream(self, term_index: int, term: str,
-                     stats: QueryStats) -> "Iterator[tuple[int, float]]":
-        """Long-list postings merged with the delta list for one term, ID order.
+                     stats: QueryStats) -> "Iterator[tuple[int, list[int], list | None]]":
+        """One term's long list with its delta list folded in, block by block.
 
-        Postings flow through the scan as plain ``(doc_id, term_score)`` tuples
-        (the zero-copy decoders yield them directly; no per-posting objects).
+        Yields ``(bound, doc_ids, term_scores)``: a long block minus the
+        postings its delta REMoved or superseded, plus the ADDs from the
+        previous block's last doc id up to this block's; ``bound`` is its
+        largest doc id.  The ADDs past the list's end come as a last block.
         """
         adds, removed = self._load_delta(term)
-        long_postings = self._iter_long_postings(term, stats)
-        return self._merge_with_delta(long_postings, adds, removed, stats)
+        if adds:
+            removed = removed | {doc_id for doc_id, _ts in adds}
+        return self._folded_blocks(term, adds, removed, stats)
 
-    def _iter_long_postings(self, term: str,
-                            stats: QueryStats) -> "Iterator[tuple[int, float]]":
+    def _folded_blocks(self, term: str, adds: "list[tuple[int, float]]",
+                       removed: "set[int]", stats: QueryStats):
+        taken = 0
+        for last_doc_id, doc_ids, term_scores in self._iter_long_blocks(term):
+            stats.postings_scanned += len(doc_ids)
+            end = taken
+            while end < len(adds) and adds[end][0] < last_doc_id:
+                end += 1
+            if end == taken and (not removed or removed.isdisjoint(doc_ids)):
+                yield last_doc_id, doc_ids, term_scores
+                continue
+            if term_scores is None:
+                term_scores = [0.0] * len(doc_ids)
+            postings = [posting for posting in zip(doc_ids, term_scores)
+                        if posting[0] not in removed]
+            stats.postings_scanned += end - taken
+            postings = sorted(postings + adds[taken:end])
+            taken = end
+            if postings:
+                yield _as_block(postings)
+        if taken < len(adds):
+            stats.postings_scanned += len(adds) - taken
+            yield _as_block(adds[taken:])
+
+    def _iter_long_blocks(self, term: str):
+        """Stream the long list as ``(last_doc_id, doc_ids, term_scores)`` blocks."""
         handle = self._segments.get(term)
         if handle is None:
             return
@@ -205,18 +271,12 @@ class IDIndex(InvertedIndex):
                 self._long_lists, handle, term, iter_blocked_id_postings_lazy
             )
             if cached is not None:
-                for posting in cached:
-                    stats.postings_scanned += 1
-                    yield posting
+                yield from cached
                 return
+        decode = (iter_blocked_id_postings_lazy if self.blocked_postings
+                  else iter_id_postings_lazy)
         reader = LazyBytesReader(self._long_lists.iter_pages(handle))
-        if self.blocked_postings:
-            postings = iter_blocked_id_postings_lazy(reader)
-        else:
-            postings = iter_id_postings_lazy(reader)
-        for posting in self._tag_scan_errors(handle, postings):
-            stats.postings_scanned += 1
-            yield posting
+        yield from self._tag_scan_errors(handle, decode(reader))
 
     def _load_delta(self, term: str) -> tuple[list[tuple[int, float]], set[int]]:
         adds: list[tuple[int, float]] = []
@@ -229,25 +289,8 @@ class IDIndex(InvertedIndex):
         adds.sort()
         return adds, removed
 
-    @staticmethod
-    def _merge_with_delta(long_postings: "Iterable[tuple[int, float]]",
-                          adds: list[tuple[int, float]], removed: set[int],
-                          stats: QueryStats) -> "Iterator[tuple[int, float]]":
-        add_index = 0
-        seen_add_ids = {doc_id for doc_id, _ts in adds}
-        for posting in long_postings:
-            doc_id = posting[0]
-            while add_index < len(adds) and adds[add_index][0] < doc_id:
-                stats.postings_scanned += 1
-                yield adds[add_index]
-                add_index += 1
-            if doc_id in removed:
-                continue
-            if doc_id in seen_add_ids:
-                # The delta posting supersedes the long-list posting (content update).
-                continue
-            yield posting
-        while add_index < len(adds):
-            stats.postings_scanned += 1
-            yield adds[add_index]
-            add_index += 1
+
+def _as_block(postings: "list[tuple[int, float]]") -> tuple:
+    """``(doc_id, term_score)`` pairs in doc-id order as a stream block."""
+    return (postings[-1][0], [doc_id for doc_id, _ts in postings],
+            [term_score for _doc_id, term_score in postings])

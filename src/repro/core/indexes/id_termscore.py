@@ -48,7 +48,12 @@ class IDTermScoreIndex(IDIndex):
     def _delta_term_score(self, doc_id: int, term: str) -> float:
         return self._normalized_tf(doc_id, term)
 
-    def _result_score(self, doc_id: int, svr_score: float,
-                      found: dict[int, tuple[int, float]], terms: list[str]) -> float:
-        term_sum = sum(term_score for _doc_id, term_score in found.values())
-        return svr_score + self.term_weight * term_sum
+    def _result_scores(self, doc_ids: "list[int]", svr_scores: "list[float]",
+                       score_maps: "list[dict[int, float]]") -> "list[float]":
+        # Term scores are summed in query-term order; a term without the
+        # document adds 0.0, which leaves the sum bit-identical.
+        columns = [[scores.get(doc_id, 0.0) for doc_id in doc_ids]
+                   for scores in score_maps]
+        weight = self.term_weight
+        return [svr_score + weight * sum(term_scores)
+                for svr_score, term_scores in zip(svr_scores, zip(*columns))]

@@ -111,15 +111,22 @@ class ScoreIndex(InvertedIndex):
         self._lists.delete_many(deletes, ignore_missing=True)
         self._lists.put_many((key, None) for key in inserts)
 
-    def _after_insert(self, doc_id: int, score: float) -> None:
+    def _after_insert(self, doc_id: int, score: float,
+                      previous: "Document | None") -> None:
+        del previous  # its entries went with the delete
         keys = sorted((term, -score, doc_id) for term in self._content_terms(doc_id))
         self._lists.put_many((key, None) for key in keys)
         self.update_stats.long_list_postings_written += len(keys)
 
     def _after_delete(self, doc_id: int) -> None:
-        # Deletions only flag the document; stale postings are filtered at
-        # query time via the deleted table, mirroring Appendix A.2.
-        return
+        # The list entries are keyed by score, so they must go now: a later
+        # re-insert under another score or other terms would leave them
+        # ranking the document by its deleted state.
+        score = self.score_table.get(doc_id)
+        self._lists.delete_many(
+            sorted((term, -score, doc_id) for term in self._content_terms(doc_id)),
+            ignore_missing=True,
+        )
 
     def _after_content_update(self, doc_id: int, old_document: Document,
                               new_document: Document) -> None:

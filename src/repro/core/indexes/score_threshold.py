@@ -143,7 +143,9 @@ class ScoreThresholdIndex(InvertedIndex):
 
     # -- document changes (Appendix A applied to this layout) -----------------------------
 
-    def _after_insert(self, doc_id: int, score: float) -> None:
+    def _after_insert(self, doc_id: int, score: float,
+                      previous: "Document | None") -> None:
+        del previous  # the old terms' long postings are not filtered yet
         entries = sorted(
             ((term, -score, doc_id), (_ADD, 0.0))
             for term in self._content_terms(doc_id)

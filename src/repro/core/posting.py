@@ -440,12 +440,17 @@ def _decode_delta_run(reader: LazyBytesReader, doc_id: int, remaining: int,
     return batch, doc_id, remaining
 
 
-def iter_id_postings_lazy(reader: LazyBytesReader) -> Iterator[tuple[int, float]]:
-    """Stream ID-ordered postings as ``(doc_id, term_score)`` pairs.
+def iter_id_postings_lazy(
+        reader: LazyBytesReader) -> Iterator[tuple[int, list[int], list[float]]]:
+    """Stream a legacy ID-ordered payload as ``(last_doc_id, doc_ids, term_scores)``.
 
-    Pages are fetched on demand only; postings are batch-decoded per buffered
-    page fragment (see :func:`_decode_delta_run`), which is what makes long
-    scans cheap without changing when each page is read.
+    The legacy layout has no blocks, so its postings come in pseudo-blocks
+    that end where the next posting may need the next page: a batch decoded
+    from the buffered page fragment (see :func:`_decode_delta_run`) closes a
+    pseudo-block, and the posting at the fragment edge opens the next one.
+    Pulling a pseudo-block therefore fetches pages exactly when a
+    posting-at-a-time scan would fetch them for its first posting.
+    ``term_scores`` holds 0.0s when the list stores none.
     """
     if reader.exhausted:
         return
@@ -453,19 +458,27 @@ def iter_id_postings_lazy(reader: LazyBytesReader) -> Iterator[tuple[int, float]
     with_term_scores = bool(reader.read_bytes(1)[0])
     doc_id = 0
     remaining = count
+    doc_ids: list[int] = []
+    term_scores: list[float] = []
     while remaining:
         batch, doc_id, remaining = _decode_delta_run(
             reader, doc_id, remaining, with_term_scores, tag=None
         )
-        if batch:
-            yield from batch
+        for batch_doc, batch_score in batch:
+            doc_ids.append(batch_doc)
+            term_scores.append(batch_score)
         if remaining:
+            if doc_ids:
+                yield doc_ids[-1], doc_ids, term_scores
+                doc_ids, term_scores = [], []
             # One posting at the fragment edge, decoded byte-at-a-time (this
             # is the only path that may pull the next page).
             doc_id += reader.read_varint()
-            term_score = reader.read_struct("<f")[0] if with_term_scores else 0.0
+            doc_ids.append(doc_id)
+            term_scores.append(reader.read_struct("<f")[0] if with_term_scores else 0.0)
             remaining -= 1
-            yield (doc_id, term_score)
+    if doc_ids:
+        yield doc_ids[-1], doc_ids, term_scores
 
 
 def iter_scored_postings_lazy(reader: LazyBytesReader) -> Iterator[tuple[int, float, float]]:
@@ -857,26 +870,50 @@ def _read_block_payload(reader: LazyBytesReader, block: BlockInfo) -> bytes:
     return payload
 
 
-def _decode_id_block(payload: bytes, block: BlockInfo,
-                     with_term_scores: bool) -> "list[tuple[int, float]]":
-    out: list[tuple[int, float]] = []
-    append = out.append
-    offset = 0
+def _decode_doc_run(payload: bytes, offset: int, count: int, doc_ids: "list[int]",
+                    term_scores: "list[float] | None") -> int:
+    """Decode ``count`` delta-encoded doc ids (each followed by a 4-byte term
+    score when ``term_scores`` is a list) from ``offset``; return the end offset.
+    A truncated run raises ``IndexError`` or ``struct.error``."""
+    append = doc_ids.append
+    unpack_from = _FLOAT.unpack_from
     doc_id = 0
-    size = len(payload)
-    for _ in range(block.count):
-        delta, offset = decode_varint(payload, offset)
-        doc_id += delta
-        if with_term_scores:
-            if offset + 4 > size:
-                raise ChecksumError("blocked posting list: truncated block")
-            append((doc_id, _FLOAT.unpack_from(payload, offset)[0]))
-            offset += 4
+    for _ in range(count):
+        # Inlined LEB128 delta: one posting costs no function call.
+        byte = payload[offset]
+        offset += 1
+        if byte < 0x80:
+            doc_id += byte
         else:
-            append((doc_id, 0.0))
-    if offset != size or doc_id != block.last_doc_id:
+            delta = byte & 0x7F
+            shift = 7
+            while True:
+                byte = payload[offset]
+                offset += 1
+                delta |= (byte & 0x7F) << shift
+                if byte < 0x80:
+                    break
+                shift += 7
+            doc_id += delta
+        append(doc_id)
+        if term_scores is not None:
+            term_scores.append(unpack_from(payload, offset)[0])
+            offset += 4
+    return offset
+
+
+def _decode_id_block(payload: bytes, block: BlockInfo, with_term_scores: bool
+                     ) -> "list[tuple[int, list[int], list[float] | None]]":
+    """Decode one ID block as one item ``(last_doc_id, doc_ids, term_scores|None)``."""
+    doc_ids: list[int] = []
+    term_scores: "list[float] | None" = [] if with_term_scores else None
+    try:
+        offset = _decode_doc_run(payload, 0, block.count, doc_ids, term_scores)
+    except (IndexError, struct.error):
+        raise ChecksumError("blocked posting list: truncated block") from None
+    if offset != len(payload) or doc_ids[-1] != block.last_doc_id:
         raise ChecksumError("blocked posting list: block contents do not match header")
-    return out
+    return [(block.last_doc_id, doc_ids, term_scores)]
 
 
 def _decode_scored_block(payload: bytes, block: BlockInfo,
@@ -907,7 +944,6 @@ def _decode_chunk_block(payload: bytes, block: BlockInfo, with_term_scores: bool
     size = len(payload)
     remaining = block.count
     previous_chunk = None
-    unpack_from = _FLOAT.unpack_from
     try:
         while remaining:
             chunk_id, offset = decode_varint(payload, offset)
@@ -918,30 +954,9 @@ def _decode_chunk_block(payload: bytes, block: BlockInfo, with_term_scores: bool
                 raise ChecksumError("blocked posting list: chunk fragments out of order")
             previous_chunk = chunk_id
             doc_ids: list[int] = []
-            append = doc_ids.append
             term_scores: "list[float] | None" = [] if with_term_scores else None
-            doc_id = 0
-            for _ in range(fragment_count):
-                # Inlined LEB128 delta: one posting costs no function call.
-                byte = payload[offset]
-                offset += 1
-                if byte < 0x80:
-                    doc_id += byte
-                else:
-                    delta = byte & 0x7F
-                    shift = 7
-                    while True:
-                        byte = payload[offset]
-                        offset += 1
-                        delta |= (byte & 0x7F) << shift
-                        if byte < 0x80:
-                            break
-                        shift += 7
-                    doc_id += delta
-                append(doc_id)
-                if term_scores is not None:
-                    term_scores.append(unpack_from(payload, offset)[0])
-                    offset += 4
+            offset = _decode_doc_run(payload, offset, fragment_count, doc_ids,
+                                     term_scores)
             fragments.append((chunk_id, doc_ids, term_scores))
             remaining -= fragment_count
     except (IndexError, struct.error):
@@ -963,8 +978,9 @@ def _iter_blocked_lazy(reader: LazyBytesReader, kind: int) -> Iterator:
     """Shared blocked scan loop: decode one block at a time, in list order.
 
     A block's payload bytes are read only when the consumer pulls its first
-    item (a posting, or a fragment for the chunk kind), so a merge that stops
-    early never fetches the pages under the remaining blocks.
+    item (a posting, a chunk fragment, or the whole block for the ID kind),
+    so a merge that stops early never fetches the pages under the remaining
+    blocks.
     """
     if reader.exhausted:
         return
@@ -976,8 +992,15 @@ def _iter_blocked_lazy(reader: LazyBytesReader, kind: int) -> Iterator:
                                 with_term_scores)
 
 
-def iter_blocked_id_postings_lazy(reader: LazyBytesReader) -> Iterator[tuple[int, float]]:
-    """Blocked counterpart of :func:`iter_id_postings_lazy` (same tuples)."""
+def iter_blocked_id_postings_lazy(
+        reader: LazyBytesReader) -> "Iterator[tuple[int, list[int], list[float] | None]]":
+    """Stream a blocked ID-ordered list one block at a time.
+
+    Each item is ``(last_doc_id, doc_ids, term_scores)``: one block's doc ids
+    ascending, ``term_scores`` aligned with them or ``None`` when the list
+    stores none.  The ID methods merge a doc-id window at a time, so they
+    consume whole blocks instead of single postings.
+    """
     return _iter_blocked_lazy(reader, BLOCK_KIND_ID)
 
 
@@ -1004,8 +1027,10 @@ def decode_blocked_id_postings(data: bytes) -> list[Posting]:
     """Eagerly decode a payload produced by :func:`encode_blocked_id_postings`."""
     reader = LazyBytesReader(iter((data,)))
     return [
-        Posting(doc_id=doc_id, term_score=term_score)
-        for doc_id, term_score in iter_blocked_id_postings_lazy(reader)
+        Posting(doc_id=doc_id,
+                term_score=0.0 if term_scores is None else term_scores[i])
+        for _last, doc_ids, term_scores in iter_blocked_id_postings_lazy(reader)
+        for i, doc_id in enumerate(doc_ids)
     ]
 
 

@@ -6,9 +6,9 @@ keeps at most ``k`` (document, score) entries, deduplicates by document id
 (keeping the best score), and exposes the current k-th best score, which the
 early-termination conditions of Algorithms 2 and 3 compare against.
 
-:func:`merge_ranked_streams` is the gather side of the scan: every method's
-query loop k-way merges its per-term posting streams through it and offers
-the merged candidates into the heap.
+:func:`merge_ranked_streams` is the gather side of the score-ordered scans:
+the Score and Score-Threshold query loops k-way merge their per-term posting
+streams through it and offer the merged candidates into the heap.
 """
 
 from __future__ import annotations

@@ -280,14 +280,15 @@ class BPlusTree:
             leaf_keys = path[-1].keys
             leaf_values = path[-1].values
             size = len(leaf_keys)
-            while position < total:
-                key = sorted_keys[position]
-                if upper is not _NO_SEPARATOR and not key < upper:
-                    break  # the key belongs to a leaf further right
-                idx = bisect_left(leaf_keys, key)
+            # The run ends at the first key that belongs to a leaf further right.
+            end = (total if upper is _NO_SEPARATOR
+                   else bisect_left(sorted_keys, upper, position))
+            idx = 0
+            for key in sorted_keys[position:end]:
+                idx = bisect_left(leaf_keys, key, idx)
                 if idx < size and leaf_keys[idx] == key:
                     found[key] = leaf_values[idx]
-                position += 1
+            position = end
         return found
 
     def insert(self, key: Any, value: Any, overwrite: bool = True) -> None:

@@ -49,6 +49,15 @@ def reader_for(data: bytes, page_size: int) -> LazyBytesReader:
     return LazyBytesReader(iter(paginate(data, page_size)))
 
 
+def id_postings(blocks) -> list[tuple[int, float]]:
+    """Flatten ``(last_doc_id, doc_ids, term_scores)`` blocks into postings."""
+    return [
+        (doc_id, term_scores[i] if term_scores is not None else 0.0)
+        for _last, doc_ids, term_scores in blocks
+        for i, doc_id in enumerate(doc_ids)
+    ]
+
+
 def chunk_postings(fragments) -> list[tuple[int, int, float]]:
     """Flatten ``(chunk_id, doc_ids, term_scores)`` fragments into postings."""
     return [
@@ -80,8 +89,15 @@ def test_blocked_id_round_trip(ids, with_term_scores, block_span, page_size):
     assert [(p.doc_id, p.term_score) for p in decoded] == [
         (p.doc_id, expected_ts) for p in postings
     ]
-    lazy = list(iter_blocked_id_postings_lazy(reader_for(data, page_size)))
-    assert lazy == [(p.doc_id, expected_ts) for p in postings]
+    blocks = list(iter_blocked_id_postings_lazy(reader_for(data, page_size)))
+    assert id_postings(blocks) == [(p.doc_id, expected_ts) for p in postings]
+    # One item per block, carrying the block's last doc id.
+    assert [len(doc_ids) for _last, doc_ids, _ts in blocks] == [
+        len(postings[start:start + block_span])
+        for start in range(0, len(postings), block_span)
+    ]
+    assert all(last == doc_ids[-1] for last, doc_ids, _ts in blocks)
+    assert all((ts is None) == (not with_term_scores) for _l, _d, ts in blocks)
 
 
 @settings(max_examples=60, deadline=None)
@@ -199,12 +215,13 @@ def test_torn_tail_raises_typed_error(ids, block_span, page_size, data):
     cut = data.draw(st.integers(min_value=1, max_value=len(encoded) - 1))
     reader = reader_for(encoded[:cut], page_size)
     expected = [(p.doc_id, 0.0) for p in postings]
-    produced = []
+    blocks = []
     with pytest.raises((ChecksumError, InvertedIndexError)):
         for item in iter_blocked_id_postings_lazy(reader):
-            produced.append(item)
+            blocks.append(item)
     # Whatever decoded before the error must be a prefix of the true sequence;
     # CRC-checked blocks never emit garbage postings.
+    produced = id_postings(blocks)
     assert produced == expected[: len(produced)]
 
 
@@ -269,6 +286,34 @@ def test_bitrot_detected_or_identical(entries, block_span, position, flip):
         assert position != 3 or isinstance(exc, ChecksumError)
         return
     assert decoded == reference
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ids=st.lists(wide_doc_ids, min_size=1, max_size=60, unique=True),
+    with_term_scores=st.booleans(),
+    block_span=st.sampled_from([1, 4, 16]),
+    position=st.integers(min_value=0, max_value=2 ** 16),
+    flip=st.integers(min_value=1, max_value=255),
+)
+def test_id_bitrot_detected_or_identical(ids, with_term_scores, block_span,
+                                         position, flip):
+    postings = [Posting(doc_id=i, term_score=(i % 5) / 8) for i in sorted(ids)]
+    clean = encode_blocked_id_postings(postings, with_term_scores=with_term_scores,
+                                       block_span=block_span)
+    payload_start = len(clean) - sum(
+        block.length for block in read_block_directory(clean).blocks)
+    encoded = bytearray(clean)
+    position %= len(encoded)
+    encoded[position] ^= flip
+    reference = id_postings(iter_blocked_id_postings_lazy(reader_for(clean, 16)))
+    try:
+        decoded = list(iter_blocked_id_postings_lazy(reader_for(bytes(encoded), 16)))
+    except (ChecksumError, InvertedIndexError) as exc:
+        # A corrupt block payload is always the typed checksum error.
+        assert position < payload_start or isinstance(exc, ChecksumError)
+        return
+    assert id_postings(decoded) == reference
 
 
 # ---------------------------------------------------------------------------

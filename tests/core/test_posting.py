@@ -121,13 +121,19 @@ class TestChunkRuns:
         assert [p.doc_id for p in runs[2].postings] == [1, 10]
 
 
+def id_postings(blocks) -> list[tuple[int, float]]:
+    """Flatten ``(last_doc_id, doc_ids, term_scores)`` pseudo-blocks into postings."""
+    return [posting for _last, doc_ids, term_scores in blocks
+            for posting in zip(doc_ids, term_scores)]
+
+
 class TestLazyDecoding:
     def test_lazy_id_decoding_matches_eager(self):
         postings = [Posting(doc_id=i * 3, term_score=0.0) for i in range(200)]
         data = encode_id_postings(postings)
         pages = [data[i:i + 16] for i in range(0, len(data), 16)]
         reader = LazyBytesReader(iter(pages))
-        assert list(iter_id_postings_lazy(reader)) == [
+        assert id_postings(iter_id_postings_lazy(reader)) == [
             (posting.doc_id, posting.term_score) for posting in postings
         ]
 
@@ -153,7 +159,11 @@ class TestLazyDecoding:
                 consumed += 1
                 yield data[i:i + 32]
 
-        iterator = iter_id_postings_lazy(LazyBytesReader(pages()))
+        iterator = (
+            doc_id
+            for _last, doc_ids, _ts in iter_id_postings_lazy(LazyBytesReader(pages()))
+            for doc_id in doc_ids
+        )
         for _ in range(10):
             next(iterator)
         assert consumed < 5  # only the first pages were touched

@@ -38,6 +38,12 @@ def paginate(data: bytes, page_size: int) -> list[bytes]:
     return [data[i:i + page_size] for i in range(0, len(data), page_size)]
 
 
+def id_postings(blocks) -> list[tuple[int, float]]:
+    """Flatten ``(last_doc_id, doc_ids, term_scores)`` pseudo-blocks into postings."""
+    return [posting for _last, doc_ids, term_scores in blocks
+            for posting in zip(doc_ids, term_scores)]
+
+
 @settings(max_examples=100, deadline=None)
 @given(value=st.integers(min_value=0, max_value=2 ** 62))
 def test_varint_round_trip(value):
@@ -97,7 +103,7 @@ def test_chunk_runs_round_trip_eager_and_lazy(triples, page_size):
 def test_lazy_id_decoding_is_page_size_independent(ids, page_size):
     postings = [Posting(doc_id=i) for i in sorted(ids)]
     data = encode_id_postings(postings)
-    lazy = list(iter_id_postings_lazy(LazyBytesReader(iter(paginate(data, page_size)))))
+    lazy = id_postings(iter_id_postings_lazy(LazyBytesReader(iter(paginate(data, page_size)))))
     assert lazy == [(posting.doc_id, posting.term_score) for posting in postings]
 
 
@@ -116,7 +122,7 @@ def test_lazy_id_termscore_matches_eager(entries, page_size):
     postings = [Posting(doc_id=doc, term_score=score) for doc, score in sorted(entries)]
     data = encode_id_postings(postings, with_term_scores=True)
     eager = [(p.doc_id, p.term_score) for p in decode_id_postings(data)]
-    lazy = list(iter_id_postings_lazy(LazyBytesReader(iter(paginate(data, page_size)))))
+    lazy = id_postings(iter_id_postings_lazy(LazyBytesReader(iter(paginate(data, page_size)))))
     assert lazy == eager
 
 
@@ -181,12 +187,13 @@ def test_truncated_id_list_raises_or_is_prefix(ids, page_size, with_term_scores,
     cut = data.draw(st.integers(min_value=1, max_value=len(encoded) - 1))
     reader = LazyBytesReader(iter(paginate(encoded[:cut], page_size)))
     expected = [(p.doc_id, p.term_score if with_term_scores else 0.0) for p in postings]
-    produced = []
+    blocks = []
     with pytest.raises(InvertedIndexError):
         for item in iter_id_postings_lazy(reader):
-            produced.append(item)
+            blocks.append(item)
     # Everything decoded before the truncation error must be a prefix of the
     # true posting sequence — batch decoding must not emit garbage first.
+    produced = id_postings(blocks)
     assert produced == expected[: len(produced)]
 
 

@@ -1,4 +1,4 @@
-"""Re-inserted documents stay visible to Chunk, Chunk-TermScore and Score-Threshold.
+"""Re-inserted documents are ranked by what was re-inserted, not what was deleted.
 
 Deleting a document only flags it (Appendix A.2), so its long postings stay
 in the lists.  Re-inserting it with a lower score writes short postings at
@@ -12,6 +12,12 @@ and compares every answer.  Chunk-TermScore is compared on conjunctive
 queries only, to the float rounding of its stored term scores: on
 disjunctive ones it sums only the completing posting's term score, which
 ID-TermScore does not.
+
+A re-insert may also change the document's terms and lower its score.  The
+ID methods must then filter the long postings of the terms the document no
+longer has, and the Score method must drop the clustered entries it filed
+under the old score; those cases are checked against the brute-force
+reference.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from repro.core.indexes.registry import create_index
 from repro.storage.environment import StorageEnvironment
 from repro.text.documents import DocumentStore
 from tests.conftest import METHOD_OPTIONS
+from tests.helpers import normalized_tf, reference_top_k
 
 VOCABULARY = [f"r{i}" for i in range(8)]
 
@@ -75,3 +82,37 @@ def test_reinserted_lower_document_matches_id_twin(method, blocked):
         assert [score for _, score in got_results] == pytest.approx(
             [score for _, score in expected_results], rel=1e-9, abs=1e-6), query
     assert len(got) == len(expected)
+
+
+@pytest.mark.parametrize("blocked", [True, False], ids=["blocked", "legacy"])
+@pytest.mark.parametrize("method", ["id", "id_termscore", "score"])
+def test_reinsert_with_new_terms_matches_reference(method, blocked):
+    index = _build(method, blocked)
+    contents = {doc_id: sorted(index.documents.get(doc_id).distinct_terms)
+                for doc_id in index.documents.doc_ids()}
+    scores = {doc_id: index.current_score(doc_id) for doc_id in contents}
+    rng = random.Random(17)
+    for _step in range(20):
+        doc_id = rng.choice(sorted(contents))
+        terms = rng.sample(VOCABULARY, rng.randint(1, 4))
+        scores[doc_id] = round(scores[doc_id] * rng.uniform(0.01, 0.5), 2)
+        contents[doc_id] = terms
+        index.delete_document(doc_id)
+        index.insert_document(doc_id, terms, scores[doc_id])
+        term_scores = None
+        if method == "id_termscore":
+            term_scores = {doc: normalized_tf(doc_terms)
+                           for doc, doc_terms in contents.items()}
+        live = {doc: set(doc_terms) for doc, doc_terms in contents.items()}
+        for _ in range(4):
+            keywords = rng.sample(VOCABULARY, rng.choice((1, 2)))
+            k = rng.choice((3, 10, 40))
+            conjunctive = rng.random() < 0.5
+            got = [(r.doc_id, r.score) for r in
+                   index.query(keywords, k=k, conjunctive=conjunctive).results]
+            expected = reference_top_k(live, scores, set(), keywords, k,
+                                       conjunctive, term_scores=term_scores)
+            query = (tuple(keywords), k, conjunctive)
+            assert [doc for doc, _ in got] == [doc for doc, _ in expected], query
+            assert [score for _, score in got] == pytest.approx(
+                [score for _, score in expected], rel=1e-6), query
