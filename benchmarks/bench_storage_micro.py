@@ -39,11 +39,14 @@ from repro.core.posting import (  # noqa: E402
     ChunkRun,
     LazyBytesReader,
     Posting,
+    ScoredPosting,
     build_rekey_operations,
     encode_blocked_chunk_runs,
     encode_blocked_id_postings,
+    encode_blocked_scored_postings,
     iter_blocked_chunk_postings_lazy,
     iter_blocked_id_postings_lazy,
+    iter_blocked_scored_postings_lazy,
 )
 from repro.storage.environment import StorageEnvironment  # noqa: E402
 
@@ -216,6 +219,32 @@ def bench_decode_chunk_list(decode_postings: int, **_: object) -> dict:
     for _ in range(rounds):
         reader = LazyBytesReader(heap.iter_pages(handle))
         for _chunk_id, doc_ids, _term_scores in iter_blocked_chunk_postings_lazy(reader):
+            operations += len(doc_ids)
+    elapsed = time.perf_counter() - start
+    return {"seconds": elapsed, "operations": operations}
+
+
+def bench_decode_scored_list(decode_postings: int, **_: object) -> dict:
+    """Full lazy scan of one blocked score-ordered long list (the
+    Score-Threshold query scan).
+
+    The scan yields whole blocks, as the Score-Threshold merge consumes them;
+    ``operations`` still counts postings, so the rate stays postings/s.
+    """
+    env = StorageEnvironment(cache_pages=65536, page_size=4096)
+    heap = env.create_heapfile("bench.scoredlists")
+    postings = [
+        ScoredPosting(doc_id=(7 * index) % decode_postings + 1,
+                      score=float(decode_postings - index))
+        for index in range(decode_postings)
+    ]
+    handle = heap.write(encode_blocked_scored_postings(postings))
+    rounds = 3
+    operations = 0
+    start = time.perf_counter()
+    for _ in range(rounds):
+        reader = LazyBytesReader(heap.iter_pages(handle))
+        for _bound, doc_ids, _scores, _term_scores in iter_blocked_scored_postings_lazy(reader):
             operations += len(doc_ids)
     elapsed = time.perf_counter() - start
     return {"seconds": elapsed, "operations": operations}
@@ -640,6 +669,7 @@ BENCHES = {
     "btree_batch_update": bench_btree_batch_update,
     "decode_id_list": bench_decode_id_list,
     "decode_chunk_list": bench_decode_chunk_list,
+    "decode_scored_list": bench_decode_scored_list,
     "prefix_scan": bench_prefix_scan,
     "query_macro": bench_query_macro,
     "file_backed_query_macro": bench_file_backed_query_macro,

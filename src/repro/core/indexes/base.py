@@ -21,33 +21,21 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from repro.errors import (
     DocumentNotFoundError,
     InvertedIndexError,
     QueryError,
-    ReproError,
     StorageError,
 )
 from repro.core.list_cache import InvertedListCache, list_cache_pages_from_environ
-from repro.core.posting import (
-    LazyBytesReader,
-    blocked_postings_enabled,
-    peek_blocked_directory,
-)
+from repro.core.posting import blocked_postings_enabled
+from repro.core.result_heap import QueryResult
 from repro.obs.trace import span
 from repro.storage.environment import StorageEnvironment
 from repro.storage.sharding import ShardedEnvironment, ShardedKVStore
 from repro.text.documents import Document, DocumentStore
-
-
-@dataclass(frozen=True)
-class QueryResult:
-    """One ranked query result: a document id and its (latest) score."""
-
-    doc_id: int
-    score: float
 
 
 @dataclass
@@ -239,30 +227,6 @@ class InvertedIndex(abc.ABC):
         if self.list_cache is not None:
             self.list_cache.invalidate_shard(shard)
 
-    def _cached_long_postings(self, heapfile, handle, term: str, decode):
-        """Serve ``term``'s decoded long list from the hot-term cache.
-
-        Returns the decoded posting list on a hit, fills the cache through
-        the accounting-free peek path on a miss, and returns ``None`` when
-        the cache is off or the segment exceeds the whole budget (the caller
-        falls back to the normal charged page scan).  Decode failures during
-        a fill are shard-tagged exactly like scan failures, so the router's
-        quarantine logic sees the same fault surface either way.
-        """
-        cache = self.list_cache
-        if cache is None:
-            return None
-        shard = getattr(handle, "shard", None)
-        postings = cache.get(shard, term)
-        if postings is not None:
-            return postings
-        if handle.length > cache.budget_bytes:
-            return None
-        reader = LazyBytesReader(heapfile.peek_pages(handle))
-        postings = list(self._tag_scan_errors(handle, decode(reader)))
-        cache.put(shard, term, postings, nbytes=handle.length)
-        return postings
-
     def describe_term_plan(self, term: str) -> dict:
         """Planner-visible description of one term's long-list scan.
 
@@ -277,51 +241,9 @@ class InvertedIndex(abc.ABC):
         per-term segments), ``"absent"`` (no long list for this term) or
         ``"unreadable"`` (a blocked payload whose directory failed its CRC).
         """
-        plan: dict = {
-            "term": term,
-            "layout": None,
-            "blocks": None,
-            "estimated_postings": None,
-            "segment_bytes": None,
-            "with_term_scores": None,
-            "cache": None,
-        }
-        segments = getattr(self, "_segments", None)
-        long_lists = getattr(self, "_long_lists", None)
-        if segments is None or long_lists is None:
-            plan["layout"] = "btree-clustered"
-            return plan
-        handle = segments.get(term)
-        if handle is None:
-            plan["layout"] = "absent"
-            plan["estimated_postings"] = 0
-            return plan
-        plan["segment_bytes"] = handle.length
-        cache = self.list_cache
-        if cache is not None:
-            shard = getattr(handle, "shard", None)
-            plan["cache"] = {
-                "cached": cache.peek(shard, term),
-                "cacheable": handle.length <= cache.budget_bytes,
-            }
-        if not self.blocked_postings:
-            plan["layout"] = "legacy"
-            return plan
-        try:
-            directory = peek_blocked_directory(
-                LazyBytesReader(long_lists.peek_pages(handle))
-            )
-        except ReproError:
-            plan["layout"] = "unreadable"
-            return plan
-        if directory is None:
-            plan["layout"] = "legacy"
-            return plan
-        plan["layout"] = "blocked"
-        plan["blocks"] = len(directory.blocks)
-        plan["estimated_postings"] = directory.total
-        plan["with_term_scores"] = directory.with_term_scores
-        return plan
+        return {"term": term, "layout": "btree-clustered", "blocks": None,
+                "estimated_postings": None, "segment_bytes": None,
+                "with_term_scores": None, "cache": None}
 
     # ------------------------------------------------------------------
     # Build
@@ -558,37 +480,13 @@ class InvertedIndex(abc.ABC):
             return self._merge_term_streams(streams, terms, k, conjunctive,
                                             stats)
 
-    def _tag_scan_errors(self, handle, postings):
-        """Attribute hard scan failures to the owning failure domain.
-
-        Long-list payload corruption (a failed block CRC, a torn varint) is
-        detected by the codec deep inside a scan iterator, far from any shard
-        bookkeeping.  When the segment handle carries a shard id — as it does
-        on sharded environments — stamp untagged :class:`ReproError`\\ s with
-        it on the way out, so the router's quarantine logic can confine the
-        fault to that shard instead of failing the whole query.  Handles
-        without a shard (single-shard environments) pass through untouched.
-        """
-        shard = getattr(handle, "shard", None)
-        if shard is None:
-            return postings
-
-        def tagged():
-            try:
-                yield from postings
-            except ReproError as exc:
-                if getattr(exc, "shard", None) is None:
-                    exc.shard = shard
-                raise
-
-        return tagged()
-
     @abc.abstractmethod
     def _term_stream(self, term_index: int, term: str, stats: QueryStats):
-        """The scan iterator over ``term``'s postings for one query.
+        """The scan over ``term``'s postings for one query.
 
-        ``term_index`` is the term's position in the query (methods tag
-        postings with it); every scan counts into the one shared ``stats``.
+        ``term_index`` is the term's position in the query; every scan counts
+        into the one shared ``stats``.  The long-list methods return the
+        term's block streams (:mod:`repro.core.indexes.cursor`).
         """
 
     @abc.abstractmethod
@@ -613,6 +511,7 @@ class InvertedIndex(abc.ABC):
         for doc_id, old_score, new_score in changes:
             self._after_score_update(doc_id, old_score, new_score)
 
+    @abc.abstractmethod
     def _after_insert(self, doc_id: int, score: float,
                       previous: "Document | None") -> None:
         """Method-specific reaction to a document insertion.
@@ -620,9 +519,6 @@ class InvertedIndex(abc.ABC):
         ``previous`` is the deleted document a re-insert replaces (its
         postings may still sit in the long lists), ``None`` for a new id.
         """
-        raise InvertedIndexError(
-            f"{self.method_name} does not support incremental document insertion"
-        )
 
     def _after_delete(self, doc_id: int) -> None:
         """Method-specific reaction to a document deletion (default: flag only).
@@ -632,61 +528,14 @@ class InvertedIndex(abc.ABC):
         the paper's Appendix A.2 scheme.
         """
 
+    @abc.abstractmethod
     def _after_content_update(self, doc_id: int, old_document: Document,
                               new_document: Document) -> None:
         """Method-specific reaction to a content update."""
-        raise InvertedIndexError(
-            f"{self.method_name} does not support incremental content updates"
-        )
 
     # ------------------------------------------------------------------
     # Shared helpers
     # ------------------------------------------------------------------
-
-    def _batch_promote_short_lists(self, changes: list[tuple[int, float, float]],
-                                   bookkeeping, short_store,
-                                   state_of, payload_of) -> None:
-        """Shared batch replay for the threshold-style methods.
-
-        Score-Threshold and Chunk share one update algorithm: a bookkeeping
-        table maps ``doc_id -> (list_state, in_short_list)``, and an update
-        promotes the document's postings into the short lists only when its
-        new state exceeds ``threshold_value_of(list_state)`` (the caller must
-        define that method).  Whether an update crosses the threshold depends
-        on the state left by earlier updates in the batch, so decisions replay
-        sequentially against an in-memory overlay of the bookkeeping table;
-        the short-list operations coalesce to the last operation per key and
-        flush as sorted bulk passes together with the dirtied rows.
-
-        ``state_of`` maps a score to the method's list state (identity for
-        Score-Threshold, ``chunk_of`` for Chunk); ``payload_of(doc_id, term)``
-        builds the short-list value for a promoted posting.
-        """
-        state: dict[int, tuple] = {}
-        dirty: set[int] = set()
-        short_ops: dict[tuple, tuple | None] = {}
-        for doc_id, old_score, new_score in changes:
-            entry = state.get(doc_id)
-            if entry is None:
-                entry = bookkeeping.get(doc_id, default=None)
-                if entry is None:
-                    entry = (state_of(old_score), False)
-                    dirty.add(doc_id)
-                state[doc_id] = entry
-            list_state, in_short_list = entry
-            new_state = state_of(new_score)
-            if new_state <= self.threshold_value_of(list_state):
-                continue
-            for term in self._content_terms(doc_id):
-                if in_short_list:
-                    short_ops[(term, -list_state, doc_id)] = None
-                short_ops[(term, -new_state, doc_id)] = payload_of(doc_id, term)
-                self.update_stats.short_list_postings_written += 1
-            state[doc_id] = (new_state, True)
-            dirty.add(doc_id)
-            self.update_stats.short_list_updates += 1
-        self._flush_coalesced_ops(short_store, short_ops)
-        bookkeeping.put_many(sorted((doc_id, state[doc_id]) for doc_id in dirty))
 
     @staticmethod
     def _flush_coalesced_ops(store, ops: "dict[tuple, tuple | None]") -> None:
@@ -728,40 +577,29 @@ class InvertedIndex(abc.ABC):
         """``Content(id)`` from Algorithm 1: the distinct terms of a document."""
         return self.documents.get(doc_id).distinct_terms
 
-    def _live_score(self, doc_id: int) -> float | None:
-        """Score-table lookup used during query processing (skips deleted docs).
-
-        With the hot-term cache enabled the lookup is memoised per document:
-        scores are immutable between writes (every write entry point
-        invalidates the cache, clearing the memo with it), and query
-        processing probes the same hot documents over and over.  The memo is
-        never consulted on the cache-off fidelity path, whose page accounting
-        is pinned by the fig7/table1 fingerprints.
-        """
-        cache = self.list_cache
-        if cache is None:
-            if self.deleted_table.contains(doc_id):
-                return None
-            return self.score_table.get(doc_id, default=None)
-        memo = cache.scores
-        if doc_id in memo:
+    def _live_score(self, doc_id: int) -> "float | None":
+        """:meth:`_live_scores` for one document, through point lookups."""
+        memo = None if self.list_cache is None else self.list_cache.scores
+        if memo is not None and doc_id in memo:
             return memo[doc_id]
-        if self.deleted_table.contains(doc_id):
-            score = None
-        else:
-            score = self.score_table.get(doc_id, default=None)
-        if len(memo) < cache.SCORE_MEMO_LIMIT:
+        score = (None if self.deleted_table.contains(doc_id)
+                 else self.score_table.get(doc_id, default=None))
+        if memo is not None and len(memo) < self.list_cache.SCORE_MEMO_LIMIT:
             memo[doc_id] = score
         return score
 
     def _live_scores(self, doc_ids: "list[int]") -> "dict[int, float | None]":
-        """Batched :meth:`_live_score`: ``{doc_id: score or None}``.
+        """Score-table lookup for query processing: ``{doc_id: score or
+        None}``, ``None`` for deleted documents.
 
         The deleted flags of every document are read first, then the Score
         rows of the live ones, each as one bulk pass that descends once per
         leaf run — the same keys, and so the same pages, as probing one
-        document at a time.  The live-score memo applies exactly as in
-        :meth:`_live_score`.
+        document at a time.  With the hot-term cache enabled the lookup is
+        memoised per document: scores are immutable between writes (every
+        write entry point invalidates the cache, clearing the memo with it).
+        The memo is never consulted on the cache-off fidelity path, whose
+        page accounting is pinned by the fig7/table1 fingerprints.
         """
         cache = self.list_cache
         memo = None if cache is None else cache.scores

@@ -12,40 +12,33 @@ makes most updates a single Score-table write.  Queries scan chunks from the
 top downwards, merging short and long lists, and stop one chunk after the
 top-k results can no longer change — the chunk-granularity analogue of the
 Score-Threshold stopping rule.  Because a query may only stop at a chunk
-boundary, it is evaluated a chunk at a time: each term stream yields
-block-local chunk fragments, a chunk's new candidates come out of set
-operations, and they are scored in one batch of B+-tree lookups.
+boundary, the shared window driver (:mod:`repro.core.indexes.cursor`) runs
+it a chunk at a time: a chunk's new candidates come out of set operations
+(:class:`_ChunkCandidates`) and are scored in one batch of B+-tree lookups.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Callable, Sequence
 
 from repro.errors import InvertedIndexError
-from repro.core.indexes.base import InvertedIndex, QueryResult, QueryStats, _StagedDocument
+from repro.core.indexes.base import QueryResult, QueryStats, _StagedDocument
 from repro.core.indexes.chunking import ChunkMap, ratio_chunks
-from repro.core.posting import (
-    LazyBytesReader,
-    build_chunk_runs,
-    encode_blocked_chunk_runs,
-    encode_chunk_runs,
-    iter_blocked_chunk_postings_lazy,
-    iter_chunk_postings_lazy,
+from repro.core.indexes.cursor import (
+    LongListIndex,
+    run_windows,
+    window_values,
 )
+from repro.core.posting import build_chunk_runs
 from repro.core.result_heap import ResultHeap
 from repro.storage.environment import StorageEnvironment
-from repro.storage.heap_file import SegmentHandle
-from repro.text.documents import Document, DocumentStore
-
-_ADD = "ADD"
-_REM = "REM"
+from repro.text.documents import DocumentStore
 
 #: A chunk-boundary strategy: maps the build-time scores to a ChunkMap.
 ChunkStrategy = Callable[[Sequence[float]], ChunkMap]
 
 
-class ChunkIndex(InvertedIndex):
+class ChunkIndex(LongListIndex):
     """The Chunk method.
 
     Parameters
@@ -62,6 +55,7 @@ class ChunkIndex(InvertedIndex):
 
     method_name = "chunk"
     stores_term_scores = False
+    list_kind = "chunk"
 
     def __init__(self, env: StorageEnvironment, documents: DocumentStore,
                  name: str = "svr", chunk_ratio: float = 6.12,
@@ -78,14 +72,15 @@ class ChunkIndex(InvertedIndex):
         self.min_chunk_size = int(min_chunk_size)
         self._chunk_strategy = chunk_strategy
         self.chunk_map: ChunkMap | None = None
-        self._long_lists = self._create_heapfile(f"{name}.long")
-        self._segments: dict[str, SegmentHandle] = {}
-        # Short list key: (term, -chunk_id, doc_id) -> (operation, term_score).
-        self._short = self._create_kvstore(f"{name}.short", key_shard="term")
-        # ListChunk table: doc_id -> (list_chunk, in_short_list).
-        self._list_chunk = self._create_kvstore(f"{name}.listchunk", key_shard="doc")
+        # Short list key (term, -chunk_id, doc_id); ListChunk table:
+        # doc_id -> (list_chunk, in_short_list).
+        self._bookkeeping = self._create_kvstore(f"{name}.listchunk", key_shard="doc")
 
-    # -- threshold --------------------------------------------------------------
+    def _state_of(self, score: float) -> int:
+        assert self.chunk_map is not None
+        return self.chunk_map.chunk_of(score)
+
+    # -- threshold (the write path is LongListIndex's) --------------------------------------------------------------
 
     @staticmethod
     def threshold_value_of(chunk_id: int) -> int:
@@ -108,129 +103,55 @@ class ChunkIndex(InvertedIndex):
             chunk_id = self.chunk_map.chunk_of(document.score)
             for term in document.term_frequencies:
                 term_docs.setdefault(term, []).append(
-                    (document.doc_id, chunk_id, self._build_term_score(document.doc_id, term))
+                    (document.doc_id, chunk_id, self._current_term_score(document.doc_id, term))
                 )
         for term, entries in term_docs.items():
-            runs = build_chunk_runs(entries)
-            if self.blocked_postings:
-                payload = encode_blocked_chunk_runs(
-                    runs, with_term_scores=self.stores_term_scores
-                )
-            else:
-                payload = encode_chunk_runs(
-                    runs, with_term_scores=self.stores_term_scores
-                )
-            self._segments[term] = self._long_lists.write(payload, key=term)
-            self.update_stats.long_list_postings_written += len(entries)
-
-    def _build_term_score(self, doc_id: int, term: str) -> float:
-        """Per-posting term score (0.0 for the plain Chunk method)."""
-        del doc_id, term
-        return 0.0
-
-    # -- size / cache ---------------------------------------------------------------
-
-    def long_list_size_bytes(self) -> int:
-        return self._long_lists.total_bytes()
-
-    def short_list_size_bytes(self) -> int:
-        return self._short.size_bytes()
-
-    def drop_long_list_cache(self) -> None:
-        self._long_lists.drop_from_cache()
-
-    # -- score updates (Algorithm 1 with chunks) ----------------------------------------
-
-    def _after_score_update(self, doc_id: int, old_score: float, new_score: float) -> None:
-        assert self.chunk_map is not None
-        new_chunk = self.chunk_map.chunk_of(new_score)
-        entry = self._list_chunk.get(doc_id, default=None)
-        if entry is not None:
-            list_chunk, in_short_list = entry
-        else:
-            list_chunk = self.chunk_map.chunk_of(old_score)
-            in_short_list = False
-            self._list_chunk.put(doc_id, (list_chunk, False))
-        if new_chunk <= self.threshold_value_of(list_chunk):
-            return
-        for term in self._content_terms(doc_id):
-            if in_short_list:
-                self._short.delete_if_present((term, -list_chunk, doc_id))
-            self._short.put(
-                (term, -new_chunk, doc_id), (_ADD, self._current_term_score(doc_id, term))
-            )
-            self.update_stats.short_list_postings_written += 1
-        self._list_chunk.put(doc_id, (new_chunk, True))
-        self.update_stats.short_list_updates += 1
-
-    def _after_score_batch(self, changes: list[tuple[int, float, float]]) -> None:
-        """Replay the chunk-threshold decisions in order, flush writes in bulk.
-
-        The list state is the chunk id of the score; see
-        :meth:`InvertedIndex._batch_promote_short_lists` for the shared
-        overlay-replay algorithm.  Chunk-TermScore inherits this unchanged
-        (its per-posting term score comes through :meth:`_current_term_score`).
-        """
-        assert self.chunk_map is not None
-        self._batch_promote_short_lists(
-            changes, self._list_chunk, self._short,
-            state_of=self.chunk_map.chunk_of,
-            payload_of=lambda doc_id, term: (
-                _ADD, self._current_term_score(doc_id, term)
-            ),
-        )
-
-    def _current_term_score(self, doc_id: int, term: str) -> float:
-        """Term score stored with short-list postings (0.0 for the plain Chunk method)."""
-        del doc_id, term
-        return 0.0
-
-    # -- document changes (Appendix A) ----------------------------------------------------
-
-    def _after_insert(self, doc_id: int, score: float,
-                      previous: "Document | None") -> None:
-        del previous  # the old terms' long postings are not filtered yet
-        assert self.chunk_map is not None
-        chunk_id = self.chunk_map.chunk_of(score)
-        entries = sorted(
-            ((term, -chunk_id, doc_id), (_ADD, self._current_term_score(doc_id, term)))
-            for term in self._content_terms(doc_id)
-        )
-        self._short.put_many(entries)
-        self.update_stats.short_list_postings_written += len(entries)
-        self._list_chunk.put(doc_id, (chunk_id, True))
-
-    def _after_content_update(self, doc_id: int, old_document: Document,
-                              new_document: Document) -> None:
-        assert self.chunk_map is not None
-        entry = self._list_chunk.get(doc_id, default=None)
-        if entry is not None:
-            list_chunk = entry[0]
-        else:
-            list_chunk = self.chunk_map.chunk_of(self.score_table.get(doc_id))
-        added = new_document.distinct_terms - old_document.distinct_terms
-        removed = old_document.distinct_terms - new_document.distinct_terms
-        entries = sorted(
-            [((term, -list_chunk, doc_id),
-              (_ADD, self._current_term_score(doc_id, term))) for term in added]
-            + [((term, -list_chunk, doc_id), (_REM, 0.0)) for term in removed]
-        )
-        self._short.put_many(entries)
-        self.update_stats.short_list_postings_written += len(entries)
+            self._write_long_list(term, build_chunk_runs(entries), len(entries))
 
     # -- query (Algorithm 2 with chunks) ----------------------------------------------------
 
     def _merge_term_streams(self, streams: list, terms: list[str], k: int,
                             conjunctive: bool, stats: QueryStats) -> list[QueryResult]:
-        assert self.chunk_map is not None
         heap = ResultHeap(k)
         candidates = _ChunkCandidates(len(terms), conjunctive, processed=set(),
                                       stale_of=self._stale_long_docs)
-        for chunk_id, longs, shorts in self._scan_chunks(
-                streams, stats, lambda next_chunk: self._can_stop(next_chunk, heap)):
-            _docs, completed = candidates.complete(chunk_id, longs, shorts)
-            self._resolve_candidates(completed, heap, stats)
-        return [QueryResult(entry.doc_id, entry.score) for entry in heap.results()]
+        self._scan(streams, candidates, heap, stats,
+                   lambda next_chunk: self._can_stop(next_chunk, heap))
+        return heap.results()
+
+    def _scan(self, streams: list, candidates: "_ChunkCandidates", heap: ResultHeap,
+              stats: QueryStats, can_stop: "Callable[[int], bool]",
+              on_docs: "Callable[[set[int]], None] | None" = None) -> None:
+        """Run the term streams a chunk at a time, from the top chunk down.
+
+        A window is one chunk, complete once every stream has pulled one
+        fragment past it; its completed documents are scored in one batch,
+        in doc-id order, and ``can_stop(next_chunk)`` is asked before the
+        next chunk.
+        """
+
+        def on_window(window: list, next_key: "int | None"):
+            if not any(window):
+                return None  # the streams are still pulling this chunk
+            stats.chunks_scanned += 1
+            chunk_id = -next(slices[0][0] for slices in window if slices)
+            longs = [window_values(slices) or None for slices in window[0::2]]
+            shorts = [window_values(slices) or None for slices in window[1::2]]
+            docs, completed = candidates.complete(chunk_id, longs, shorts)
+            if on_docs is not None:
+                on_docs(docs)
+            term_scores = None
+            if self.stores_term_scores:
+                found = {doc_id: found for doc_id, _short, found in completed}
+                term_scores = lambda doc_ids: [  # noqa: E731
+                    found[doc_id].values() for doc_id in doc_ids]
+            self._resolve_batch([doc_id for doc_id, _short, _found in completed],
+                                heap, stats, term_scores)
+            if next_key is not None and can_stop(-next_key):
+                return [0] * len(window)
+            return None
+
+        run_windows(streams, None, on_window, stats)
 
     def _can_stop(self, next_chunk: int, heap: ResultHeap) -> bool:
         """End-of-chunk stopping rule.
@@ -246,171 +167,6 @@ class ChunkIndex(InvertedIndex):
             return False
         bound = self.chunk_map.lower_bound(next_chunk + 2)
         return heap.min_score() >= bound
-
-    @staticmethod
-    def _scan_chunks(streams: list, stats: QueryStats, can_stop):
-        """Pull the term streams one chunk at a time, from the top chunk down.
-
-        Yields ``(chunk_id, longs, shorts)`` per scanned chunk: ``longs[t]``
-        / ``shorts[t]`` map the doc ids of term ``t``'s long / short postings
-        in the chunk to their term scores (``None`` values when the list
-        stores none), or are ``None`` when the term has no such posting
-        there.  Gathering a chunk pulls all of its fragments plus one
-        lookahead fragment per stream — with the per-list lookahead inside
-        each stream, exactly what a posting-at-a-time k-way merge pulls by
-        the time it meets the next chunk — and ``can_stop(next_chunk)`` is
-        asked before crossing into the next chunk, after the consumer has
-        resolved this one.
-        """
-        heads = [next(stream, None) for stream in streams]
-        chunk_id = None
-        while True:
-            pending = [head[0] for head in heads if head is not None]
-            if not pending:
-                return
-            neg_chunk = min(pending)
-            if chunk_id is not None and can_stop(-neg_chunk):
-                stats.stopped_early = True
-                return
-            chunk_id = -neg_chunk
-            stats.chunks_scanned += 1
-            longs: list = [None] * len(streams)
-            shorts: list = [None] * len(streams)
-            for position, stream in enumerate(streams):
-                head = heads[position]
-                while head is not None and head[0] == neg_chunk:
-                    _neg, term_index, is_short, doc_ids, term_scores = head
-                    postings = (dict.fromkeys(doc_ids) if term_scores is None
-                                else dict(zip(doc_ids, term_scores)))
-                    side = shorts if is_short else longs
-                    if side[term_index] is None:
-                        side[term_index] = postings
-                    else:
-                        side[term_index].update(postings)
-                    head = next(stream, None)
-                heads[position] = head
-            yield chunk_id, longs, shorts
-
-    def _stale_long_docs(self, doc_ids: "list[int]") -> "set[int]":
-        """The documents whose ListChunk row says they live in the short lists.
-
-        Their long postings are stale: the short postings represent them.
-        One bulk pass that descends once per B+-tree leaf run.
-        """
-        rows = self._list_chunk.get_many(doc_ids)
-        return {doc_id for doc_id, (_chunk, in_short) in rows.items() if in_short}
-
-    def _resolve_candidates(self, completed: list, heap: ResultHeap,
-                            stats: QueryStats) -> None:
-        """Score one chunk's completed documents as a batch, in doc-id order.
-
-        Two bulk passes, each descending once per B+-tree leaf run: the
-        deleted flags, then the Score rows of the survivors — the same keys
-        a candidate-at-a-time loop probes, so the same pages.
-        """
-        if not completed:
-            return
-        stats.candidates += len(completed)
-        stats.score_lookups += len(completed)
-        scores = self._live_scores([doc_id for doc_id, _short, _found in completed])
-        for doc_id, _from_short, found in completed:
-            score = scores[doc_id]
-            if score is None:
-                continue
-            stats.heap_offers += 1
-            heap.add(doc_id, self._candidate_score(score, found))
-
-    def _candidate_score(self, score: float, found: "dict | None") -> float:
-        """Ranking score of a candidate (the plain Chunk method: its SVR score)."""
-        del found
-        return score
-
-    # -- per-term streams ------------------------------------------------------------------
-
-    def _term_stream(self, term_index: int, term: str, stats: QueryStats):
-        """One term's short + long postings as chunk fragments, top chunk first.
-
-        Yields ``(-chunk_id, term_index, is_short, doc_ids, term_scores)``;
-        within a chunk the long fragments precede the short one.
-        """
-        short_fragments, removed = self._load_short(term_index, term)
-        return heapq.merge(
-            _counted_short(short_fragments, stats),
-            self._long_fragments(term_index, term, removed, stats),
-        )
-
-    def _long_fragments(self, term_index: int, term: str, removed: "set[int]",
-                        stats: QueryStats):
-        """The long list's fragments minus the postings the short list REMoved.
-
-        ``postings_scanned`` counts exactly what a posting-at-a-time scan
-        counts: when a fragment is pulled, its postings up to the first one
-        kept; the rest when the next fragment is asked for, which happens
-        only if the merge scanned this fragment's chunk.
-        """
-        for chunk_id, doc_ids, term_scores in self._iter_long(term):
-            count = len(doc_ids)
-            pulled = 1
-            if removed and not removed.isdisjoint(doc_ids):
-                kept = [i for i, doc_id in enumerate(doc_ids) if doc_id not in removed]
-                if not kept:
-                    stats.postings_scanned += count
-                    continue
-                pulled = kept[0] + 1
-                doc_ids = [doc_ids[i] for i in kept]
-                if term_scores is not None:
-                    term_scores = [term_scores[i] for i in kept]
-            stats.postings_scanned += pulled
-            yield -chunk_id, term_index, False, doc_ids, term_scores
-            stats.postings_scanned += count - pulled
-
-    def _iter_long(self, term: str):
-        """Stream the long list as ``(chunk_id, doc_ids, term_scores)`` fragments."""
-        handle = self._segments.get(term)
-        if handle is None:
-            return
-        if self.blocked_postings:
-            cached = self._cached_long_postings(
-                self._long_lists, handle, term, iter_blocked_chunk_postings_lazy
-            )
-            if cached is not None:
-                yield from cached
-                return
-            reader = LazyBytesReader(self._long_lists.iter_pages(handle))
-            yield from self._tag_scan_errors(
-                handle, iter_blocked_chunk_postings_lazy(reader))
-            return
-        # The legacy reader decodes posting by posting; each posting becomes
-        # a one-posting fragment, so pulls — and pages read — stay as they were.
-        reader = LazyBytesReader(self._long_lists.iter_pages(handle))
-        postings = self._tag_scan_errors(handle, iter_chunk_postings_lazy(reader))
-        for chunk_id, doc_id, term_score in postings:
-            yield chunk_id, [doc_id], [term_score]
-
-    def _load_short(self, term_index: int, term: str) -> tuple[list, set[int]]:
-        """One term's short list: ADD postings as stream fragments (one per
-        chunk, top chunk first) plus the ids of REMoved long postings."""
-        fragments: list = []
-        removed: set[int] = set()
-        # Keys (term, -chunk_id, doc_id) already come in stream order.
-        for (_term, neg_chunk, doc_id), (operation, term_score) in self._short.prefix_items((term,)):
-            if operation != _ADD:
-                removed.add(doc_id)
-            elif fragments and fragments[-1][0] == neg_chunk:
-                fragments[-1][3].append(doc_id)
-                fragments[-1][4].append(term_score)
-            else:
-                fragments.append((neg_chunk, term_index, True, [doc_id], [term_score]))
-        return fragments, removed
-
-
-def _counted_short(fragments: list, stats: QueryStats):
-    """Yield short-list fragments, counting postings as a per-posting scan
-    would: the first when a fragment is pulled, the rest once it is scanned."""
-    for fragment in fragments:
-        stats.postings_scanned += 1
-        yield fragment
-        stats.postings_scanned += len(fragment[3]) - 1
 
 
 class _ChunkCandidates:

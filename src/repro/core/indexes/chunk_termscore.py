@@ -61,20 +61,6 @@ class ChunkTermScoreIndex(ChunkIndex):
         # in the term's fancy list (the pruning bound of Algorithm 3).
         self._fancy_floor_by_term: dict[str, float] = {}
 
-    # -- term scores -----------------------------------------------------------
-
-    def _normalized_tf(self, doc_id: int, term: str) -> float:
-        document = self.documents.get(doc_id)
-        if document.length == 0:
-            return 0.0
-        return document.term_frequency(term) / document.length
-
-    def _build_term_score(self, doc_id: int, term: str) -> float:
-        return self._normalized_tf(doc_id, term)
-
-    def _current_term_score(self, doc_id: int, term: str) -> float:
-        return self._normalized_tf(doc_id, term)
-
     # -- build ------------------------------------------------------------------
 
     def _build_long_lists(self, staged: list[_StagedDocument]) -> None:
@@ -83,7 +69,7 @@ class ChunkTermScoreIndex(ChunkIndex):
         for document in staged:
             for term in document.term_frequencies:
                 term_entries.setdefault(term, []).append(
-                    (self._normalized_tf(document.doc_id, term), document.doc_id)
+                    (self._current_term_score(document.doc_id, term), document.doc_id)
                 )
         for term, entries in term_entries.items():
             if len(entries) <= self.fancy_size:
@@ -97,52 +83,39 @@ class ChunkTermScoreIndex(ChunkIndex):
                 self._fancy.put((term, doc_id), term_score)
             self._fancy_floor_by_term[term] = kept[-1][0]
 
-    # -- fancy-list bounds ----------------------------------------------------------
+    # -- fancy lists under document changes -----------------------------------------
 
-    def _fancy_floor(self, term: str) -> float:
-        """Upper bound on the term score of any document *not* in the fancy list."""
-        return self._fancy_floor_by_term.get(term, 0.0)
+    def _refresh_fancy(self, doc_id: int, dropped: "set[str]", added: "set[str]") -> None:
+        """Drop ``doc_id``'s fancy entries for ``dropped`` and add those of
+        ``added`` whose term score exceeds the term's floor.
 
-    def _load_fancy(self, term: str) -> dict[int, float]:
-        """Load one term's fancy list as a doc_id -> term_score mapping."""
-        return {
-            doc_id: term_score
-            for (_term, doc_id), term_score in self._fancy.prefix_items((term,))
-        }
-
-    def _fancy_additions(self, doc_id: int,
-                         terms: "set[str]") -> list[tuple[tuple[str, int], float]]:
-        """Fancy-list entries to add when ``doc_id`` gains ``terms``.
-
-        The invariant the pruning bound relies on is: any document absent from
-        the fancy list of ``term`` has term score at most ``_fancy_floor(term)``.
-        Adding the new posting whenever its score exceeds the floor preserves
-        it without ever raising the floor.
+        The pruning bound relies on every document absent from a term's
+        fancy list having a term score at most the floor; adding a posting
+        whenever its score exceeds the floor keeps that without ever raising
+        the floor.
         """
-        additions: list[tuple[tuple[str, int], float]] = []
-        for term in terms:
-            term_score = self._normalized_tf(doc_id, term)
-            if term_score > self._fancy_floor(term):
+        self._fancy.delete_many(sorted((term, doc_id) for term in dropped),
+                                ignore_missing=True)
+        additions = []
+        for term in added:
+            term_score = self._current_term_score(doc_id, term)
+            if term_score > self._fancy_floor_by_term.get(term, 0.0):
                 additions.append(((term, doc_id), term_score))
-        additions.sort()
-        return additions
-
-    # -- document changes ----------------------------------------------------------------
+        self._fancy.put_many(sorted(additions))
 
     def _after_insert(self, doc_id: int, score: float,
                       previous: "Document | None") -> None:
         super()._after_insert(doc_id, score, previous)
-        self._fancy.put_many(self._fancy_additions(doc_id, self._content_terms(doc_id)))
+        # A re-insert's old fancy entries carry the old content's term scores.
+        self._refresh_fancy(doc_id, set() if previous is None else previous.distinct_terms,
+                            self._content_terms(doc_id))
 
     def _after_content_update(self, doc_id: int, old_document: Document,
                               new_document: Document) -> None:
         super()._after_content_update(doc_id, old_document, new_document)
-        removed = old_document.distinct_terms - new_document.distinct_terms
-        added = new_document.distinct_terms - old_document.distinct_terms
-        self._fancy.delete_many(
-            sorted((term, doc_id) for term in removed), ignore_missing=True
-        )
-        self._fancy.put_many(self._fancy_additions(doc_id, added))
+        self._refresh_fancy(doc_id,
+                            old_document.distinct_terms - new_document.distinct_terms,
+                            new_document.distinct_terms - old_document.distinct_terms)
 
     # -- query (Algorithm 3) ----------------------------------------------------------------
 
@@ -152,10 +125,11 @@ class ChunkTermScoreIndex(ChunkIndex):
         processed: set[int] = set()
 
         # Phase 1: merge the fancy lists (Algorithm 3, lines 8-9).
-        fancy = [self._load_fancy(term) for term in terms]
-        fancy_floors = [self._fancy_floor(term) for term in terms]
+        fancy = [{doc_id: term_score for (_term, doc_id), term_score
+                  in self._fancy.prefix_items((term,))} for term in terms]
+        fancy_floors = [self._fancy_floor_by_term.get(term, 0.0) for term in terms]
         heap = ResultHeap(k)
-        all_fancy_docs = set().union(*fancy) if fancy else set()
+        all_fancy_docs = set().union(*fancy)
         remain_list: dict[int, dict[int, float]] = {}
         in_every_list: list[tuple[int, dict[int, float]]] = []
         for doc_id in sorted(all_fancy_docs):
@@ -187,16 +161,12 @@ class ChunkTermScoreIndex(ChunkIndex):
             return self._termscore_can_stop(next_chunk, heap, remain_list,
                                             fancy_floors, stats, sum_floors)
 
-        for chunk_id, longs, shorts in self._scan_chunks(streams, stats, can_stop):
-            docs, completed = candidates.complete(chunk_id, longs, shorts)
-            if remain_list:
-                for doc_id in docs.intersection(remain_list):
-                    del remain_list[doc_id]
-            self._resolve_candidates(completed, heap, stats)
-        return [QueryResult(entry.doc_id, entry.score) for entry in heap.results()]
+        def seen(docs: "set[int]") -> None:
+            for doc_id in docs.intersection(remain_list):
+                del remain_list[doc_id]
 
-    def _candidate_score(self, score: float, found: dict) -> float:
-        return score + self.term_weight * sum(found.values())
+        self._scan(streams, candidates, heap, stats, can_stop, on_docs=seen)
+        return heap.results()
 
     def _termscore_can_stop(self, next_chunk: int, heap: ResultHeap,
                             remain_list: dict[int, dict[int, float]],

@@ -10,7 +10,6 @@ behaviour Figure 9 compares Chunk-TermScore against.
 from __future__ import annotations
 
 from repro.core.indexes.id_method import IDIndex
-from repro.core.posting import Posting
 from repro.storage.environment import StorageEnvironment
 from repro.text.documents import DocumentStore
 
@@ -35,25 +34,3 @@ class IDTermScoreIndex(IDIndex):
                          blocked_postings=blocked_postings,
                          list_cache_pages=list_cache_pages)
         self.term_weight = float(term_weight)
-
-    def _normalized_tf(self, doc_id: int, term: str) -> float:
-        document = self.documents.get(doc_id)
-        if document.length == 0:
-            return 0.0
-        return document.term_frequency(term) / document.length
-
-    def _make_posting(self, doc_id: int, term: str) -> Posting:
-        return Posting(doc_id=doc_id, term_score=self._normalized_tf(doc_id, term))
-
-    def _delta_term_score(self, doc_id: int, term: str) -> float:
-        return self._normalized_tf(doc_id, term)
-
-    def _result_scores(self, doc_ids: "list[int]", svr_scores: "list[float]",
-                       score_maps: "list[dict[int, float]]") -> "list[float]":
-        # Term scores are summed in query-term order; a term without the
-        # document adds 0.0, which leaves the sum bit-identical.
-        columns = [[scores.get(doc_id, 0.0) for doc_id in doc_ids]
-                   for scores in score_maps]
-        weight = self.term_weight
-        return [svr_score + weight * sum(term_scores)
-                for svr_score, term_scores in zip(svr_scores, zip(*columns))]

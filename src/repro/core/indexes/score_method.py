@@ -13,11 +13,12 @@ paper measures as orders of magnitude slower than every other method (Figure 7).
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterator
 
 from repro.core.indexes.base import InvertedIndex, QueryResult, QueryStats, _StagedDocument
 from repro.core.posting import build_rekey_operations
-from repro.core.result_heap import ResultHeap, merge_ranked_streams
+from repro.core.result_heap import ResultHeap
 from repro.storage.environment import StorageEnvironment
 from repro.text.documents import Document, DocumentStore
 
@@ -65,7 +66,7 @@ class ScoreIndex(InvertedIndex):
     # -- updates ----------------------------------------------------------------
 
     def _after_score_update(self, doc_id: int, old_score: float, new_score: float) -> None:
-        if old_score == new_score:
+        if old_score == new_score or self._deleted_among([doc_id]):
             return
         for term in self._content_terms(doc_id):
             self._lists.delete_if_present((term, -old_score, doc_id))
@@ -84,6 +85,9 @@ class ScoreIndex(InvertedIndex):
         once per posting — the per-update tree-probe storm Figure 7 measures
         becomes a pair of near-sequential passes.
         """
+        deleted = self._deleted_among(sorted({doc_id for doc_id, _old, _new in changes}))
+        if deleted:
+            changes = [change for change in changes if change[0] not in deleted]
         terms_of: dict[int, set[str]] = {}
 
         def cached_terms(doc_id: int) -> set[str]:
@@ -110,6 +114,19 @@ class ScoreIndex(InvertedIndex):
         deletes, inserts = build_rekey_operations(coalesced, cached_terms)
         self._lists.delete_many(deletes, ignore_missing=True)
         self._lists.put_many((key, None) for key in inserts)
+
+    def _deleted_among(self, doc_ids: "list[int]") -> "set[int]":
+        """The deleted documents among ``doc_ids``.
+
+        A deleted document's entries went with the delete (see
+        :meth:`_after_delete`); re-keying them on a score update would file
+        them again under the new score.  The deleted table is probed only
+        when it holds a document at all, so updates to a collection without
+        deletes read no extra page.
+        """
+        if not len(self.deleted_table):
+            return set()
+        return set(self.deleted_table.get_many(doc_ids))
 
     def _after_insert(self, doc_id: int, score: float,
                       previous: "Document | None") -> None:
@@ -155,7 +172,7 @@ class ScoreIndex(InvertedIndex):
                             conjunctive: bool, stats: QueryStats) -> list[QueryResult]:
         required = len(terms) if conjunctive else 1
         heap = ResultHeap(k)
-        merged = merge_ranked_streams(streams)
+        merged = heapq.merge(*streams)
         current: tuple[float, int] | None = None
         seen: set[int] = set()
         stopped = False
@@ -176,7 +193,7 @@ class ScoreIndex(InvertedIndex):
             seen.add(index)
         if not stopped and current is not None:
             self._emit_candidate(current, seen, required, heap, stats)
-        return [QueryResult(entry.doc_id, entry.score) for entry in heap.results()]
+        return heap.results()
 
     def _emit_candidate(self, key: tuple[float, int], seen: set[int], required: int,
                         heap: ResultHeap, stats: QueryStats) -> None:

@@ -382,12 +382,11 @@ class LazyBytesReader:
 
 
 def _decode_delta_run(reader: LazyBytesReader, doc_id: int, remaining: int,
-                      with_term_scores: bool, tag: int | None) -> tuple[list, int, int]:
+                      with_term_scores: bool) -> tuple[list, int, int]:
     """Batch-decode delta-encoded postings wholly contained in the buffered fragment.
 
     Returns ``(batch, doc_id, remaining)`` where ``batch`` holds
-    ``(doc_id, term_score)`` tuples — or ``(tag, doc_id, term_score)`` when a
-    ``tag`` (the chunk id) is given.  Decoding stops at the fragment edge: a
+    ``(doc_id, term_score)`` tuples.  Decoding stops at the fragment edge: a
     posting that might straddle it is left for the caller's byte-at-a-time
     fallback, so no page is ever fetched earlier than the scalar decoder would
     have fetched it.
@@ -431,45 +430,39 @@ def _decode_delta_run(reader: LazyBytesReader, doc_id: int, remaining: int,
             pos += 4
         else:
             term_score = 0.0
-        if tag is None:
-            append((doc_id, term_score))
-        else:
-            append((tag, doc_id, term_score))
+        append((doc_id, term_score))
         remaining -= 1
     reader._pos = pos
     return batch, doc_id, remaining
 
 
-def iter_id_postings_lazy(
-        reader: LazyBytesReader) -> Iterator[tuple[int, list[int], list[float]]]:
-    """Stream a legacy ID-ordered payload as ``(last_doc_id, doc_ids, term_scores)``.
+def _delta_groups(reader: LazyBytesReader, count: int, with_term_scores: bool,
+                  zero_scores: bool
+                  ) -> "Iterator[tuple[list[int], list[float] | None]]":
+    """``count`` delta-encoded postings as page-fragment groups.
 
-    The legacy layout has no blocks, so its postings come in pseudo-blocks
-    that end where the next posting may need the next page: a batch decoded
-    from the buffered page fragment (see :func:`_decode_delta_run`) closes a
-    pseudo-block, and the posting at the fragment edge opens the next one.
-    Pulling a pseudo-block therefore fetches pages exactly when a
-    posting-at-a-time scan would fetch them for its first posting.
-    ``term_scores`` holds 0.0s when the list stores none.
+    A group ends where the next posting may need the next page: a batch
+    decoded from the buffered fragment (see :func:`_decode_delta_run`) closes
+    a group, and the posting at the fragment edge opens the next one.
+    Pulling a group therefore fetches pages exactly when a posting-at-a-time
+    scan would fetch them for its first posting.  Without stored term scores
+    a group's scores are 0.0s when ``zero_scores`` is set, else ``None``.
     """
-    if reader.exhausted:
-        return
-    count = reader.read_varint()
-    with_term_scores = bool(reader.read_bytes(1)[0])
     doc_id = 0
     remaining = count
+    keep_scores = with_term_scores or zero_scores
     doc_ids: list[int] = []
     term_scores: list[float] = []
     while remaining:
         batch, doc_id, remaining = _decode_delta_run(
-            reader, doc_id, remaining, with_term_scores, tag=None
+            reader, doc_id, remaining, with_term_scores
         )
         for batch_doc, batch_score in batch:
             doc_ids.append(batch_doc)
             term_scores.append(batch_score)
         if remaining:
             if doc_ids:
-                yield doc_ids[-1], doc_ids, term_scores
+                yield doc_ids, term_scores if keep_scores else None
                 doc_ids, term_scores = [], []
             # One posting at the fragment edge, decoded byte-at-a-time (this
             # is the only path that may pull the next page).
@@ -478,14 +471,36 @@ def iter_id_postings_lazy(
             term_scores.append(reader.read_struct("<f")[0] if with_term_scores else 0.0)
             remaining -= 1
     if doc_ids:
+        yield doc_ids, term_scores if keep_scores else None
+
+
+def iter_id_postings_lazy(
+        reader: LazyBytesReader) -> Iterator[tuple[int, list[int], list[float]]]:
+    """Stream a legacy ID-ordered payload as ``(last_doc_id, doc_ids, term_scores)``.
+
+    The legacy layout has no blocks, so its postings come in page-fragment
+    groups (see :func:`_delta_groups`).  ``term_scores`` holds 0.0s when the
+    list stores none.
+    """
+    if reader.exhausted:
+        return
+    count = reader.read_varint()
+    with_term_scores = bool(reader.read_bytes(1)[0])
+    for doc_ids, term_scores in _delta_groups(reader, count, with_term_scores,
+                                              zero_scores=True):
         yield doc_ids[-1], doc_ids, term_scores
 
 
-def iter_scored_postings_lazy(reader: LazyBytesReader) -> Iterator[tuple[int, float, float]]:
-    """Stream score-ordered postings as ``(doc_id, score, term_score)`` tuples.
+def iter_scored_postings_lazy(reader: LazyBytesReader
+                              ) -> "Iterator[tuple[float, list[int], list[float], list[float] | None]]":
+    """Stream a legacy score-ordered payload as page-fragment groups.
 
-    Records are fixed-width, so whole runs are decoded with
-    ``Struct.iter_unpack`` over a zero-copy view of the buffered fragment.
+    Each item is ``(top_score, doc_ids, scores, term_scores)``, the same
+    shape as :func:`iter_blocked_scored_postings_lazy`.  Records are
+    fixed-width, so a group is one ``Struct.iter_unpack`` run over the
+    buffered fragment; the record straddling the fragment edge opens the
+    next group, so pulling a group fetches pages exactly when a
+    posting-at-a-time scan would.
     """
     if reader.exhausted:
         return
@@ -494,6 +509,9 @@ def iter_scored_postings_lazy(reader: LazyBytesReader) -> Iterator[tuple[int, fl
     record = _SCORED_TS if with_term_scores else _SCORED
     width = record.size
     remaining = count
+    doc_ids: list[int] = []
+    scores: list[float] = []
+    term_scores: "list[float] | None" = [] if with_term_scores else None
     while remaining:
         buf = reader._buf
         pos = reader._pos
@@ -503,27 +521,35 @@ def iter_scored_postings_lazy(reader: LazyBytesReader) -> Iterator[tuple[int, fl
             end = pos + take * width
             reader._pos = end
             remaining -= take
-            if with_term_scores:
-                for score, doc_id, term_score in record.iter_unpack(
-                    memoryview(buf)[pos:end]
-                ):
-                    yield (doc_id, score, term_score)
-            else:
-                for score, doc_id in record.iter_unpack(memoryview(buf)[pos:end]):
-                    yield (doc_id, score, 0.0)
+            for entry in record.iter_unpack(memoryview(buf)[pos:end]):
+                scores.append(entry[0])
+                doc_ids.append(entry[1])
+                if term_scores is not None:
+                    term_scores.append(entry[2])
         if remaining and len(reader._buf) - reader._pos < width:
+            if doc_ids:
+                yield scores[0], doc_ids, scores, term_scores
+                doc_ids, scores = [], []
+                term_scores = [] if with_term_scores else None
             # One record straddling the fragment edge (or the next fetch).
             score, doc_id = reader.read_struct("<dI")
-            term_score = reader.read_struct("<f")[0] if with_term_scores else 0.0
+            scores.append(score)
+            doc_ids.append(doc_id)
+            if term_scores is not None:
+                term_scores.append(reader.read_struct("<f")[0])
             remaining -= 1
-            yield (doc_id, score, term_score)
+    if doc_ids:
+        yield scores[0], doc_ids, scores, term_scores
 
 
-def iter_chunk_postings_lazy(reader: LazyBytesReader) -> Iterator[tuple[int, int, float]]:
-    """Stream ``(chunk_id, doc_id, term_score)`` triples from a chunked list.
+def iter_chunk_postings_lazy(reader: LazyBytesReader
+                             ) -> "Iterator[tuple[int, list[int], list[float] | None]]":
+    """Stream a legacy chunked payload as ``(chunk_id, doc_ids, term_scores)``.
 
-    Runs are yielded in decreasing chunk-id order and postings within a run in
-    increasing document-id order, exactly as stored.
+    The shape of :func:`iter_blocked_chunk_postings_lazy`: runs come in
+    decreasing chunk-id order, each as page-fragment groups (see
+    :func:`_delta_groups`) with doc ids ascending; ``term_scores`` is
+    ``None`` when the list stores none.
     """
     if reader.exhausted:
         return
@@ -532,19 +558,10 @@ def iter_chunk_postings_lazy(reader: LazyBytesReader) -> Iterator[tuple[int, int
     for _ in range(run_count):
         chunk_id = reader.read_varint()
         posting_count = reader.read_varint()
-        doc_id = 0
-        remaining = posting_count
-        while remaining:
-            batch, doc_id, remaining = _decode_delta_run(
-                reader, doc_id, remaining, with_term_scores, tag=chunk_id
-            )
-            if batch:
-                yield from batch
-            if remaining:
-                doc_id += reader.read_varint()
-                term_score = reader.read_struct("<f")[0] if with_term_scores else 0.0
-                remaining -= 1
-                yield (chunk_id, doc_id, term_score)
+        for doc_ids, term_scores in _delta_groups(reader, posting_count,
+                                                  with_term_scores,
+                                                  zero_scores=False):
+            yield chunk_id, doc_ids, term_scores
 
 
 # ---------------------------------------------------------------------------
@@ -916,19 +933,18 @@ def _decode_id_block(payload: bytes, block: BlockInfo, with_term_scores: bool
     return [(block.last_doc_id, doc_ids, term_scores)]
 
 
-def _decode_scored_block(payload: bytes, block: BlockInfo,
-                         with_term_scores: bool) -> "list[tuple[int, float, float]]":
+def _decode_scored_block(payload: bytes, block: BlockInfo, with_term_scores: bool
+                         ) -> "list[tuple[float, list[int], list[float], list[float] | None]]":
+    """Decode one scored block as one item ``(bound, doc_ids, scores, term_scores|None)``."""
     record = _SCORED_TS if with_term_scores else _SCORED
     if len(payload) != block.count * record.size:
         raise ChecksumError("blocked posting list: block contents do not match header")
-    if with_term_scores:
-        out = [(doc_id, score, term_score)
-               for score, doc_id, term_score in record.iter_unpack(payload)]
-    else:
-        out = [(doc_id, score, 0.0) for score, doc_id in record.iter_unpack(payload)]
-    if out[-1][0] != block.last_doc_id or out[0][1] != block.bound:
+    columns = list(zip(*record.iter_unpack(payload)))
+    scores, doc_ids = list(columns[0]), list(columns[1])
+    if doc_ids[-1] != block.last_doc_id or scores[0] != block.bound:
         raise ChecksumError("blocked posting list: block contents do not match header")
-    return out
+    return [(block.bound, doc_ids, scores,
+             list(columns[2]) if with_term_scores else None)]
 
 
 def _decode_chunk_block(payload: bytes, block: BlockInfo, with_term_scores: bool
@@ -978,7 +994,7 @@ def _iter_blocked_lazy(reader: LazyBytesReader, kind: int) -> Iterator:
     """Shared blocked scan loop: decode one block at a time, in list order.
 
     A block's payload bytes are read only when the consumer pulls its first
-    item (a posting, a chunk fragment, or the whole block for the ID kind),
+    item (a chunk fragment, or the whole block for the ID and scored kinds),
     so a merge that stops early never fetches the pages under the remaining
     blocks.
     """
@@ -1005,8 +1021,14 @@ def iter_blocked_id_postings_lazy(
 
 
 def iter_blocked_scored_postings_lazy(
-        reader: LazyBytesReader) -> Iterator[tuple[int, float, float]]:
-    """Blocked counterpart of :func:`iter_scored_postings_lazy` (same tuples)."""
+        reader: LazyBytesReader
+) -> "Iterator[tuple[float, list[int], list[float], list[float] | None]]":
+    """Stream a blocked score-ordered list one block at a time.
+
+    Each item is ``(bound, doc_ids, scores, term_scores)``: one block's
+    postings in decreasing score order, ``bound`` its top score,
+    ``term_scores`` aligned with them or ``None`` when the list stores none.
+    """
     return _iter_blocked_lazy(reader, BLOCK_KIND_SCORED)
 
 
@@ -1038,8 +1060,10 @@ def decode_blocked_scored_postings(data: bytes) -> list[ScoredPosting]:
     """Eagerly decode a payload produced by :func:`encode_blocked_scored_postings`."""
     reader = LazyBytesReader(iter((data,)))
     return [
-        ScoredPosting(doc_id=doc_id, score=score, term_score=term_score)
-        for doc_id, score, term_score in iter_blocked_scored_postings_lazy(reader)
+        ScoredPosting(doc_id=doc_id, score=scores[i],
+                      term_score=0.0 if term_scores is None else term_scores[i])
+        for _bound, doc_ids, scores, term_scores in iter_blocked_scored_postings_lazy(reader)
+        for i, doc_id in enumerate(doc_ids)
     ]
 
 

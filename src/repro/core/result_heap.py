@@ -1,14 +1,10 @@
-"""Bounded top-k result heap and the k-way gather merge that feeds it.
+"""Bounded top-k result heap.
 
 Every query algorithm in the paper keeps "a result heap ... to keep track of
 the top-k results during the scan".  :class:`ResultHeap` is that structure: it
 keeps at most ``k`` (document, score) entries, deduplicates by document id
 (keeping the best score), and exposes the current k-th best score, which the
 early-termination conditions of Algorithms 2 and 3 compare against.
-
-:func:`merge_ranked_streams` is the gather side of the score-ordered scans:
-the Score and Score-Threshold query loops k-way merge their per-term posting
-streams through it and offer the merged candidates into the heap.
 """
 
 from __future__ import annotations
@@ -16,26 +12,13 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator
 
 from repro.errors import QueryError
 
 
-def merge_ranked_streams(streams: "Iterable[Iterable[Any]]") -> Iterator[Any]:
-    """K-way merge of rank-ordered per-term streams (the query gather step).
-
-    Each stream must yield tuples in ascending tuple order (the methods encode
-    their rank as the leading component: ``-score``, ``-chunk_id`` or
-    ``doc_id``), so the merged sequence interleaves every term's postings in
-    global rank order.  Streams are consumed lazily — early termination in the
-    caller stops the merge without draining them.
-    """
-    return heapq.merge(*streams)
-
-
 @dataclass(frozen=True)
-class HeapEntry:
-    """A (document, score) pair held by the result heap."""
+class QueryResult:
+    """One ranked query result: a document id and its (latest) score."""
 
     doc_id: int
     score: float
@@ -114,10 +97,10 @@ class ResultHeap:
         """Whether a new document with ``score`` could enter the top-k."""
         return score > self.min_score() or not self.is_full
 
-    def results(self) -> list[HeapEntry]:
+    def results(self) -> list[QueryResult]:
         """Retained entries, best first (score descending, then doc id ascending)."""
         ordered = sorted(self._scores.items(), key=lambda item: (-item[1], item[0]))
-        return [HeapEntry(doc_id=doc_id, score=score) for doc_id, score in ordered]
+        return [QueryResult(doc_id=doc_id, score=score) for doc_id, score in ordered]
 
     def get(self, doc_id: int) -> float | None:
         """Score currently retained for ``doc_id``, or ``None``."""

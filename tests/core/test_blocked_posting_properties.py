@@ -31,6 +31,7 @@ from repro.core.posting import (
     iter_blocked_scored_postings_lazy,
     read_block_directory,
 )
+from tests.helpers import chunk_postings, scored_postings
 
 doc_ids = st.integers(min_value=0, max_value=2 ** 31 - 1)
 #: Includes the top of the varint range so multi-byte continuation paths and
@@ -54,15 +55,6 @@ def id_postings(blocks) -> list[tuple[int, float]]:
     return [
         (doc_id, term_scores[i] if term_scores is not None else 0.0)
         for _last, doc_ids, term_scores in blocks
-        for i, doc_id in enumerate(doc_ids)
-    ]
-
-
-def chunk_postings(fragments) -> list[tuple[int, int, float]]:
-    """Flatten ``(chunk_id, doc_ids, term_scores)`` fragments into postings."""
-    return [
-        (chunk_id, doc_id, term_scores[i] if term_scores is not None else 0.0)
-        for chunk_id, doc_ids, term_scores in fragments
         for i, doc_id in enumerate(doc_ids)
     ]
 
@@ -127,8 +119,14 @@ def test_blocked_scored_round_trip(entries, with_term_scores, block_span, page_s
         for p in postings
     ]
     assert [(p.doc_id, p.score, p.term_score) for p in decoded] == expected
-    lazy = list(iter_blocked_scored_postings_lazy(reader_for(data, page_size)))
-    assert lazy == expected
+    blocks = list(iter_blocked_scored_postings_lazy(reader_for(data, page_size)))
+    assert scored_postings(blocks) == expected
+    # One item per block, carrying the block's top score.
+    assert [len(doc_ids) for _bound, doc_ids, _s, _ts in blocks] == [
+        len(postings[start:start + block_span])
+        for start in range(0, len(postings), block_span)
+    ]
+    assert all(bound == scores[0] for bound, _d, scores, _ts in blocks)
 
 
 @settings(max_examples=60, deadline=None)
@@ -280,7 +278,8 @@ def test_bitrot_detected_or_identical(entries, block_span, position, flip):
     encoded[position] ^= flip
     reference = [(p.doc_id, p.score, 0.0) for p in postings]
     try:
-        decoded = list(iter_blocked_scored_postings_lazy(reader_for(bytes(encoded), 16)))
+        decoded = scored_postings(
+            iter_blocked_scored_postings_lazy(reader_for(bytes(encoded), 16)))
     except (ChecksumError, InvertedIndexError) as exc:
         # Any corrupt flags byte is the typed checksum error specifically.
         assert position != 3 or isinstance(exc, ChecksumError)
@@ -350,3 +349,63 @@ def test_golden_bytes_pin_the_wire_format():
         "scored": "de44fd6c61e9ab6251623dd47a3f9cb314af5d3d15976c37dadbdef0bc26c35a",
         "chunk": "fcb4d067a5bd2f498a676f66f1bbe9652ec965c20c65421afeabe5657e07a329",
     }
+
+
+# ---------------------------------------------------------------------------
+# The query cursor: same postings whatever the layout and the list cache
+# ---------------------------------------------------------------------------
+
+
+def _cursor_postings(method: str, blocked: bool, cache_pages: int) -> dict:
+    """Every term's cursor output after a storm of writes, flattened.
+
+    A block's bound depends on where the layout cuts blocks, so only chunk
+    ids (the bound of every chunk posting) are kept."""
+    import random
+
+    from repro.core.indexes.base import QueryStats
+    from repro.core.indexes.registry import create_index
+    from repro.storage.environment import StorageEnvironment
+    from repro.text.documents import DocumentStore
+    from tests.conftest import METHOD_OPTIONS
+
+    rng = random.Random(404)
+    vocabulary = [f"c{i}" for i in range(6)]
+    index = create_index(method, StorageEnvironment(cache_pages=1024, page_size=128),
+                         DocumentStore(), blocked_postings=blocked,
+                         list_cache_pages=cache_pages, **METHOD_OPTIONS[method])
+    for doc_id in range(1, 301):
+        index.add_document(doc_id, round(1000 * rng.random() ** 3, 2),
+                           terms=rng.sample(vocabulary, rng.randint(1, 4)))
+    index.finalize()
+    for step in range(40):
+        doc_id = rng.randint(1, 300)
+        if step % 4 == 0:
+            index.update_content(doc_id, rng.sample(vocabulary, rng.randint(1, 4)))
+        elif step % 4 == 1 and index.current_score(doc_id) is not None:
+            index.delete_document(doc_id)
+            index.insert_document(doc_id, rng.sample(vocabulary, 2), rng.random() * 50)
+        else:
+            index.update_score(doc_id, round(rng.random() * 3000, 2))
+    stats = QueryStats()
+    out = {}
+    for term in vocabulary:
+        for _round in range(2):  # a cold and, with the cache on, a warm pass
+            out[term] = [
+                (bound if method.startswith("chunk") else None, doc_id,
+                 0.0 if values is None else values[i], from_short)
+                for stream in index._term_stream(0, term, stats)
+                for bound, doc_ids, values, from_short in stream
+                for i, doc_id in enumerate(doc_ids)
+            ]
+    return out
+
+
+@pytest.mark.parametrize("method", ["id", "id_termscore", "chunk",
+                                    "chunk_termscore", "score_threshold"])
+def test_cursor_yields_same_postings_on_every_layout_and_cache(method):
+    expected = _cursor_postings(method, blocked=True, cache_pages=0)
+    assert any(expected.values())
+    for blocked, cache_pages in [(True, 256), (False, 0), (False, 256)]:
+        assert _cursor_postings(method, blocked, cache_pages) == expected, (
+            blocked, cache_pages)

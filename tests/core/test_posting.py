@@ -21,6 +21,7 @@ from repro.core.posting import (
     iter_id_postings_lazy,
     iter_scored_postings_lazy,
 )
+from tests.helpers import chunk_postings
 
 
 class TestVarint:
@@ -141,7 +142,7 @@ class TestLazyDecoding:
         runs = build_chunk_runs([(doc, doc % 4 + 1, 0.0) for doc in range(100)])
         data = encode_chunk_runs(runs)
         pages = [data[i:i + 7] for i in range(0, len(data), 7)]
-        triples = list(iter_chunk_postings_lazy(LazyBytesReader(iter(pages))))
+        triples = chunk_postings(iter_chunk_postings_lazy(LazyBytesReader(iter(pages))))
         expected = [
             (run.chunk_id, posting.doc_id, posting.term_score)
             for run in runs for posting in run.postings

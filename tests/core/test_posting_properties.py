@@ -28,6 +28,7 @@ from repro.core.posting import (
     iter_id_postings_lazy,
     iter_scored_postings_lazy,
 )
+from tests.helpers import chunk_postings, scored_postings
 
 doc_ids = st.integers(min_value=0, max_value=2 ** 31 - 1)
 term_scores = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, width=32)
@@ -87,7 +88,8 @@ def test_chunk_runs_round_trip_eager_and_lazy(triples, page_size):
     runs = build_chunk_runs([(doc, chunk, 0.0) for doc, chunk in triples])
     data = encode_chunk_runs(runs)
     assert decode_chunk_runs(data) == runs
-    lazy = list(iter_chunk_postings_lazy(LazyBytesReader(iter(paginate(data, page_size)))))
+    lazy = chunk_postings(
+        iter_chunk_postings_lazy(LazyBytesReader(iter(paginate(data, page_size)))))
     eager = [
         (run.chunk_id, posting.doc_id, posting.term_score)
         for run in runs for posting in run.postings
@@ -145,7 +147,8 @@ def test_lazy_scored_matches_eager(entries, page_size, with_term_scores):
     ]
     data = encode_scored_postings(postings, with_term_scores=with_term_scores)
     eager = [(p.doc_id, p.score, p.term_score) for p in decode_scored_postings(data)]
-    lazy = list(iter_scored_postings_lazy(LazyBytesReader(iter(paginate(data, page_size)))))
+    lazy = scored_postings(
+        iter_scored_postings_lazy(LazyBytesReader(iter(paginate(data, page_size)))))
     assert lazy == eager
 
 
@@ -165,7 +168,8 @@ def test_lazy_chunk_termscore_matches_eager(triples, page_size):
         (run.chunk_id, posting.doc_id, posting.term_score)
         for run in decode_chunk_runs(data) for posting in run.postings
     ]
-    lazy = list(iter_chunk_postings_lazy(LazyBytesReader(iter(paginate(data, page_size)))))
+    lazy = chunk_postings(
+        iter_chunk_postings_lazy(LazyBytesReader(iter(paginate(data, page_size)))))
     assert lazy == eager
 
 
@@ -219,8 +223,9 @@ def test_truncated_chunk_list_raises_or_is_prefix(triples, page_size,
         (run.chunk_id, p.doc_id, p.term_score if with_term_scores else 0.0)
         for run in runs for p in run.postings
     ]
-    produced = []
+    fragments = []
     with pytest.raises(InvertedIndexError):
         for item in iter_chunk_postings_lazy(reader):
-            produced.append(item)
+            fragments.append(item)
+    produced = chunk_postings(fragments)
     assert produced == expected[: len(produced)]

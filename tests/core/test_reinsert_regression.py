@@ -14,10 +14,15 @@ disjunctive ones it sums only the completing posting's term score, which
 ID-TermScore does not.
 
 A re-insert may also change the document's terms and lower its score.  The
-ID methods must then filter the long postings of the terms the document no
-longer has, and the Score method must drop the clustered entries it filed
-under the old score; those cases are checked against the brute-force
-reference.
+long-list methods must then filter the long postings of the terms the
+document no longer has (a REM in the short or delta list) and drop the
+short postings filed under its old state, and the Score method must drop the
+clustered entries it filed under the old score; those cases are checked
+against the brute-force reference.  Chunk-TermScore is checked on
+conjunctive queries only, for the reason above.
+
+A score update to a deleted document must not bring back the Score method's
+clustered entries: a later lower re-insert would rank at the stale score.
 """
 
 from __future__ import annotations
@@ -85,7 +90,8 @@ def test_reinserted_lower_document_matches_id_twin(method, blocked):
 
 
 @pytest.mark.parametrize("blocked", [True, False], ids=["blocked", "legacy"])
-@pytest.mark.parametrize("method", ["id", "id_termscore", "score"])
+@pytest.mark.parametrize("method", ["id", "id_termscore", "score", "chunk",
+                                    "chunk_termscore", "score_threshold"])
 def test_reinsert_with_new_terms_matches_reference(method, blocked):
     index = _build(method, blocked)
     contents = {doc_id: sorted(index.documents.get(doc_id).distinct_terms)
@@ -100,14 +106,14 @@ def test_reinsert_with_new_terms_matches_reference(method, blocked):
         index.delete_document(doc_id)
         index.insert_document(doc_id, terms, scores[doc_id])
         term_scores = None
-        if method == "id_termscore":
+        if method in ("id_termscore", "chunk_termscore"):
             term_scores = {doc: normalized_tf(doc_terms)
                            for doc, doc_terms in contents.items()}
         live = {doc: set(doc_terms) for doc, doc_terms in contents.items()}
         for _ in range(4):
             keywords = rng.sample(VOCABULARY, rng.choice((1, 2)))
             k = rng.choice((3, 10, 40))
-            conjunctive = rng.random() < 0.5
+            conjunctive = rng.random() < 0.5 or method == "chunk_termscore"
             got = [(r.doc_id, r.score) for r in
                    index.query(keywords, k=k, conjunctive=conjunctive).results]
             expected = reference_top_k(live, scores, set(), keywords, k,
@@ -116,3 +122,21 @@ def test_reinsert_with_new_terms_matches_reference(method, blocked):
             assert [doc for doc, _ in got] == [doc for doc, _ in expected], query
             assert [score for _, score in got] == pytest.approx(
                 [score for _, score in expected], rel=1e-6), query
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_score_update_of_deleted_document_keeps_no_entries(seed):
+    index = _build("score", blocked=True)
+    contents = {doc_id: set(index.documents.get(doc_id).distinct_terms)
+                for doc_id in index.documents.doc_ids()}
+    scores = {doc_id: index.current_score(doc_id) for doc_id in contents}
+    rng = random.Random(seed)
+    for doc_id in rng.sample(sorted(contents), 5):
+        index.delete_document(doc_id)
+        index.update_score(doc_id, 5000.0)
+        index.apply_batch([(doc_id, 6000.0)])
+        scores[doc_id] = round(scores[doc_id] / 10, 2)
+        index.insert_document(doc_id, sorted(contents[doc_id]), scores[doc_id])
+        for keyword in VOCABULARY:
+            got = [(r.doc_id, r.score) for r in index.query([keyword], k=5).results]
+            assert got == reference_top_k(contents, scores, set(), [keyword], 5), keyword

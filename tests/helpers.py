@@ -53,6 +53,25 @@ def reference_top_k(
     return matches[:k]
 
 
+def chunk_postings(fragments) -> list[tuple[int, int, float]]:
+    """Flatten ``(chunk_id, doc_ids, term_scores)`` fragments into postings."""
+    return [
+        (chunk_id, doc_id, term_scores[i] if term_scores is not None else 0.0)
+        for chunk_id, doc_ids, term_scores in fragments
+        for i, doc_id in enumerate(doc_ids)
+    ]
+
+
+def scored_postings(blocks) -> list[tuple[int, float, float]]:
+    """Flatten ``(bound, doc_ids, scores, term_scores)`` blocks into
+    ``(doc_id, score, term_score)`` postings."""
+    return [
+        (doc_id, scores[i], term_scores[i] if term_scores is not None else 0.0)
+        for _bound, doc_ids, scores, term_scores in blocks
+        for i, doc_id in enumerate(doc_ids)
+    ]
+
+
 def normalized_tf(terms: Sequence[str]) -> dict[str, float]:
     """Normalised term frequencies of a term sequence (the TermScore per-term score)."""
     counts: dict[str, int] = {}
