@@ -269,7 +269,7 @@ def bench_prefix_scan(docs: int, terms: int, **_: object) -> dict:
 
 
 def _build_macro_index(shards: int, macro_docs: int, path: "str | None" = None,
-                       threads: int = 1):
+                       threads: int = 1, list_cache_pages: int = 0):
     """A Chunk-method text index over a synthetic corpus (the macrobench rig)."""
     from repro.core.text_index import SVRTextIndex
     from repro.workloads.synthetic import SyntheticCorpusConfig, generate_corpus
@@ -283,6 +283,7 @@ def _build_macro_index(shards: int, macro_docs: int, path: "str | None" = None,
     index = SVRTextIndex(
         method="chunk", shards=shards, threads=threads, cache_pages=4096,
         page_size=512, chunk_ratio=2.2, min_chunk_size=10, path=path,
+        list_cache_pages=list_cache_pages,
     )
     for document in corpus.iter_documents():
         index.add_document_terms(document.doc_id, document.terms, document.score)
@@ -562,6 +563,53 @@ def bench_explain_overhead(macro_docs: int, **_: object) -> dict:
     }
 
 
+def bench_hot_query_under_writes(macro_docs: int, **_: object) -> dict:
+    """Warm top-k queries with the hot-term list cache on, between writes.
+
+    The Chunk rig with ``list_cache_pages=1024`` of ``cache_pages=4096``
+    alternates one 32-update window with one query of the unselective
+    workload.  Writes never touch a long list, so decoded lists stay cached
+    across the windows.  ``seconds`` times the queries only;
+    ``extra["cache_hit_rate"]`` is the cache's hit rate over the timed loop.
+    """
+    from repro.workloads.updates import UpdateWorkload, UpdateWorkloadConfig
+
+    index, corpus = _build_macro_index(shards=1, macro_docs=macro_docs,
+                                       list_cache_pages=1024)
+    queries = _macro_queries(corpus)
+    rounds, window = 4, 32
+    updates = UpdateWorkload(
+        UpdateWorkloadConfig(num_updates=window * rounds * len(queries), seed=11),
+        corpus.scores(),
+    ).generate_list()
+    scores = corpus.scores()
+    for query in queries:  # warm the cache and the Score table
+        index.search(query.keywords, k=query.k, conjunctive=query.conjunctive)
+    stats = index.index.list_cache.stats
+    hits, misses = stats.hits, stats.misses
+    elapsed = 0.0
+    operations = 0
+    for _ in range(rounds):
+        for query in queries:
+            batch = updates[operations * window:(operations + 1) * window]
+            for update in batch:
+                scores[update.doc_id] = update.apply_to(scores[update.doc_id])
+            index.apply_score_updates(
+                [(update.doc_id, scores[update.doc_id]) for update in batch])
+            start = time.perf_counter()
+            index.search(query.keywords, k=query.k, conjunctive=query.conjunctive)
+            elapsed += time.perf_counter() - start
+            operations += 1
+    opens = stats.hits - hits + stats.misses - misses
+    index.close()
+    return {
+        "seconds": elapsed,
+        "operations": operations,
+        "extra": {"cache_hit_rate": round((stats.hits - hits) / opens, 3)
+                  if opens else 0.0},
+    }
+
+
 def bench_sharded_query_throughput(macro_docs: int, **_: object) -> dict:
     """Mixed multi-client traffic against the 4-shard term-partitioned engine.
 
@@ -676,6 +724,7 @@ BENCHES = {
     "fault_overhead": bench_fault_overhead,
     "obs_overhead": bench_obs_overhead,
     "explain_overhead": bench_explain_overhead,
+    "hot_query_under_writes": bench_hot_query_under_writes,
     "sharded_query_throughput": bench_sharded_query_throughput,
     "parallel_query_throughput": bench_parallel_query_throughput,
 }

@@ -217,10 +217,12 @@ class InvertedIndex(abc.ABC):
             page_size = self.env.disk.page_size
         return InvertedListCache(budget_bytes=pages * page_size)
 
-    def _invalidate_list_cache(self) -> None:
-        """Drop every hot-term cache entry; called by every write entry point."""
+    def _forget_scores(self, doc_ids: "Iterable[int]") -> None:
+        """Forget the memoised scores of the documents a write changes; every
+        write entry point calls this before its first Score- or deleted-table
+        write.  Cached long lists stay valid: no write touches them."""
         if self.list_cache is not None:
-            self.list_cache.invalidate()
+            self.list_cache.forget_scores(doc_ids)
 
     def invalidate_list_cache_shard(self, shard: "int | None") -> None:
         """Drop one shard's hot-term cache entries (quarantine, reopen)."""
@@ -320,9 +322,9 @@ class InvertedIndex(abc.ABC):
         old_score = self.score_table.get(doc_id, default=None)
         if old_score is None:
             raise DocumentNotFoundError(f"document {doc_id} is not indexed")
+        self._forget_scores((doc_id,))
         self.score_table.put(doc_id, new_score)
         self.update_stats.score_updates += 1
-        self._invalidate_list_cache()
         self._after_score_update(doc_id, old_score, new_score)
 
     def apply_batch(self, updates: Iterable[tuple[int, float]]) -> int:
@@ -356,9 +358,9 @@ class InvertedIndex(abc.ABC):
             pending[doc_id] = new_score
         if not changes:
             return 0
+        self._forget_scores(pending)
         self.score_table.put_many(sorted(pending.items()))
         self.update_stats.score_updates += len(changes)
-        self._invalidate_list_cache()
         self._after_score_batch(changes)
         return len(changes)
 
@@ -375,10 +377,10 @@ class InvertedIndex(abc.ABC):
             if indexed:
                 previous = removed
         self.documents.add_terms(doc_id, terms)
+        self._forget_scores((doc_id,))
         self.deleted_table.delete_if_present(doc_id)
         self.score_table.put(doc_id, score)
         self.update_stats.documents_inserted += 1
-        self._invalidate_list_cache()
         self._after_insert(doc_id, score, previous)
 
     def delete_document(self, doc_id: int) -> None:
@@ -386,9 +388,9 @@ class InvertedIndex(abc.ABC):
         self._check_finalized("delete_document")
         if not self.score_table.contains(doc_id) or self.deleted_table.contains(doc_id):
             raise DocumentNotFoundError(f"document {doc_id} is not indexed")
+        self._forget_scores((doc_id,))
         self.deleted_table.put(doc_id, True)
         self.update_stats.documents_deleted += 1
-        self._invalidate_list_cache()
         self._after_delete(doc_id)
 
     def update_content(self, doc_id: int, new_terms: Iterable[str]) -> None:
@@ -398,9 +400,9 @@ class InvertedIndex(abc.ABC):
             raise DocumentNotFoundError(f"document {doc_id} is not indexed")
         old_document = self.documents.get(doc_id)
         new_document = Document.from_terms(doc_id, new_terms)
+        self._forget_scores((doc_id,))
         self.documents.replace(new_document)
         self.update_stats.content_updates += 1
-        self._invalidate_list_cache()
         self._after_content_update(doc_id, old_document, new_document)
 
     # ------------------------------------------------------------------
@@ -596,29 +598,23 @@ class InvertedIndex(abc.ABC):
         rows of the live ones, each as one bulk pass that descends once per
         leaf run — the same keys, and so the same pages, as probing one
         document at a time.  With the hot-term cache enabled the lookup is
-        memoised per document: scores are immutable between writes (every
-        write entry point invalidates the cache, clearing the memo with it).
-        The memo is never consulted on the cache-off fidelity path, whose
-        page accounting is pinned by the fig7/table1 fingerprints.
+        memoised per document: every write entry point forgets the memoised
+        scores of the documents it changes (:meth:`_forget_scores`), so a
+        memoised score is the table's current one.  The memo is never
+        consulted on the cache-off fidelity path, whose page accounting is
+        pinned by the fig7/table1 fingerprints.
         """
-        cache = self.list_cache
-        memo = None if cache is None else cache.scores
+        memo = None if self.list_cache is None else self.list_cache.scores
         scores: "dict[int, float | None]" = {}
         pending = doc_ids
         if memo is not None:
-            pending = []
-            for doc_id in doc_ids:
-                if doc_id in memo:
-                    scores[doc_id] = memo[doc_id]
-                else:
-                    pending.append(doc_id)
+            scores = {doc_id: memo[doc_id] for doc_id in doc_ids if doc_id in memo}
+            pending = [doc_id for doc_id in doc_ids if doc_id not in scores]
         deleted = self.deleted_table.get_many(pending)
         found = self.score_table.get_many(
-            [doc_id for doc_id in pending if doc_id not in deleted]
-        )
+            [doc_id for doc_id in pending if doc_id not in deleted])
         for doc_id in pending:
-            score = found.get(doc_id)
-            scores[doc_id] = score
-            if memo is not None and len(memo) < cache.SCORE_MEMO_LIMIT:
-                memo[doc_id] = score
+            scores[doc_id] = found.get(doc_id)
+        if memo is not None and len(memo) < self.list_cache.SCORE_MEMO_LIMIT:
+            memo.update((doc_id, scores[doc_id]) for doc_id in pending)
         return scores

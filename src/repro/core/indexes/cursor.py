@@ -76,7 +76,7 @@ class LongListIndex(InvertedIndex):
         cache = self.list_cache
         if cache is not None:
             plan["cache"] = {
-                "cached": cache.peek(getattr(handle, "shard", None), term),
+                "cached": cache.peek(getattr(handle, "shard", None), handle.segment_id),
                 "cacheable": handle.length <= cache.budget_bytes,
             }
         plan["layout"] = "legacy"
@@ -117,9 +117,9 @@ class LongListIndex(InvertedIndex):
 
     def _long_items(self, term: str) -> Iterator[tuple]:
         """Decode the long list.  A blocked list may come from the hot-term
-        cache, which a miss fills through the accounting-free peek path
-        (unless the list exceeds its whole budget); fill failures are
-        shard-tagged like scan failures."""
+        cache, keyed by segment (so valid across writes), which a miss fills
+        through the accounting-free peek path (unless the list exceeds its
+        whole budget); fill failures are shard-tagged like scan failures."""
         handle = self._segments.get(term)
         if handle is None:
             return
@@ -130,11 +130,11 @@ class LongListIndex(InvertedIndex):
         cache = self.list_cache if self.blocked_postings else None
         if cache is not None:
             shard = getattr(handle, "shard", None)
-            items = cache.get(shard, term)
+            items = cache.get(shard, handle.segment_id)
             if items is None and handle.length <= cache.budget_bytes:
                 reader = LazyBytesReader(self._long_lists.peek_pages(handle))
                 items = list(_tag_scan_errors(handle, decode(reader)))
-                cache.put(shard, term, items, nbytes=handle.length)
+                cache.put(shard, handle.segment_id, items, nbytes=handle.length)
             if items is not None:
                 yield from items
                 return

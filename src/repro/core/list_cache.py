@@ -3,8 +3,8 @@
 Long inverted lists are immutable binary objects; a query over a hot term
 re-reads and re-decodes the same segment every time.  The
 :class:`InvertedListCache` keeps the *decoded* posting tuples of the hottest
-terms in memory, keyed by ``(shard, term)``, so a repeat scan skips both the
-page reads and the codec entirely.
+terms in memory, keyed by ``(shard, segment_id)``, so a repeat scan skips both
+the page reads and the codec entirely.
 
 The cache sits strictly *above* the buffer pool and is invisible to it:
 
@@ -19,11 +19,11 @@ The cache sits strictly *above* the buffer pool and is invisible to it:
   encoded segment length — the decoded tuples cost more RAM than that, but
   the encoded length is the stable, workload-independent proxy the budget
   split is expressed in.
-* **correctness is generation-based**: every write entry point
-  (score updates, batched windows, document insert/delete/content update)
-  bumps the cache generation, dropping every entry; shard quarantine and
-  ``reopen_shard`` drop that shard's entries.  Long lists are immutable
-  between those events, so a generation-valid entry can never be stale.
+* **correctness is segment-based**: writes never touch a long list (they go
+  to the Score table and the short/delta lists) and segment ids are never
+  reused, so an entry can never be stale.  A write only forgets the memoised
+  scores of its documents (:meth:`InvertedListCache.forget_scores`); shard
+  quarantine and ``reopen_shard`` drop that shard's entries and the memo.
 
 Entries are LRU-evicted once the budget is exceeded; a single list larger
 than the whole budget is never admitted (the scan falls back to the charged
@@ -35,7 +35,7 @@ from __future__ import annotations
 import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Hashable
+from typing import Hashable, Iterable
 
 from repro.errors import InvertedIndexError
 
@@ -68,6 +68,7 @@ class ListCacheStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
+    #: Shard-level drops (quarantine, ``reopen_shard``); writes drop nothing.
     invalidations: int = 0
 
 
@@ -75,15 +76,15 @@ class ListCacheStats:
 class InvertedListCache:
     """LRU cache of decoded long-list postings, capped by a byte budget.
 
-    Keys are ``(shard, term)`` pairs (``shard`` is ``None`` on unsharded
-    environments); values are the fully decoded posting tuples of one long
-    list, charged against the budget at the *encoded* segment length.
+    Keys are ``(shard, segment_id)`` pairs (``shard`` is ``None`` on
+    unsharded environments); values are the fully decoded posting tuples of
+    one long list, charged against the budget at the *encoded* segment length.
     """
 
-    #: Largest number of memoised live-score lookups kept between writes.
-    #: The memo is a side-car of the list cache (same lifetime, same
-    #: invalidation events), so the cap only guards against a pathological
-    #: read-only scan over an enormous corpus growing the dict without bound.
+    #: Memo size past which new live-score lookups are not memoised (a batch
+    #: below it is admitted whole).  Writes forget only their own documents,
+    #: so the memo lives as long as the cache; the cap keeps a corpus larger
+    #: than this from growing the dict without bound.
     SCORE_MEMO_LIMIT = 1 << 20
 
     budget_bytes: int
@@ -93,10 +94,10 @@ class InvertedListCache:
         default_factory=OrderedDict, repr=False
     )
     #: ``doc_id -> live score`` (``None`` = deleted/absent) memo for the
-    #: query-time Score-table lookups.  Valid between writes for the same
-    #: reason the list entries are: every write entry point calls
-    #: :meth:`invalidate`.  Only consulted when the cache is enabled, so the
-    #: cache-off fidelity path never sees it.
+    #: query-time Score-table lookups.  A write calls :meth:`forget_scores`
+    #: on its documents before it writes the Score or deleted table.  Only
+    #: consulted when the cache is enabled, so the cache-off fidelity path
+    #: never sees it.
     scores: "dict[int, float | None]" = field(default_factory=dict, repr=False)
     #: Optional :class:`~repro.obs.metrics.MetricsRegistry` (duck-typed)
     #: attached by the router.  The local :class:`ListCacheStats` counters are
@@ -113,37 +114,36 @@ class InvertedListCache:
             else:
                 metrics.inc(name, shard=shard)
 
-    def get(self, shard: "int | None", term: str) -> "list | None":
-        """The cached postings for ``(shard, term)``, or ``None`` on a miss."""
-        entry = self._entries.get((shard, term))
+    def get(self, shard: "int | None", key: Hashable) -> "list | None":
+        """The cached postings for ``(shard, key)``, or ``None`` on a miss."""
+        entry = self._entries.get((shard, key))
         if entry is None:
             self.stats.misses += 1
             self._note("list_cache.misses", shard)
             return None
-        self._entries.move_to_end((shard, term))
+        self._entries.move_to_end((shard, key))
         self.stats.hits += 1
         self._note("list_cache.hits", shard)
         return entry[1]
 
-    def peek(self, shard: "int | None", term: str) -> bool:
-        """Whether ``(shard, term)`` is cached, without observing the lookup.
+    def peek(self, shard: "int | None", key: Hashable) -> bool:
+        """Whether ``(shard, key)`` is cached, without observing the lookup.
 
         EXPLAIN's cache-status probe: unlike :meth:`get` it touches neither
         the hit/miss counters nor the LRU order, so describing a plan leaves
         the cache exactly as it found it.
         """
-        return (shard, term) in self._entries
+        return (shard, key) in self._entries
 
-    def put(self, shard: "int | None", term: str, postings: list,
+    def put(self, shard: "int | None", key: Hashable, postings: list,
             nbytes: int) -> bool:
         """Admit ``postings`` charged at ``nbytes``; ``False`` if over budget."""
         if nbytes > self.budget_bytes:
             return False
-        key = (shard, term)
-        old = self._entries.pop(key, None)
+        old = self._entries.pop((shard, key), None)
         if old is not None:
             self.used_bytes -= old[0]
-        self._entries[key] = (nbytes, postings)
+        self._entries[shard, key] = (nbytes, postings)
         self.used_bytes += nbytes
         while self.used_bytes > self.budget_bytes:
             evicted_key, (evicted_bytes, _postings) = self._entries.popitem(last=False)
@@ -152,13 +152,10 @@ class InvertedListCache:
             self._note("list_cache.evictions", evicted_key[0])
         return True
 
-    def invalidate(self) -> None:
-        """Drop every entry (a write happened somewhere in the index)."""
-        if self._entries or self.scores:
-            self.stats.invalidations += 1
-        self._entries.clear()
-        self.scores.clear()
-        self.used_bytes = 0
+    def forget_scores(self, doc_ids: "Iterable[int]") -> None:
+        """Drop the memoised scores of ``doc_ids`` (they are being written)."""
+        for doc_id in doc_ids:
+            self.scores.pop(doc_id, None)
 
     def invalidate_shard(self, shard: "int | None") -> None:
         """Drop the entries of one shard (quarantine / ``reopen_shard``)."""

@@ -77,7 +77,8 @@ def _render_text(snapshot: dict) -> str:
         lines.append(
             f"list cache: {cache['entries']} entries, "
             f"{cache['used_bytes']}/{cache['budget_bytes']} bytes, "
-            f"hits={cache['hits']} misses={cache['misses']}"
+            f"hits={cache['hits']} misses={cache['misses']} "
+            f"score_memo={cache['score_memo_entries']}"
         )
     if snapshot["events"]:
         lines.append("events:")

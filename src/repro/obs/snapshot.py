@@ -77,6 +77,7 @@ def _list_cache(index) -> "dict | None":
         "budget_bytes": cache.budget_bytes,
         "used_bytes": cache.used_bytes,
         "entries": len(cache),
+        "score_memo_entries": len(cache.scores),
         "hits": cache.stats.hits,
         "misses": cache.stats.misses,
         "evictions": cache.stats.evictions,

@@ -355,6 +355,10 @@ class ShardedSegmentHandle:
     handle: SegmentHandle
 
     @property
+    def segment_id(self) -> int:
+        return self.handle.segment_id
+
+    @property
     def length(self) -> int:
         return self.handle.length
 

@@ -1,16 +1,21 @@
 """Hot-term inverted-list cache: correctness under every write/failure event.
 
 The :class:`~repro.core.list_cache.InvertedListCache` keeps *decoded* long-list
-postings in memory, so its one hard obligation is to never serve postings that
-predate a write.  This suite checks that obligation at every invalidation
-boundary the PR wired up:
+postings in memory, keyed by segment, and a memo of query-time Score-table
+lookups.  Writes never touch a long list, so entries live across writes; a
+write forgets only the memoised scores of the documents it changes.  The
+cache's one hard obligation is to never answer differently from the uncached
+engine.  This suite checks it:
 
-* **unit layer** — byte-budget admission, LRU eviction, full and per-shard
-  invalidation, and the live-score memo side-car;
+* **unit layer** — byte-budget admission, LRU eviction, per-document score
+  forgetting, per-shard invalidation;
 * **equivalence matrix** — cache-on answers equal cache-off answers across all
   six index methods x shards {1, 4} x threads {1, 4}, interleaved with
   sequential score updates, batched update windows, inserts, deletes and
-  content updates;
+  content updates, plus a seeded ~300-operation interleaving per method and
+  shard count;
+* **write entry points** — each keeps the list entries and forgets exactly
+  its documents' scores, also when it raises halfway;
 * **failure domains** — shard quarantine and ``reopen_shard`` drop the
   shard's entries (a recovered shard may have rolled back past the postings a
   cached entry was decoded from);
@@ -26,7 +31,7 @@ import pytest
 
 from repro.core.list_cache import InvertedListCache, list_cache_pages_from_environ
 from repro.core.text_index import SVRTextIndex
-from repro.errors import InvertedIndexError
+from repro.errors import InvertedIndexError, TransientIOError
 from repro.storage.sharding import shard_of_term
 from tests.conftest import METHOD_OPTIONS, SVR_ONLY_METHODS, TERMSCORE_METHODS, make_corpus
 from tests.helpers import build_index, query_doc_scores
@@ -81,14 +86,14 @@ class TestInvertedListCacheUnit:
         cache.put(None, "a", [(1, 0.0), (2, 0.0)], nbytes=80)
         assert cache.used_bytes == 80 and len(cache) == 1
 
-    def test_invalidate_clears_everything(self):
+    def test_forget_scores_drops_only_the_given_documents(self):
         cache = InvertedListCache(budget_bytes=100)
-        cache.put(0, "a", [(1, 0.0)], nbytes=10)
-        cache.scores[7] = 1.5
-        cache.invalidate()
-        assert len(cache) == 0 and cache.used_bytes == 0
-        assert not cache.scores
-        assert cache.stats.invalidations == 1
+        cache.put(0, 3, [(1, 0.0)], nbytes=10)
+        cache.scores.update({7: 1.5, 8: None, 9: 2.0})
+        cache.forget_scores([7, 8, 42])  # 42 was never memoised
+        assert cache.scores == {9: 2.0}
+        assert cache.get(0, 3) == [(1, 0.0)] and cache.used_bytes == 10
+        assert cache.stats.invalidations == 0
 
     def test_invalidate_shard_is_selective_for_lists_only(self):
         cache = InvertedListCache(budget_bytes=100)
@@ -207,24 +212,129 @@ def test_cache_actually_serves_hits():
         cached.close()
         plain.close()
 
-def test_cache_invalidated_by_each_write_entry_point():
-    """Every write API drops the cache before the method reacts to the write."""
-    cached, plain = _build_pair("id", shards=1, threads=1)
+@pytest.mark.parametrize("method", ["id", "chunk", "score_threshold"])
+def test_cache_survives_each_write_entry_point(method):
+    """A write keeps every list entry and forgets only its documents' scores."""
+    cached, plain = _build_pair(method, shards=1, threads=1)
+    cache = cached.index.list_cache
+    writes = [
+        ((3,), lambda i: i.update_score(3, 999.5)),
+        ((4, 5), lambda i: i.apply_score_updates([(4, 1.25), (5, 800.0)])),
+        ((901,), lambda i: i.insert_document_terms(901, ["w001", "w004"], 700.0)),
+        ((901,), lambda i: i.update_content(901, "w004 w009")),
+        ((901,), lambda i: i.delete_document(901)),
+    ]
     try:
-        writes = [
-            lambda i: i.update_score(3, 999.5),
-            lambda i: i.apply_score_updates([(4, 1.25), (5, 800.0)]),
-            lambda i: i.insert_document_terms(901, ["w001", "w004"], 700.0),
-            lambda i: i.update_content(901, "w004 w009"),
-            lambda i: i.delete_document(901),
-        ]
-        for write in writes:
-            _snapshot(cached)  # repopulate
-            assert len(cached.index.list_cache) > 0
+        for written, write in writes:
+            _snapshot(cached)  # fill entries and the score memo
+            entries = set(cache._entries)
+            assert entries
+            kept = next(doc_id for doc_id in cache.scores if doc_id not in written)
+            kept_score = cache.scores[kept]
             write(cached)
             write(plain)
-            assert len(cached.index.list_cache) == 0  # dropped eagerly
+            assert set(cache._entries) == entries
+            assert not set(written) & set(cache.scores)
+            assert cache.scores[kept] == kept_score
+            hits, misses = cache.stats.hits, cache.stats.misses
             assert _snapshot(cached) == _snapshot(plain)
+            assert cache.stats.hits > hits and cache.stats.misses == misses
+        assert cache.stats.invalidations == 0
+    finally:
+        cached.close()
+        plain.close()
+
+
+def _interleave(cached: SVRTextIndex, plain: SVRTextIndex, seed: int,
+                operations: int = 300) -> None:
+    """A seeded mix of writes and queries applied to both indexes; every
+    query's results and scores must agree."""
+    rng = random.Random(seed)
+    vocab = [f"w{i:03d}" for i in range(25)]
+    scores = {doc_id: score for doc_id, _terms, score in make_corpus(
+        random.Random(97), num_docs=40, vocabulary=25)}
+    deleted: list[int] = []
+    for step in range(operations):
+        live = sorted(set(scores) - set(deleted))
+        roll = rng.random()
+        if roll < 0.35:
+            keywords = rng.sample(vocab, rng.randint(1, 3))
+            k = rng.choice([1, 5, 10])
+            conjunctive = rng.random() < 0.5
+            answers = [[(r.doc_id, r.score) for r in index.search(
+                keywords, k=k, conjunctive=conjunctive).results]
+                for index in (cached, plain)]
+            assert answers[0] == answers[1], (step, keywords, conjunctive)
+            continue
+        if roll < 0.55:
+            doc_id = rng.choice(live)
+            scores[doc_id] = round(rng.uniform(0.0, 1000.0), 2)
+            write = lambda i: i.update_score(doc_id, scores[doc_id])
+        elif roll < 0.7:
+            window = [(rng.choice(live), round(rng.uniform(0.0, 1000.0), 2))
+                      for _ in range(rng.randint(2, 12))]
+            scores.update(window)
+            write = lambda i: i.apply_score_updates(window)
+        elif roll < 0.8:
+            doc_id = rng.choice(live)
+            deleted.append(doc_id)
+            write = lambda i: i.delete_document(doc_id)
+        elif roll < 0.9 and deleted:
+            doc_id = deleted.pop(rng.randrange(len(deleted)))
+            old = scores[doc_id]
+            scores[doc_id] = round(rng.choice(
+                [rng.uniform(0.0, old), rng.uniform(old, 1000.0)]), 2)
+            terms = rng.sample(vocab, rng.randint(2, 6))
+            write = lambda i: i.insert_document_terms(doc_id, terms, scores[doc_id])
+        else:
+            doc_id = rng.choice(live)
+            text = " ".join(rng.sample(vocab, rng.randint(2, 6)))
+            write = lambda i: i.update_content(doc_id, text)
+        write(cached)
+        write(plain)
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+@pytest.mark.parametrize("method", ALL_METHODS)
+def test_cache_on_equals_cache_off_over_a_long_interleaving(method, shards):
+    cached, plain = _build_pair(method, shards, threads=1)
+    try:
+        _interleave(cached, plain, seed=31)
+        stats = cached.index.list_cache.stats
+        opens = stats.hits + stats.misses
+        if method == "score":  # postings live in a clustered B+-tree
+            assert opens == 0
+        else:
+            assert opens > 0 and stats.hits >= opens / 2
+        assert stats.invalidations == 0
+    finally:
+        cached.close()
+        plain.close()
+
+
+def test_failed_write_leaves_no_memoised_score_of_its_window(monkeypatch):
+    """A window whose Score-table pass raises after a prefix forgets every
+    document of the window, and both indexes still answer alike."""
+    cached, plain = _build_pair("chunk", shards=1, threads=1)
+    try:
+        _snapshot(cached)
+        cache = cached.index.list_cache
+        window = [(doc_id, 999.0 - doc_id) for doc_id in sorted(cache.scores)[:6]]
+        assert len(window) == 6
+        for index in (cached, plain):
+            table = index.index.score_table
+            put_many = table.put_many
+
+            def torn(items, put_many=put_many):
+                put_many(list(items)[:3])
+                raise TransientIOError("torn Score-table pass")
+
+            monkeypatch.setattr(table, "put_many", torn)
+            with pytest.raises(TransientIOError):
+                index.apply_score_updates(window)
+            monkeypatch.setattr(table, "put_many", put_many)
+        assert not {doc_id for doc_id, _score in window} & set(cache.scores)
+        assert _snapshot(cached) == _snapshot(plain)
     finally:
         cached.close()
         plain.close()

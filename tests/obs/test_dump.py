@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.text_index import SVRTextIndex
 from repro.errors import ObservabilityError
-from repro.obs.dump import main as dump_main
+from repro.obs.dump import _render_text, main as dump_main
 from repro.obs.snapshot import observability_snapshot, to_json, to_prometheus_text
 from tests.conftest import METHOD_OPTIONS, make_corpus
 
@@ -38,6 +38,8 @@ class TestSnapshot:
             assert snapshot["metrics"]["counters"]["query.count"] == 1.0
             assert len(snapshot["shard_io"]) == 4
             assert snapshot["list_cache"]["budget_bytes"] > 0
+            assert snapshot["list_cache"]["score_memo_entries"] > 0
+            assert "score_memo=" in _render_text(snapshot)
             assert len(snapshot["shard_health"]) == 4
             json.loads(to_json(snapshot))  # round-trips as JSON
         finally:

@@ -151,6 +151,18 @@ def test_plan_shape_and_term_layouts():
         index.close()
 
 
+def test_cache_probe_sees_entries_that_outlive_writes():
+    index = _build("chunk", shards=4, threads=1, list_cache_pages=8,
+                   blocked_postings=True)
+    try:
+        assert index.explain(["w001"], k=5)["terms"][0]["cache"]["cached"] is False
+        index.search(["w001"], k=5)
+        index.update_score(3, 999.0)
+        assert index.explain(["w001"], k=5)["terms"][0]["cache"]["cached"] is True
+    finally:
+        index.close()
+
+
 def test_analyze_execution_section():
     index = _build("chunk", shards=4, threads=4)
     try:
