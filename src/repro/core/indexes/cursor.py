@@ -242,7 +242,9 @@ class LongListIndex(InvertedIndex):
             self._bookkeeping.put(doc_id, (list_state, False))
         if new_state <= self.threshold_value_of(list_state):
             return
-        for term in self._content_terms(doc_id):
+        # Sorted, so the short list's B+-tree shape does not follow the
+        # set's hash order (and page counts do not follow PYTHONHASHSEED).
+        for term in sorted(self._content_terms(doc_id)):
             if in_short_list:
                 self._short.delete_if_present(self._short_key(term, doc_id, list_state))
             self._short.put(self._short_key(term, doc_id, new_state),

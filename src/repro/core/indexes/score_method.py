@@ -68,7 +68,8 @@ class ScoreIndex(InvertedIndex):
     def _after_score_update(self, doc_id: int, old_score: float, new_score: float) -> None:
         if old_score == new_score or self._deleted_among([doc_id]):
             return
-        for term in self._content_terms(doc_id):
+        # Sorted, so the list tree's shape does not follow hash order.
+        for term in sorted(self._content_terms(doc_id)):
             self._lists.delete_if_present((term, -old_score, doc_id))
             self._lists.put((term, -new_score, doc_id), None)
             self.update_stats.short_list_postings_written += 1
