@@ -37,7 +37,6 @@ if str(_SRC) not in sys.path:
 
 from repro.core.posting import (  # noqa: E402
     ChunkRun,
-    LazyBytesReader,
     Posting,
     ScoredPosting,
     build_rekey_operations,
@@ -173,24 +172,25 @@ def bench_btree_batch_update(docs: int, terms: int, updates: int, **_: object) -
 def bench_decode_id_list(decode_postings: int, **_: object) -> dict:
     """Full lazy scan of one long ID-ordered inverted list, term scores included.
 
-    The list is written to a heap file in the blocked layout and decoded
-    page-at-a-time through ``LazyBytesReader`` — the exact code path of the
-    ID/ID-TermScore query scan under the production (blocked) codec.  The
-    scan yields whole blocks, as the ID methods consume them; ``operations``
-    still counts postings, so the rate stays postings/s.
+    The list is written to a heap file one block per page and decoded from
+    the heap file's page iterator — the exact code path of the
+    ID/ID-TermScore query scan.  The scan yields one block per page, as the
+    ID methods consume them; ``operations`` still counts postings, so the
+    rate stays postings/s.
     """
     env = StorageEnvironment(cache_pages=65536, page_size=4096)
     heap = env.create_heapfile("bench.longlists")
     postings = [
         Posting(doc_id=3 * index + 1, term_score=0.25) for index in range(decode_postings)
     ]
-    handle = heap.write(encode_blocked_id_postings(postings, with_term_scores=True))
+    handle = heap.write(encode_blocked_id_postings(postings, with_term_scores=True,
+                                                   page_size=4096))
     rounds = 3
     operations = 0
     start = time.perf_counter()
     for _ in range(rounds):
-        reader = LazyBytesReader(heap.iter_pages(handle))
-        for _last_doc_id, doc_ids, _term_scores in iter_blocked_id_postings_lazy(reader):
+        pages = heap.iter_pages(handle)
+        for _last_doc_id, doc_ids, _term_scores in iter_blocked_id_postings_lazy(pages):
             operations += len(doc_ids)
     elapsed = time.perf_counter() - start
     checksum = postings[-1].doc_id
@@ -198,9 +198,9 @@ def bench_decode_id_list(decode_postings: int, **_: object) -> dict:
 
 
 def bench_decode_chunk_list(decode_postings: int, **_: object) -> dict:
-    """Full lazy scan of one blocked chunked long list (the Chunk query scan).
+    """Full lazy scan of one chunked long list (the Chunk query scan).
 
-    The scan yields block-local chunk fragments, as the Chunk methods consume
+    The scan yields page-local chunk fragments, as the Chunk methods consume
     them; ``operations`` still counts postings, so the rate stays postings/s.
     """
     env = StorageEnvironment(cache_pages=65536, page_size=4096)
@@ -212,23 +212,23 @@ def bench_decode_chunk_list(decode_postings: int, **_: object) -> dict:
         chunk = tuple(Posting(doc_id=doc_id + 2 * i) for i in range(chunk_size))
         doc_id += 2 * chunk_size
         runs.append(ChunkRun(chunk_id=chunk_id, postings=chunk))
-    handle = heap.write(encode_blocked_chunk_runs(runs))
+    handle = heap.write(encode_blocked_chunk_runs(runs, page_size=4096))
     rounds = 3
     operations = 0
     start = time.perf_counter()
     for _ in range(rounds):
-        reader = LazyBytesReader(heap.iter_pages(handle))
-        for _chunk_id, doc_ids, _term_scores in iter_blocked_chunk_postings_lazy(reader):
+        pages = heap.iter_pages(handle)
+        for _chunk_id, doc_ids, _term_scores in iter_blocked_chunk_postings_lazy(pages):
             operations += len(doc_ids)
     elapsed = time.perf_counter() - start
     return {"seconds": elapsed, "operations": operations}
 
 
 def bench_decode_scored_list(decode_postings: int, **_: object) -> dict:
-    """Full lazy scan of one blocked score-ordered long list (the
-    Score-Threshold query scan).
+    """Full lazy scan of one score-ordered long list (the Score-Threshold
+    query scan).
 
-    The scan yields whole blocks, as the Score-Threshold merge consumes them;
+    The scan yields one block per page, as the Score-Threshold merge consumes them;
     ``operations`` still counts postings, so the rate stays postings/s.
     """
     env = StorageEnvironment(cache_pages=65536, page_size=4096)
@@ -238,13 +238,13 @@ def bench_decode_scored_list(decode_postings: int, **_: object) -> dict:
                       score=float(decode_postings - index))
         for index in range(decode_postings)
     ]
-    handle = heap.write(encode_blocked_scored_postings(postings))
+    handle = heap.write(encode_blocked_scored_postings(postings, page_size=4096))
     rounds = 3
     operations = 0
     start = time.perf_counter()
     for _ in range(rounds):
-        reader = LazyBytesReader(heap.iter_pages(handle))
-        for _bound, doc_ids, _scores, _term_scores in iter_blocked_scored_postings_lazy(reader):
+        pages = heap.iter_pages(handle)
+        for _bound, doc_ids, _scores, _term_scores in iter_blocked_scored_postings_lazy(pages):
             operations += len(doc_ids)
     elapsed = time.perf_counter() - start
     return {"seconds": elapsed, "operations": operations}

@@ -30,7 +30,6 @@ from repro.errors import (
     StorageError,
 )
 from repro.core.list_cache import InvertedListCache, list_cache_pages_from_environ
-from repro.core.posting import blocked_postings_enabled
 from repro.core.result_heap import QueryResult
 from repro.obs.trace import span
 from repro.storage.environment import StorageEnvironment
@@ -119,12 +118,6 @@ class InvertedIndex(abc.ABC):
         from it.
     name:
         Index name, used to derive store names inside the environment.
-    blocked_postings:
-        Whether long lists are written with the blocked codec (per-block
-        directory + CRC; see :mod:`repro.core.posting`).  ``None`` (default)
-        resolves the process-wide :func:`blocked_postings_enabled` flag —
-        ``REPRO_BLOCKED_POSTINGS=0`` is the fidelity off-switch that keeps the
-        seed's legacy payloads and I/O fingerprints bit-identical.
     list_cache_pages:
         Byte budget of the hot-term decoded-postings cache, expressed in
         pages (see :mod:`repro.core.list_cache`).  ``None`` resolves
@@ -140,15 +133,13 @@ class InvertedIndex(abc.ABC):
 
     def __init__(self, env: "StorageEnvironment | ShardedEnvironment",
                  documents: DocumentStore, name: str = "svr",
-                 blocked_postings: "bool | None" = None,
                  list_cache_pages: "int | None" = None) -> None:
         self.env = env
         self.documents = documents
         self.name = name
-        self.blocked_postings = (
-            blocked_postings_enabled() if blocked_postings is None
-            else bool(blocked_postings)
-        )
+        #: The environment's page size: long lists are written one block per
+        #: page, and the list cache's budget is counted in pages.
+        self.page_size = getattr(env, "page_size", None) or env.disk.page_size
         self.list_cache = self._make_list_cache(list_cache_pages)
         self.score_table = self._create_kvstore(f"{name}.score", key_shard="doc")
         self.deleted_table = self._create_kvstore(f"{name}.deleted", key_shard="doc")
@@ -212,10 +203,7 @@ class InvertedIndex(abc.ABC):
                  else int(list_cache_pages))
         if pages <= 0:
             return None
-        page_size = getattr(self.env, "page_size", None)
-        if page_size is None:
-            page_size = self.env.disk.page_size
-        return InvertedListCache(budget_bytes=pages * page_size)
+        return InvertedListCache(budget_bytes=pages * self.page_size)
 
     def _forget_scores(self, doc_ids: "Iterable[int]") -> None:
         """Forget the memoised scores of the documents a write changes; every
@@ -233,15 +221,15 @@ class InvertedIndex(abc.ABC):
         """Planner-visible description of one term's long-list scan.
 
         The EXPLAIN building block: everything here is served from existing
-        in-memory state (segment dictionaries, cache membership) or the
-        accounting-free peek path (the blocked header + directory), so
-        describing a plan performs **zero accounted storage accesses**.
+        in-memory state (segment handles, cache membership) or the
+        accounting-free peek path (a long list's page 0), so describing a
+        plan performs **zero accounted storage accesses**.
 
-        ``layout`` is one of ``"blocked"`` (directory-backed payload),
-        ``"legacy"`` (pre-blocked flat encoding), ``"btree-clustered"``
-        (methods like Score whose postings live in a clustered B+-tree, not
-        per-term segments), ``"absent"`` (no long list for this term) or
-        ``"unreadable"`` (a blocked payload whose directory failed its CRC).
+        ``layout`` is one of ``"blocked"`` (a long list, one block per page),
+        ``"btree-clustered"`` (methods like Score whose postings live in a
+        clustered B+-tree, not per-term segments), ``"absent"`` (no long list
+        for this term) or ``"unreadable"`` (a long list whose page 0 failed
+        its CRC).
         """
         return {"term": term, "layout": "btree-clustered", "blocks": None,
                 "estimated_postings": None, "segment_bytes": None,

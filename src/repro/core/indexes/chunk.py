@@ -61,10 +61,8 @@ class ChunkIndex(LongListIndex):
                  name: str = "svr", chunk_ratio: float = 6.12,
                  min_chunk_size: int = 100,
                  chunk_strategy: ChunkStrategy | None = None,
-                 blocked_postings: "bool | None" = None,
                  list_cache_pages: "int | None" = None) -> None:
         super().__init__(env, documents, name=name,
-                         blocked_postings=blocked_postings,
                          list_cache_pages=list_cache_pages)
         if chunk_strategy is None and chunk_ratio <= 1.0:
             raise InvertedIndexError(f"chunk_ratio must be greater than 1, got {chunk_ratio}")

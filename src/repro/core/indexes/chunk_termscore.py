@@ -44,11 +44,10 @@ class ChunkTermScoreIndex(ChunkIndex):
     def __init__(self, env: StorageEnvironment, documents: DocumentStore,
                  name: str = "svr", chunk_ratio: float = 6.12, min_chunk_size: int = 100,
                  chunk_strategy=None, term_weight: float = 1.0,
-                 fancy_size: int = 50, blocked_postings: "bool | None" = None,
+                 fancy_size: int = 50,
                  list_cache_pages: "int | None" = None) -> None:
         super().__init__(env, documents, name=name, chunk_ratio=chunk_ratio,
                          min_chunk_size=min_chunk_size, chunk_strategy=chunk_strategy,
-                         blocked_postings=blocked_postings,
                          list_cache_pages=list_cache_pages)
         self.term_weight = float(term_weight)
         self.fancy_size = int(fancy_size)

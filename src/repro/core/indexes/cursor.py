@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator
 
 from repro.core import posting
 from repro.core.indexes.base import InvertedIndex, QueryStats
-from repro.core.posting import LazyBytesReader, peek_blocked_directory
+from repro.core.posting import read_list_header
 from repro.errors import ReproError
 from repro.storage.heap_file import SegmentHandle
 from repro.text.documents import Document
@@ -28,15 +28,15 @@ from repro.text.documents import Document
 ADD = "ADD"
 REM = "REM"
 
-#: Codec name suffix per list kind (``encode_[blocked_]<suffix>``).
+#: Codec name suffix per list kind (``encode_blocked_<suffix>``).
 _PAYLOADS = {"id": "id_postings", "scored": "scored_postings", "chunk": "chunk_runs"}
 
 
 class LongListIndex(InvertedIndex):
     """A method whose postings live in per-term long lists plus a short list.
 
-    ``list_kind`` names the long-list codec (``"id"``, ``"chunk"`` or
-    ``"scored"``); the decoders are looked up by that name in
+    ``list_kind`` names the long-list kind (``"id"``, ``"chunk"`` or
+    ``"scored"``); its decoder is looked up by that name in
     :mod:`repro.core.posting` each time a list is opened.
     """
 
@@ -45,10 +45,8 @@ class LongListIndex(InvertedIndex):
     short_list_name = "short"
 
     def __init__(self, env, documents, name: str = "svr",
-                 blocked_postings: "bool | None" = None,
                  list_cache_pages: "int | None" = None) -> None:
         super().__init__(env, documents, name=name,
-                         blocked_postings=blocked_postings,
                          list_cache_pages=list_cache_pages)
         self._long_lists = self._create_heapfile(f"{name}.long")
         self._segments: dict[str, SegmentHandle] = {}
@@ -79,19 +77,14 @@ class LongListIndex(InvertedIndex):
                 "cached": cache.peek(getattr(handle, "shard", None), handle.segment_id),
                 "cacheable": handle.length <= cache.budget_bytes,
             }
-        plan["layout"] = "legacy"
-        if not self.blocked_postings:
-            return plan
         try:
-            directory = peek_blocked_directory(
-                LazyBytesReader(self._long_lists.peek_pages(handle)))
+            _kind, with_term_scores, total = read_list_header(
+                next(self._long_lists.peek_pages(handle)))
         except ReproError:
             plan["layout"] = "unreadable"
             return plan
-        if directory is not None:
-            plan.update(layout="blocked", blocks=len(directory.blocks),
-                        estimated_postings=directory.total,
-                        with_term_scores=directory.with_term_scores)
+        plan.update(layout="blocked", blocks=handle.page_count,
+                    estimated_postings=total, with_term_scores=with_term_scores)
         return plan
 
     # -- the cursor -------------------------------------------------------------
@@ -108,38 +101,37 @@ class LongListIndex(InvertedIndex):
                               removed, stats), iter(blocks)]
 
     def _write_long_list(self, term: str, items: list, count: int) -> None:
-        """Encode ``term``'s long list in the index's layout and store it."""
-        layout = "blocked_" if self.blocked_postings else ""
-        encode = getattr(posting, f"encode_{layout}{_PAYLOADS[self.list_kind]}")
+        """Encode ``term``'s long list, one block per page, and store it."""
+        encode = getattr(posting, f"encode_blocked_{_PAYLOADS[self.list_kind]}")
         self._segments[term] = self._long_lists.write(
-            encode(items, with_term_scores=self.stores_term_scores), key=term)
+            encode(items, with_term_scores=self.stores_term_scores,
+                   page_size=self.page_size), key=term)
         self.update_stats.long_list_postings_written += count
 
     def _long_items(self, term: str) -> Iterator[tuple]:
-        """Decode the long list.  A blocked list may come from the hot-term
-        cache, keyed by segment (so valid across writes), which a miss fills
-        through the accounting-free peek path (unless the list exceeds its
-        whole budget); fill failures are shard-tagged like scan failures."""
+        """Decode the long list a page at a time.  It may come from the
+        hot-term cache, keyed by segment (so valid across writes), which a
+        miss fills through the accounting-free peek path (unless the list
+        exceeds its whole budget); fill failures are shard-tagged like scan
+        failures."""
         handle = self._segments.get(term)
         if handle is None:
             return
-        layout = "blocked_" if self.blocked_postings else ""
         # Codecs are looked up on every call, not bound at import, so
         # wrappers installed on the module (tracing) see every call.
-        decode = getattr(posting, f"iter_{layout}{self.list_kind}_postings_lazy")
-        cache = self.list_cache if self.blocked_postings else None
+        decode = getattr(posting, f"iter_blocked_{self.list_kind}_postings_lazy")
+        cache = self.list_cache
         if cache is not None:
             shard = getattr(handle, "shard", None)
             items = cache.get(shard, handle.segment_id)
             if items is None and handle.length <= cache.budget_bytes:
-                reader = LazyBytesReader(self._long_lists.peek_pages(handle))
-                items = list(_tag_scan_errors(handle, decode(reader)))
+                items = list(_tag_scan_errors(
+                    handle, decode(self._long_lists.peek_pages(handle))))
                 cache.put(shard, handle.segment_id, items, nbytes=handle.length)
             if items is not None:
                 yield from items
                 return
-        reader = LazyBytesReader(self._long_lists.iter_pages(handle))
-        yield from _tag_scan_errors(handle, decode(reader))
+        yield from _tag_scan_errors(handle, decode(self._long_lists.iter_pages(handle)))
 
     def _short_entries(self, term: str) -> "tuple[list[tuple[int, float]], set[int]]":
         """The ID delta list: ``(doc_id, term_score)`` ADDs in doc-id order,

@@ -28,9 +28,7 @@ class IDTermScoreIndex(IDIndex):
 
     def __init__(self, env: StorageEnvironment, documents: DocumentStore,
                  name: str = "svr", term_weight: float = 1.0,
-                 blocked_postings: "bool | None" = None,
                  list_cache_pages: "int | None" = None) -> None:
         super().__init__(env, documents, name=name,
-                         blocked_postings=blocked_postings,
                          list_cache_pages=list_cache_pages)
         self.term_weight = float(term_weight)

@@ -30,13 +30,12 @@ class ScoreIndex(InvertedIndex):
     stores_term_scores = False
 
     def __init__(self, env: StorageEnvironment, documents: DocumentStore,
-                 name: str = "svr", blocked_postings: "bool | None" = None,
+                 name: str = "svr",
                  list_cache_pages: "int | None" = None) -> None:
         # The clustered score lists live in a B+-tree, not heap-file payloads,
-        # so the blocked codec and the hot-term cache do not apply; the flags
-        # are accepted for constructor uniformity across methods.
+        # so the hot-term cache does not apply; the option is accepted for
+        # constructor uniformity across methods.
         super().__init__(env, documents, name=name,
-                         blocked_postings=blocked_postings,
                          list_cache_pages=list_cache_pages)
         # Key: (term, -score, doc_id) -> None.  Negating the score makes the
         # B+-tree's ascending key order correspond to descending score order.

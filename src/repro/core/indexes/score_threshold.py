@@ -52,10 +52,8 @@ class ScoreThresholdIndex(LongListIndex):
 
     def __init__(self, env: StorageEnvironment, documents: DocumentStore,
                  name: str = "svr", threshold_ratio: float = 11.24,
-                 blocked_postings: "bool | None" = None,
                  list_cache_pages: "int | None" = None) -> None:
         super().__init__(env, documents, name=name,
-                         blocked_postings=blocked_postings,
                          list_cache_pages=list_cache_pages)
         if threshold_ratio < 1.0:
             raise InvertedIndexError(

@@ -1,8 +1,8 @@
 """Query EXPLAIN / EXPLAIN ANALYZE: the planner's view, optionally with actuals.
 
 :func:`explain_query` renders what the engine *would do* for a top-k query —
-per-term owning shard, storage layout (blocked vs legacy vs clustered),
-directory-served posting-count estimate, hot-term cache status — without
+per-term owning shard, storage layout (long list vs clustered), page count,
+the posting-count estimate page 0 stores, hot-term cache status — without
 executing it.  Every fact is served from in-memory state or the buffer
 pool's accounting-free peek path
 (see :meth:`InvertedIndex.describe_term_plan`), so a plain EXPLAIN performs
@@ -49,7 +49,6 @@ def _engine_section(router) -> dict:
         "method": router.method_name,
         "shards": router.shard_count,
         "threads": router.threads,
-        "blocked_postings": index.blocked_postings,
         "list_cache_enabled": index.list_cache is not None,
         "degraded": router.degraded,
         "quarantined_shards": list(router.quarantined_shards()),
@@ -173,8 +172,7 @@ def render_text(plan: dict) -> str:
         + (" [degraded]" if engine["degraded"] else "")
     ]
     lines.append(
-        "  engine: blocked_postings={blocked_postings} "
-        "cache={list_cache_enabled}".format(**engine)
+        "  engine: cache={list_cache_enabled}".format(**engine)
     )
     for term_plan in plan["terms"]:
         parts = [

@@ -1,95 +1,90 @@
-"""Property-based tests for the blocked posting codec.
+"""Property-based tests for the long-list page layout.
 
-Mirrors the lazy-vs-eager suite in ``test_posting_properties.py`` for the
-blocked binary layout: round-trips for all three list kinds (including empty
-lists, single-element blocks and maximal varint values), page-size
-independence, torn tails, and single-byte bitrot — which must surface as a
-typed error or decode identically, never as silently different postings.
-A golden-bytes test pins the wire format itself.
+Every page holds one block: its CRC, its count and its postings (page 0 also
+the list's kind/flags byte and total).  These tests pin round trips for all
+three list kinds at page sizes 64 to 4096 (including empty lists,
+one-posting pages and maximal varint values), that no block exceeds its
+page, torn tails, and single-byte bitrot — which must surface as a
+``ChecksumError``, never as silently different postings.  Golden bytes pin
+the wire format itself.
 """
 
 import hashlib
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ChecksumError, InvertedIndexError
+from repro.errors import ChecksumError
 from repro.core.posting import (
-    LazyBytesReader,
     Posting,
     ScoredPosting,
     build_chunk_runs,
-    decode_blocked_chunk_runs,
-    decode_blocked_id_postings,
-    decode_blocked_scored_postings,
     encode_blocked_chunk_runs,
     encode_blocked_id_postings,
     encode_blocked_scored_postings,
     iter_blocked_chunk_postings_lazy,
     iter_blocked_id_postings_lazy,
     iter_blocked_scored_postings_lazy,
-    read_block_directory,
+    read_list_header,
 )
-from tests.helpers import chunk_postings, scored_postings
+from repro.storage.environment import StorageEnvironment
+from tests.helpers import chunk_postings, id_postings, paginate, scored_postings
 
 doc_ids = st.integers(min_value=0, max_value=2 ** 31 - 1)
 #: Includes the top of the varint range so multi-byte continuation paths and
 #: maximal-length varints are exercised.
 wide_doc_ids = st.integers(min_value=0, max_value=2 ** 62)
 term_scores = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, width=32)
-block_spans = st.sampled_from([1, 2, 3, 7, 64, 128])
+page_sizes = st.sampled_from([64, 65, 96, 128, 256, 1024, 4096])
 
 
-def paginate(data: bytes, page_size: int) -> list[bytes]:
-    """Split an encoded list into page-sized fragments (as a heap file would)."""
-    return [data[i:i + page_size] for i in range(0, len(data), page_size)]
+def per_page(decoder, pages: list[bytes]) -> list[list]:
+    """Decode ``pages`` one pull at a time; the items each page produced."""
+    out: list[list] = []
+
+    def feed():
+        for page in pages:
+            out.append([])
+            yield page
+
+    for item in decoder(feed()):
+        out[-1].append(item)
+    return out
 
 
-def reader_for(data: bytes, page_size: int) -> LazyBytesReader:
-    return LazyBytesReader(iter(paginate(data, page_size)))
-
-
-def id_postings(blocks) -> list[tuple[int, float]]:
-    """Flatten ``(last_doc_id, doc_ids, term_scores)`` blocks into postings."""
-    return [
-        (doc_id, term_scores[i] if term_scores is not None else 0.0)
-        for _last, doc_ids, term_scores in blocks
-        for i, doc_id in enumerate(doc_ids)
-    ]
+def check_pages(data: bytes, page_size: int) -> list[bytes]:
+    """Split ``data`` into pages; every page but the last is exactly full."""
+    pages = paginate(data, page_size)
+    assert all(len(page) == page_size for page in pages[:-1])
+    assert 0 < len(pages[-1]) <= page_size
+    return pages
 
 
 # ---------------------------------------------------------------------------
-# Round trips: eager and lazy, across block spans and page sizes
+# Round trips: every kind, with and without term scores, page sizes 64-4096
 # ---------------------------------------------------------------------------
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    ids=st.lists(wide_doc_ids, max_size=200, unique=True),
+    ids=st.lists(wide_doc_ids, max_size=400, unique=True),
     with_term_scores=st.booleans(),
-    block_span=block_spans,
-    page_size=st.integers(min_value=1, max_value=48),
+    page_size=page_sizes,
 )
-def test_blocked_id_round_trip(ids, with_term_scores, block_span, page_size):
+def test_blocked_id_round_trip(ids, with_term_scores, page_size):
     postings = [Posting(doc_id=i, term_score=0.5) for i in sorted(ids)]
-    data = encode_blocked_id_postings(
-        postings, with_term_scores=with_term_scores, block_span=block_span
-    )
-    decoded = decode_blocked_id_postings(data)
+    data = encode_blocked_id_postings(postings, with_term_scores=with_term_scores,
+                                      page_size=page_size)
+    pages = check_pages(data, page_size)
+    assert read_list_header(pages[0]) == (0, with_term_scores, len(postings))
+    items = per_page(iter_blocked_id_postings_lazy, pages)
     expected_ts = 0.5 if with_term_scores else 0.0
-    assert [(p.doc_id, p.term_score) for p in decoded] == [
-        (p.doc_id, expected_ts) for p in postings
-    ]
-    blocks = list(iter_blocked_id_postings_lazy(reader_for(data, page_size)))
-    assert id_postings(blocks) == [(p.doc_id, expected_ts) for p in postings]
-    # One item per block, carrying the block's last doc id.
-    assert [len(doc_ids) for _last, doc_ids, _ts in blocks] == [
-        len(postings[start:start + block_span])
-        for start in range(0, len(postings), block_span)
-    ]
-    assert all(last == doc_ids[-1] for last, doc_ids, _ts in blocks)
-    assert all((ts is None) == (not with_term_scores) for _l, _d, ts in blocks)
+    assert id_postings(sum(items, [])) == [(p.doc_id, expected_ts) for p in postings]
+    # One block per page, carrying the page's last doc id.
+    assert all(len(page_items) == 1 for page_items in items if postings)
+    assert all(last == doc_ids[-1] for last, doc_ids, _ts in sum(items, []))
+    assert all((ts is None) == (not with_term_scores) for _l, _d, ts in sum(items, []))
 
 
 @settings(max_examples=60, deadline=None)
@@ -97,128 +92,115 @@ def test_blocked_id_round_trip(ids, with_term_scores, block_span, page_size):
     entries=st.lists(
         st.tuples(doc_ids, st.floats(min_value=0, max_value=1e6, allow_nan=False),
                   term_scores),
-        max_size=120,
+        max_size=300,
         unique_by=lambda entry: entry[0],
     ),
     with_term_scores=st.booleans(),
-    block_span=block_spans,
-    page_size=st.integers(min_value=1, max_value=48),
+    page_size=page_sizes,
 )
-def test_blocked_scored_round_trip(entries, with_term_scores, block_span, page_size):
+def test_blocked_scored_round_trip(entries, with_term_scores, page_size):
     ordered = sorted(entries, key=lambda entry: (-entry[1], entry[0]))
     postings = [
         ScoredPosting(doc_id=doc, score=score, term_score=ts)
         for doc, score, ts in ordered
     ]
-    data = encode_blocked_scored_postings(
-        postings, with_term_scores=with_term_scores, block_span=block_span
-    )
-    decoded = decode_blocked_scored_postings(data)
-    expected = [
+    data = encode_blocked_scored_postings(postings, with_term_scores=with_term_scores,
+                                          page_size=page_size)
+    pages = check_pages(data, page_size)
+    assert read_list_header(pages[0]) == (1, with_term_scores, len(postings))
+    items = per_page(iter_blocked_scored_postings_lazy, pages)
+    assert scored_postings(sum(items, [])) == [
         (p.doc_id, p.score, p.term_score if with_term_scores else 0.0)
         for p in postings
     ]
-    assert [(p.doc_id, p.score, p.term_score) for p in decoded] == expected
-    blocks = list(iter_blocked_scored_postings_lazy(reader_for(data, page_size)))
-    assert scored_postings(blocks) == expected
-    # One item per block, carrying the block's top score.
-    assert [len(doc_ids) for _bound, doc_ids, _s, _ts in blocks] == [
-        len(postings[start:start + block_span])
-        for start in range(0, len(postings), block_span)
-    ]
-    assert all(bound == scores[0] for bound, _d, scores, _ts in blocks)
+    # One block per page, carrying the page's top score.
+    assert all(len(page_items) == 1 for page_items in items if postings)
+    assert all(bound == scores[0] for bound, _d, scores, _ts in sum(items, []))
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     triples=st.lists(
-        st.tuples(doc_ids, st.integers(min_value=1, max_value=20), term_scores),
-        max_size=150,
+        st.tuples(wide_doc_ids, st.integers(min_value=1, max_value=2 ** 40),
+                  term_scores),
+        max_size=300,
         unique_by=lambda entry: entry[0],
     ),
+    chunks=st.integers(min_value=1, max_value=20),
     with_term_scores=st.booleans(),
-    block_span=block_spans,
-    page_size=st.integers(min_value=1, max_value=48),
+    page_size=page_sizes,
 )
-def test_blocked_chunk_round_trip(triples, with_term_scores, block_span, page_size):
-    runs = build_chunk_runs(triples)
-    data = encode_blocked_chunk_runs(
-        runs, with_term_scores=with_term_scores, block_span=block_span
-    )
-    expected_runs = [
-        (run.chunk_id,
-         tuple((p.doc_id, p.term_score if with_term_scores else 0.0)
-               for p in run.postings))
-        for run in runs
+def test_blocked_chunk_round_trip(triples, chunks, with_term_scores, page_size):
+    # Few distinct chunk ids (``chunks``) so runs straddle pages, but wide
+    # ones, so chunk-id varints take several bytes.
+    runs = build_chunk_runs([(doc, chunk % chunks * 2 ** 34 + 1, ts)
+                             for doc, chunk, ts in triples])
+    data = encode_blocked_chunk_runs(runs, with_term_scores=with_term_scores,
+                                     page_size=page_size)
+    pages = check_pages(data, page_size)
+    assert read_list_header(pages[0]) == (2, with_term_scores, len(triples))
+    items = per_page(iter_blocked_chunk_postings_lazy, pages)
+    assert chunk_postings(sum(items, [])) == [
+        (run.chunk_id, p.doc_id, p.term_score if with_term_scores else 0.0)
+        for run in runs for p in run.postings
     ]
-    decoded = decode_blocked_chunk_runs(data)
-    assert [
-        (run.chunk_id, tuple((p.doc_id, p.term_score) for p in run.postings))
-        for run in decoded
-    ] == expected_runs
-    fragments = list(iter_blocked_chunk_postings_lazy(reader_for(data, page_size)))
-    assert chunk_postings(fragments) == [
-        (chunk_id, doc_id, ts)
-        for chunk_id, postings in expected_runs
-        for doc_id, ts in postings
-    ]
-    # One fragment per (block, chunk) pair: a chunk only splits at a block edge.
-    assert len(fragments) == sum(
-        len({chunk_id for chunk_id, _doc, _ts in block})
-        for block in (
-            chunk_postings(fragments)[start:start + block_span]
-            for start in range(0, len(triples), block_span)
-        )
-    )
-    assert all((ts is None) == (not with_term_scores) for _c, _d, ts in fragments)
+    # A page holds one fragment per chunk: a chunk only splits at a page edge.
+    for page_items in items:
+        chunk_ids = [chunk_id for chunk_id, _docs, _ts in page_items]
+        assert chunk_ids == sorted(set(chunk_ids), reverse=True)
+    assert all((ts is None) == (not with_term_scores)
+               for _c, _d, ts in sum(items, []))
 
 
 def test_empty_lists_round_trip():
-    assert decode_blocked_id_postings(encode_blocked_id_postings([])) == []
-    assert decode_blocked_scored_postings(encode_blocked_scored_postings([])) == []
-    assert decode_blocked_chunk_runs(encode_blocked_chunk_runs([])) == []
-    for data, it in [
-        (encode_blocked_id_postings([]), iter_blocked_id_postings_lazy),
-        (encode_blocked_scored_postings([]), iter_blocked_scored_postings_lazy),
-        (encode_blocked_chunk_runs([]), iter_blocked_chunk_postings_lazy),
+    for kind, encode, decoder in [
+        (0, encode_blocked_id_postings, iter_blocked_id_postings_lazy),
+        (1, encode_blocked_scored_postings, iter_blocked_scored_postings_lazy),
+        (2, encode_blocked_chunk_runs, iter_blocked_chunk_postings_lazy),
     ]:
-        assert list(it(reader_for(data, 7))) == []
-        assert read_block_directory(data).blocks == ()
+        data = encode([], page_size=64)
+        assert read_list_header(data) == (kind, False, 0)
+        assert list(decoder(paginate(data, 64))) == []
 
 
 def test_single_element_blocks_have_one_posting_each():
-    postings = [Posting(doc_id=i * 3) for i in range(10)]
-    data = encode_blocked_id_postings(postings, block_span=1)
-    directory = read_block_directory(data)
-    assert len(directory.blocks) == 10
-    assert all(block.count == 1 for block in directory.blocks)
-    assert [b.last_doc_id for b in directory.blocks] == [p.doc_id for p in postings]
+    # A 12-byte page holds the CRC, page 0's header, a count and exactly one
+    # posting with a term score; a second posting never fits.
+    postings = [Posting(doc_id=i * 3, term_score=i / 8) for i in range(10)]
+    data = encode_blocked_id_postings(postings, with_term_scores=True, page_size=12)
+    pages = check_pages(data, 12)
+    assert len(pages) == 10
+    items = per_page(iter_blocked_id_postings_lazy, pages)
+    assert [[(last, doc_ids) for last, doc_ids, _ts in page_items]
+            for page_items in items] == [[(p.doc_id, [p.doc_id])] for p in postings]
 
 
 # ---------------------------------------------------------------------------
-# Torn tails: truncated payloads fail loudly with a typed error
+# Torn tails: truncated lists fail loudly with a typed error
 # ---------------------------------------------------------------------------
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    ids=st.lists(doc_ids, min_size=4, max_size=60, unique=True),
-    block_span=st.sampled_from([1, 3, 8]),
-    page_size=st.integers(min_value=1, max_value=32),
+    ids=st.lists(doc_ids, min_size=4, max_size=200, unique=True),
+    page_size=st.sampled_from([64, 80, 128]),
     data=st.data(),
 )
-def test_torn_tail_raises_typed_error(ids, block_span, page_size, data):
+def test_torn_tail_raises_typed_error(ids, page_size, data):
     postings = [Posting(doc_id=i) for i in sorted(ids)]
-    encoded = encode_blocked_id_postings(postings, block_span=block_span)
-    cut = data.draw(st.integers(min_value=1, max_value=len(encoded) - 1))
-    reader = reader_for(encoded[:cut], page_size)
+    encoded = encode_blocked_id_postings(postings, page_size=page_size)
+    pages = paginate(encoded, page_size)
+    # Cut inside a page, or drop whole pages at a page edge.
+    cut = data.draw(st.one_of(
+        st.integers(min_value=1, max_value=len(encoded) - 1),
+        st.sampled_from([page_size * n for n in range(1, len(pages))] or [1])))
     expected = [(p.doc_id, 0.0) for p in postings]
     blocks = []
-    with pytest.raises((ChecksumError, InvertedIndexError)):
-        for item in iter_blocked_id_postings_lazy(reader):
+    with pytest.raises(ChecksumError):
+        for item in iter_blocked_id_postings_lazy(paginate(encoded[:cut], page_size)):
             blocks.append(item)
     # Whatever decoded before the error must be a prefix of the true sequence;
-    # CRC-checked blocks never emit garbage postings.
+    # CRC-checked pages never emit garbage postings.
     produced = id_postings(blocks)
     assert produced == expected[: len(produced)]
 
@@ -228,20 +210,19 @@ def test_torn_tail_raises_typed_error(ids, block_span, page_size, data):
     triples=st.lists(
         st.tuples(doc_ids, st.integers(min_value=1, max_value=10), term_scores),
         min_size=4,
-        max_size=60,
+        max_size=150,
         unique_by=lambda entry: entry[0],
     ),
-    block_span=st.sampled_from([1, 3, 8]),
-    page_size=st.integers(min_value=1, max_value=32),
+    page_size=st.sampled_from([64, 80, 128]),
     data=st.data(),
 )
-def test_torn_chunk_tail_raises_typed_error(triples, block_span, page_size, data):
+def test_torn_chunk_tail_raises_typed_error(triples, page_size, data):
     runs = build_chunk_runs(triples)
-    encoded = encode_blocked_chunk_runs(runs, block_span=block_span)
+    encoded = encode_blocked_chunk_runs(runs, page_size=page_size)
     cut = data.draw(st.integers(min_value=1, max_value=len(encoded) - 1))
     fragments = []
-    with pytest.raises((ChecksumError, InvertedIndexError)):
-        for item in iter_blocked_chunk_postings_lazy(reader_for(encoded[:cut], page_size)):
+    with pytest.raises(ChecksumError):
+        for item in iter_blocked_chunk_postings_lazy(paginate(encoded[:cut], page_size)):
             fragments.append(item)
     produced = chunk_postings(fragments)
     expected = [
@@ -251,7 +232,7 @@ def test_torn_chunk_tail_raises_typed_error(triples, block_span, page_size, data
 
 
 # ---------------------------------------------------------------------------
-# Bitrot: a flipped byte is detected or provably harmless, never silent garbage
+# Bitrot: every flipped byte in every page raises ChecksumError
 # ---------------------------------------------------------------------------
 
 
@@ -263,56 +244,65 @@ def test_torn_chunk_tail_raises_typed_error(triples, block_span, page_size, data
         max_size=50,
         unique_by=lambda entry: entry[0],
     ),
-    block_span=st.sampled_from([1, 4, 16]),
+    page_size=st.sampled_from([64, 128]),
     position=st.integers(min_value=0, max_value=2 ** 16),
     flip=st.integers(min_value=1, max_value=255),
 )
-# Header byte 3 is the flags byte; bit 1 once selected a since-removed block
-# codec, and a payload carrying it must be rejected, never misdecoded.
-@example(entries=[(7, 1.0)], block_span=1, position=3, flip=2)
-def test_bitrot_detected_or_identical(entries, block_span, position, flip):
+def test_bitrot_detected_or_identical(entries, page_size, position, flip):
     ordered = sorted(entries, key=lambda entry: (-entry[1], entry[0]))
     postings = [ScoredPosting(doc_id=doc, score=score) for doc, score in ordered]
-    encoded = bytearray(encode_blocked_scored_postings(postings, block_span=block_span))
-    position %= len(encoded)
-    encoded[position] ^= flip
-    reference = [(p.doc_id, p.score, 0.0) for p in postings]
-    try:
-        decoded = scored_postings(
-            iter_blocked_scored_postings_lazy(reader_for(bytes(encoded), 16)))
-    except (ChecksumError, InvertedIndexError) as exc:
-        # Any corrupt flags byte is the typed checksum error specifically.
-        assert position != 3 or isinstance(exc, ChecksumError)
-        return
-    assert decoded == reference
+    encoded = bytearray(encode_blocked_scored_postings(postings, page_size=page_size))
+    encoded[position % len(encoded)] ^= flip
+    with pytest.raises(ChecksumError):
+        list(iter_blocked_scored_postings_lazy(paginate(bytes(encoded), page_size)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     ids=st.lists(wide_doc_ids, min_size=1, max_size=60, unique=True),
     with_term_scores=st.booleans(),
-    block_span=st.sampled_from([1, 4, 16]),
+    page_size=st.sampled_from([64, 128]),
     position=st.integers(min_value=0, max_value=2 ** 16),
     flip=st.integers(min_value=1, max_value=255),
 )
-def test_id_bitrot_detected_or_identical(ids, with_term_scores, block_span,
+def test_id_bitrot_detected_or_identical(ids, with_term_scores, page_size,
                                          position, flip):
     postings = [Posting(doc_id=i, term_score=(i % 5) / 8) for i in sorted(ids)]
-    clean = encode_blocked_id_postings(postings, with_term_scores=with_term_scores,
-                                       block_span=block_span)
-    payload_start = len(clean) - sum(
-        block.length for block in read_block_directory(clean).blocks)
-    encoded = bytearray(clean)
-    position %= len(encoded)
-    encoded[position] ^= flip
-    reference = id_postings(iter_blocked_id_postings_lazy(reader_for(clean, 16)))
-    try:
-        decoded = list(iter_blocked_id_postings_lazy(reader_for(bytes(encoded), 16)))
-    except (ChecksumError, InvertedIndexError) as exc:
-        # A corrupt block payload is always the typed checksum error.
-        assert position < payload_start or isinstance(exc, ChecksumError)
-        return
-    assert id_postings(decoded) == reference
+    encoded = bytearray(encode_blocked_id_postings(
+        postings, with_term_scores=with_term_scores, page_size=page_size))
+    encoded[position % len(encoded)] ^= flip
+    with pytest.raises(ChecksumError):
+        list(iter_blocked_id_postings_lazy(paginate(bytes(encoded), page_size)))
+
+
+@pytest.mark.parametrize("backend", ["memory", "file"])
+def test_every_byte_flip_in_a_stored_list_raises(backend, tmp_path):
+    """Each byte of each stored page, flipped on the disk, fails the scan."""
+    env = StorageEnvironment(cache_pages=16, page_size=64,
+                             path=str(tmp_path / "env") if backend == "file" else None)
+    runs = build_chunk_runs([(3 * i + 1, 1 + i % 4, i / 64) for i in range(40)])
+    heap = env.create_heapfile("lists")
+    handle = heap.write(encode_blocked_chunk_runs(runs, with_term_scores=True,
+                                                  page_size=64))
+    assert handle.page_count > 2
+    expected = chunk_postings(iter_blocked_chunk_postings_lazy(heap.iter_pages(handle)))
+    for page_id in handle.page_ids:
+        page = env.disk.peek(page_id)
+        pristine = page.data
+        for position in range(len(pristine)):
+            mutated = bytearray(pristine)
+            mutated[position] ^= 0x41
+            page.write(bytes(mutated))
+            env.disk.write(page)
+            env.pool.drop({page_id})
+            with pytest.raises(ChecksumError):
+                list(iter_blocked_chunk_postings_lazy(heap.iter_pages(handle)))
+        page.write(pristine)
+        env.disk.write(page)
+        env.pool.drop({page_id})
+    assert chunk_postings(
+        iter_blocked_chunk_postings_lazy(heap.iter_pages(handle))) == expected
+    env.close()
 
 
 # ---------------------------------------------------------------------------
@@ -321,12 +311,24 @@ def test_id_bitrot_detected_or_identical(ids, with_term_scores, block_span,
 
 
 def test_golden_bytes_pin_the_wire_format():
-    """sha256 of each blocked encoder's output for a fixed multi-block input.
-
-    The digests were taken from the commit before block-max pruning, block
-    seeking and the group-varint codec were removed, so they prove that
-    removal changed no payload byte (page layout and Table 1 sizes follow).
-    """
+    """One tiny list of each kind byte for byte, and sha256 digests of each
+    encoder's output for a fixed multi-page input (pages of 128 bytes)."""
+    tiny = {
+        "id": encode_blocked_id_postings(
+            [Posting(doc_id=3, term_score=0.5), Posting(doc_id=130, term_score=0.25)],
+            with_term_scores=True),
+        "scored": encode_blocked_scored_postings(
+            [ScoredPosting(doc_id=9, score=2.0), ScoredPosting(doc_id=4, score=1.5)]),
+        "chunk": encode_blocked_chunk_runs(
+            build_chunk_runs([(5, 2, 0.0), (1, 2, 0.0), (8, 1, 0.0)])),
+    }
+    # crc32 | kind/flags, total | count | postings
+    assert {name: data.hex(" ") for name, data in tiny.items()} == {
+        "id": "dc 44 ce f9 01 02 02 03 00 00 00 3f 7f 00 00 80 3e",
+        "scored": "5d 41 a1 97 02 02 02 00 00 00 00 00 00 00 40 09 00 00 00"
+                  " 00 00 00 00 00 00 f8 3f 04 00 00 00",
+        "chunk": "ab 2e 34 23 04 03 03 02 02 01 04 01 01 08",
+    }
     ids = [Posting(doc_id=7 * i * i + 3, term_score=(i % 11) / 16) for i in range(300)]
     scored = [
         ScoredPosting(doc_id=(i * 2654435761) % 100003, score=5000.0 - 1.5 * i,
@@ -336,7 +338,8 @@ def test_golden_bytes_pin_the_wire_format():
     runs = build_chunk_runs([(5 * i + 1, 1 + i % 9, (i % 13) / 16) for i in range(300)])
     digests = {
         name: hashlib.sha256(
-            b"".join(encode(items, with_term_scores=flag) for flag in (False, True))
+            b"".join(encode(items, with_term_scores=flag, page_size=128)
+                     for flag in (False, True))
         ).hexdigest()
         for name, encode, items in [
             ("id", encode_blocked_id_postings, ids),
@@ -345,35 +348,34 @@ def test_golden_bytes_pin_the_wire_format():
         ]
     }
     assert digests == {
-        "id": "7b05989df34c0075e76934d58cf2b2c508d6460d33c4cbcbbb03ff658a03da60",
-        "scored": "de44fd6c61e9ab6251623dd47a3f9cb314af5d3d15976c37dadbdef0bc26c35a",
-        "chunk": "fcb4d067a5bd2f498a676f66f1bbe9652ec965c20c65421afeabe5657e07a329",
+        "id": "7e9de39ad3a9566a64af3904ce145693bb1c4723cd3126a11e2208f4fc100da5",
+        "scored": "83704a654a5be9f273533479c20faa631bd10653c5bea00efdd13435039840b9",
+        "chunk": "24be6606357a1e3c6fa0d514346144fa9c70d8a1cdeb9367ed23959094412510",
     }
 
 
 # ---------------------------------------------------------------------------
-# The query cursor: same postings whatever the layout and the list cache
+# The query cursor: same postings whatever the page size and the list cache
 # ---------------------------------------------------------------------------
 
 
-def _cursor_postings(method: str, blocked: bool, cache_pages: int) -> dict:
+def _cursor_postings(method: str, page_size: int, cache_pages: int) -> dict:
     """Every term's cursor output after a storm of writes, flattened.
 
-    A block's bound depends on where the layout cuts blocks, so only chunk
-    ids (the bound of every chunk posting) are kept."""
+    A block's bound depends on where pages cut the list, so only chunk ids
+    (the bound of every chunk posting) are kept."""
     import random
 
     from repro.core.indexes.base import QueryStats
     from repro.core.indexes.registry import create_index
-    from repro.storage.environment import StorageEnvironment
     from repro.text.documents import DocumentStore
     from tests.conftest import METHOD_OPTIONS
 
     rng = random.Random(404)
     vocabulary = [f"c{i}" for i in range(6)]
-    index = create_index(method, StorageEnvironment(cache_pages=1024, page_size=128),
-                         DocumentStore(), blocked_postings=blocked,
-                         list_cache_pages=cache_pages, **METHOD_OPTIONS[method])
+    index = create_index(method, StorageEnvironment(cache_pages=1024, page_size=page_size),
+                         DocumentStore(), list_cache_pages=cache_pages,
+                         **METHOD_OPTIONS[method])
     for doc_id in range(1, 301):
         index.add_document(doc_id, round(1000 * rng.random() ** 3, 2),
                            terms=rng.sample(vocabulary, rng.randint(1, 4)))
@@ -404,8 +406,9 @@ def _cursor_postings(method: str, blocked: bool, cache_pages: int) -> dict:
 @pytest.mark.parametrize("method", ["id", "id_termscore", "chunk",
                                     "chunk_termscore", "score_threshold"])
 def test_cursor_yields_same_postings_on_every_layout_and_cache(method):
-    expected = _cursor_postings(method, blocked=True, cache_pages=0)
+    """The page size decides where blocks end; the postings must not move."""
+    expected = _cursor_postings(method, page_size=128, cache_pages=0)
     assert any(expected.values())
-    for blocked, cache_pages in [(True, 256), (False, 0), (False, 256)]:
-        assert _cursor_postings(method, blocked, cache_pages) == expected, (
-            blocked, cache_pages)
+    for page_size, cache_pages in [(128, 256), (512, 0), (4096, 16)]:
+        assert _cursor_postings(method, page_size, cache_pages) == expected, (
+            page_size, cache_pages)

@@ -200,8 +200,8 @@ class TestQuarantine:
     def test_blocked_payload_bitrot_quarantines_the_shard(self, tmp_path):
         """Silent page corruption in a blocked long list is a hard fault.
 
-        A flipped byte below the page layer fails the codec's per-block CRC
-        during the scan; :class:`ChecksumError` is in ``HARD_FAULT_ERRORS``,
+        A flipped byte below the page layer fails the long list's per-page
+        CRC during the scan; :class:`ChecksumError` is in ``HARD_FAULT_ERRORS``,
         so the router quarantines the shard and degrades the query instead of
         returning silently wrong results.  Restoring the bytes and reopening
         the shard fully revives it.
@@ -210,14 +210,9 @@ class TestQuarantine:
 
         hot = next(f"hot{i}" for i in range(100) if term_shard(f"hot{i}", 2) == 1)
         rng = random.Random(7)
-        # blocked_postings is pinned (not left to REPRO_BLOCKED_POSTINGS):
-        # the per-block CRC under test only exists in the blocked layout, and
-        # the option persists through the app blob, so the reopen below keeps
-        # decoding the same way whatever the environment flag says.
         index = SVRTextIndex(method="id", path=str(tmp_path / "i"), shards=2,
-                             cache_pages=256, page_size=256,
-                             blocked_postings=True)
-        # Widely spaced doc ids make the blocked list span several pages.
+                             cache_pages=256, page_size=256)
+        # Widely spaced doc ids make the list span several pages.
         for doc_id in range(600):
             index.add_document_terms(doc_id * 9973, [hot, f"x{doc_id % 5}"],
                                      rng.uniform(1.0, 500.0))

@@ -2,14 +2,15 @@
 
 A fixed seeded storm — short-list promotions, score drops, inserts, deletes,
 and content updates that remove a term and later add it back — runs against
-both chunked methods in both long-list layouts, with a cold long-list cache
-before every query.  Each query's ``(results, pages_read, postings_scanned,
+both chunked methods, with a cold long-list cache before every query.  Each query's ``(results, pages_read, postings_scanned,
 chunks_scanned, candidates, stopped_early)`` is pinned by digest, plus the
 per-counter totals so a failure names the counter that moved.
 
-The values were recorded from the per-posting merge that preceded the
-chunk-at-a-time evaluation: they prove the merge pulls exactly the same
-postings, stops at the same chunk and reads the same pages.
+The values except pages were recorded from the per-posting merge that
+preceded the chunk-at-a-time evaluation: they prove the merge pulls exactly
+the same postings and stops at the same chunk.  Pages were re-pinned when
+long lists moved to one block per page; the Chunk digest equals the one
+the flat pre-block layout pinned.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ VOCABULARY = [f"g{i:02d}" for i in range(24)]
 OPTIONS = {"chunk_ratio": 1.7, "min_chunk_size": 6}
 
 
-def _build(method: str, blocked: bool):
+def _build(method: str):
     rng = random.Random(2505)
     env = StorageEnvironment(cache_pages=4096, page_size=128)
     documents = DocumentStore()
-    options = dict(OPTIONS, blocked_postings=blocked)
+    options = dict(OPTIONS)
     if method == "chunk_termscore":
         options["fancy_size"] = 6
     index = create_index(method, env, documents, **options)
@@ -132,25 +133,22 @@ def _summary(records: list[tuple]) -> dict:
 
 
 def _golden(pages_read: int, candidates: int, digest: str) -> dict:
-    # postings, chunks and stopping points do not depend on the method or the
-    # layout; pages do (term scores, block directories), candidates do
-    # (Chunk-TermScore scores all-fancy documents before the chunk scan).
+    # postings, chunks and stopping points do not depend on the method; pages
+    # do (term scores), candidates do (Chunk-TermScore scores all-fancy
+    # documents before the chunk scan).
     return {"queries": 180, "pages_read": pages_read, "postings_scanned": 27140,
             "chunks_scanned": 733, "candidates": candidates, "stopped_early": 167,
             "digest": digest}
 
 
 GOLDEN = {
-    ("chunk", True): _golden(734, 8848, "b7e6eb2faf29ec2e"),
-    ("chunk", False): _golden(414, 8848, "42dfd54438f556d1"),
-    ("chunk_termscore", True): _golden(2190, 8754, "aadcc3469bd1eddc"),
-    ("chunk_termscore", False): _golden(913, 8754, "58ddd5f1ec527f51"),
+    "chunk": _golden(414, 8848, "42dfd54438f556d1"),
+    "chunk_termscore": _golden(946, 8754, "5d001f937cf95b4a"),
 }
 
 
-@pytest.mark.parametrize("blocked", [True, False], ids=["blocked", "legacy"])
 @pytest.mark.parametrize("method", ["chunk", "chunk_termscore"])
-def test_merge_counters_match_golden(method, blocked):
-    index, contents, scores = _build(method, blocked)
+def test_merge_counters_match_golden(method):
+    index, contents, scores = _build(method)
     records = _storm(index, contents, scores, random.Random(77))
-    assert _summary(records) == GOLDEN[(method, blocked)]
+    assert _summary(records) == GOLDEN[method]

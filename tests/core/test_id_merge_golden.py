@@ -2,7 +2,7 @@
 
 A fixed seeded storm — single score updates, batched windows, new-id
 inserts, deletes, and content updates that remove a term and later add it
-back — runs against both ID-ordered methods in both long-list layouts.  Most
+back — runs against both ID-ordered methods.  Most
 queries run with a cold long-list cache; every fourth one with a cold buffer
 pool, so Score-table and list pages are fetched from disk together.  Each
 query's ``(results, pages_read, postings_scanned, candidates, score_lookups,
@@ -11,10 +11,11 @@ totals so a failure names the counter that moved.  ``estimated_io_ms``
 prices sequential and random reads differently, so it pins the order in
 which list pages and Score-table pages are read.
 
-The values were recorded from the posting-at-a-time merge that preceded the
-block-at-a-time evaluation: they prove the window merge pulls exactly the
-same postings, looks up the same candidates and reads the same pages in the
-same order.
+The values except pages and ``estimated_io_ms`` were recorded from the
+posting-at-a-time merge that preceded the block-at-a-time evaluation: they
+prove the window merge pulls exactly the same postings and looks up the same
+candidates.  Pages and their order were re-pinned when long lists moved to
+one block per page.
 """
 
 from __future__ import annotations
@@ -33,10 +34,10 @@ from tests.helpers import reference_top_k
 VOCABULARY = [f"g{i:02d}" for i in range(24)]
 
 
-def _build(method: str, blocked: bool):
+def _build(method: str):
     rng = random.Random(3003)
     env = StorageEnvironment(cache_pages=4096, page_size=128)
-    index = create_index(method, env, DocumentStore(), blocked_postings=blocked)
+    index = create_index(method, env, DocumentStore())
     contents: dict[int, list[str]] = {}
     scores: dict[int, float] = {}
     for doc_id in range(1, 401):
@@ -136,24 +137,21 @@ def _summary(records: list[tuple]) -> dict:
 
 
 def _golden(pages_read: int, estimated_io_ms: float, digest: str) -> dict:
-    # Postings, candidates, lookups and offers do not depend on the method or
-    # the layout; pages and their sequential/random split do.
+    # Postings, candidates, lookups and offers do not depend on the method;
+    # pages and their sequential/random split do.
     return {"queries": 180, "pages_read": pages_read, "postings_scanned": 43634,
             "candidates": 22854, "score_lookups": 22854, "heap_offers": 22531,
             "estimated_io_ms": estimated_io_ms, "digest": digest}
 
 
 GOLDEN = {
-    ("id", True): _golden(11977, 68579.82, "0db2f93ba7f83a6e"),
-    ("id", False): _golden(11737, 69567.12, "c40a3904b1f38443"),
-    ("id_termscore", True): _golden(13189, 68652.54, "65ec6c1e4ae3969f"),
-    ("id_termscore", False): _golden(13189, 81960.84, "8b4fe6da292ca7ac"),
+    "id": _golden(11737, 69519.42, "9c8cfded203e6530"),
+    "id_termscore": _golden(13189, 81793.89, "3be4960f53fedf07"),
 }
 
 
-@pytest.mark.parametrize("blocked", [True, False], ids=["blocked", "legacy"])
 @pytest.mark.parametrize("method", ["id", "id_termscore"])
-def test_merge_counters_match_golden(method, blocked):
-    index, contents, scores = _build(method, blocked)
+def test_merge_counters_match_golden(method):
+    index, contents, scores = _build(method)
     records = _storm(index, contents, scores, random.Random(78))
-    assert _summary(records) == GOLDEN[(method, blocked)]
+    assert _summary(records) == GOLDEN[method]

@@ -138,9 +138,7 @@ def _build_pair(method: str, shards: int, threads: int):
     for pages in (CACHE_PAGES, 0):
         index = SVRTextIndex(
             method=method, shards=shards, threads=threads, cache_pages=256,
-            # Only blocked lists are cached: pin the layout so the suite still
-            # exercises the cache under the REPRO_BLOCKED_POSTINGS=0 CI leg.
-            list_cache_pages=pages, blocked_postings=True,
+            list_cache_pages=pages,
             **METHOD_OPTIONS[method],
         )
         for doc_id, terms, score in corpus:
@@ -352,7 +350,7 @@ def _durable_pair(tmp_path, list_cache_pages: int = CACHE_PAGES):
         index = SVRTextIndex(
             method="chunk", shards=4, cache_pages=256,
             list_cache_pages=pages, path=str(tmp_path / f"cache-{tag}"),
-            blocked_postings=True, **METHOD_OPTIONS["chunk"],
+            **METHOD_OPTIONS["chunk"],
         )
         for doc_id, terms, score in corpus:
             index.add_document_terms(doc_id, terms, score)

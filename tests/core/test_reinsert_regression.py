@@ -43,9 +43,9 @@ VOCABULARY = [f"r{i}" for i in range(8)]
 TWINS = {"chunk": "id", "score_threshold": "id", "chunk_termscore": "id_termscore"}
 
 
-def _build(method: str, blocked: bool):
+def _build(method: str):
     index = create_index(method, StorageEnvironment(cache_pages=512, page_size=256),
-                         DocumentStore(), blocked_postings=blocked,
+                         DocumentStore(),
                          **METHOD_OPTIONS[method])
     rng = random.Random(31)
     for doc_id in range(1, 61):
@@ -74,12 +74,11 @@ def _answers(index, rng: random.Random, disjunctive: bool = True) -> list:
     return answers
 
 
-@pytest.mark.parametrize("blocked", [True, False], ids=["blocked", "legacy"])
 @pytest.mark.parametrize("method", sorted(TWINS))
-def test_reinserted_lower_document_matches_id_twin(method, blocked):
+def test_reinserted_lower_document_matches_id_twin(method):
     disjunctive = method != "chunk_termscore"
-    got = _answers(_build(method, blocked), random.Random(5), disjunctive)
-    expected = _answers(_build(TWINS[method], blocked), random.Random(5), disjunctive)
+    got = _answers(_build(method), random.Random(5), disjunctive)
+    expected = _answers(_build(TWINS[method]), random.Random(5), disjunctive)
     for (query, got_results), (_query, expected_results) in zip(
             ((answer[:3], answer[3]) for answer in got),
             ((answer[:3], answer[3]) for answer in expected)):
@@ -89,11 +88,10 @@ def test_reinserted_lower_document_matches_id_twin(method, blocked):
     assert len(got) == len(expected)
 
 
-@pytest.mark.parametrize("blocked", [True, False], ids=["blocked", "legacy"])
 @pytest.mark.parametrize("method", ["id", "id_termscore", "score", "chunk",
                                     "chunk_termscore", "score_threshold"])
-def test_reinsert_with_new_terms_matches_reference(method, blocked):
-    index = _build(method, blocked)
+def test_reinsert_with_new_terms_matches_reference(method):
+    index = _build(method)
     contents = {doc_id: sorted(index.documents.get(doc_id).distinct_terms)
                 for doc_id in index.documents.doc_ids()}
     scores = {doc_id: index.current_score(doc_id) for doc_id in contents}
@@ -126,7 +124,7 @@ def test_reinsert_with_new_terms_matches_reference(method, blocked):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_score_update_of_deleted_document_keeps_no_entries(seed):
-    index = _build("score", blocked=True)
+    index = _build("score")
     contents = {doc_id: set(index.documents.get(doc_id).distinct_terms)
                 for doc_id in index.documents.doc_ids()}
     scores = {doc_id: index.current_score(doc_id) for doc_id in contents}

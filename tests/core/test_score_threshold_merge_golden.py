@@ -2,7 +2,7 @@
 
 A fixed seeded storm — short-list promotions, score drops, inserts, deletes,
 and content updates that remove a term and later add it back — runs against
-Score-Threshold in both long-list layouts.  Most queries run with a cold
+Score-Threshold.  Most queries run with a cold
 long-list cache; every fourth one with a cold buffer pool, so Score-table
 and list pages are fetched from disk together.  Each query's ``(results,
 pages_read, postings_scanned, candidates, score_lookups, heap_offers,
@@ -11,18 +11,17 @@ totals so a failure names the counter that moved.  ``estimated_io_ms``
 prices sequential and random reads differently, so it pins the order in
 which list pages and Score-table pages are read.
 
-The values were recorded from the posting-at-a-time merge that preceded the
-block-at-a-time evaluation: they prove the block merge pulls exactly the
-same postings, looks up the same candidates in the same order, stops at the
-same posting and reads the same pages in the same order.
+The values except pages and ``estimated_io_ms`` were recorded from the
+posting-at-a-time merge that preceded the block-at-a-time evaluation: they
+prove the block merge pulls exactly the same postings, looks up the same
+candidates in the same order and stops at the same posting.  Pages and
+their order were re-pinned when long lists moved to one block per page.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-
-import pytest
 
 from repro.core.indexes.registry import create_index
 from repro.storage.environment import StorageEnvironment
@@ -33,11 +32,11 @@ from tests.helpers import reference_top_k
 VOCABULARY = [f"g{i:02d}" for i in range(24)]
 
 
-def _build(blocked: bool):
+def _build():
     rng = random.Random(3131)
     env = StorageEnvironment(cache_pages=4096, page_size=128)
     index = create_index("score_threshold", env, DocumentStore(),
-                         threshold_ratio=2.0, blocked_postings=blocked)
+                         threshold_ratio=2.0)
     contents: dict[int, set[str]] = {}
     scores: dict[int, float] = {}
     for doc_id in range(1, 401):
@@ -141,22 +140,18 @@ def _summary(records: list[tuple]) -> dict:
 
 
 def _golden(pages_read: int, estimated_io_ms: float, digest: str) -> dict:
-    # Postings, candidates, lookups, offers and stopping points do not depend
-    # on the layout; pages and their sequential/random split do.
+    # Postings, candidates, lookups, offers and stopping points were pinned
+    # before the page layout; pages and their sequential/random split follow it.
     return {"queries": 180, "pages_read": pages_read, "postings_scanned": 19135,
             "candidates": 4443, "score_lookups": 4443, "heap_offers": 4400,
             "stopped_early": 172, "estimated_io_ms": estimated_io_ms,
             "digest": digest}
 
 
-GOLDEN = {
-    True: _golden(26273, 176198.13, "4fd07b7c9aa8aaf4"),
-    False: _golden(23044, 182014.59, "e073668a61e6ef53"),
-}
+GOLDEN = _golden(23096, 182359.56, "790c2483ef1cfd6a")
 
 
-@pytest.mark.parametrize("blocked", [True, False], ids=["blocked", "legacy"])
-def test_merge_counters_match_golden(blocked):
-    index, contents, scores = _build(blocked)
+def test_merge_counters_match_golden():
+    index, contents, scores = _build()
     records = _storm(index, contents, scores, random.Random(79))
-    assert _summary(records) == GOLDEN[blocked]
+    assert _summary(records) == GOLDEN

@@ -53,6 +53,21 @@ def reference_top_k(
     return matches[:k]
 
 
+def paginate(data: bytes, page_size: int) -> list[bytes]:
+    """Split an encoded long list into pages, as a heap file stores it."""
+    return [data[i:i + page_size] for i in range(0, len(data), page_size)]
+
+
+def id_postings(blocks) -> list[tuple[int, float]]:
+    """Flatten ``(last_doc_id, doc_ids, term_scores)`` blocks into
+    ``(doc_id, term_score)`` postings."""
+    return [
+        (doc_id, term_scores[i] if term_scores is not None else 0.0)
+        for _last, doc_ids, term_scores in blocks
+        for i, doc_id in enumerate(doc_ids)
+    ]
+
+
 def chunk_postings(fragments) -> list[tuple[int, int, float]]:
     """Flatten ``(chunk_id, doc_ids, term_scores)`` fragments into postings."""
     return [

@@ -129,22 +129,19 @@ def test_explain_is_accounting_free(method):
 
 
 def test_plan_shape_and_term_layouts():
-    # Estimates come from the blocked directory: pin the layout so the
-    # REPRO_BLOCKED_POSTINGS=0 CI leg still checks them.
-    index = _build("chunk", shards=4, threads=1, list_cache_pages=8,
-                   blocked_postings=True)
+    index = _build("chunk", shards=4, threads=1, list_cache_pages=8)
     try:
         plan = index.explain(["w001", "zzzabsent"], k=5)
         assert plan["query"]["keywords"] == ["w001", "zzzabsent"]
         engine = plan["engine"]
         assert engine["method"] == "chunk"
         assert engine["shards"] == 4
-        assert isinstance(engine["blocked_postings"], bool)
         by_term = {row["term"]: row for row in plan["terms"]}
         assert by_term["zzzabsent"]["layout"] == "absent"
         present = by_term["w001"]
         assert present["layout"] == "blocked"
         assert present["estimated_postings"] > 0
+        assert present["blocks"] >= 1  # one block per page
         assert 0 <= present["shard"] < 4
         assert "cacheable" in present["cache"]
     finally:
@@ -152,8 +149,7 @@ def test_plan_shape_and_term_layouts():
 
 
 def test_cache_probe_sees_entries_that_outlive_writes():
-    index = _build("chunk", shards=4, threads=1, list_cache_pages=8,
-                   blocked_postings=True)
+    index = _build("chunk", shards=4, threads=1, list_cache_pages=8)
     try:
         assert index.explain(["w001"], k=5)["terms"][0]["cache"]["cached"] is False
         index.search(["w001"], k=5)
@@ -182,7 +178,7 @@ def test_analyze_execution_section():
 
 def test_estimates_track_actuals_on_single_term_scans():
     """A term's ``estimated_postings`` bounds what a full scan of it decodes."""
-    index = _build("chunk", shards=1, threads=1, blocked_postings=True)
+    index = _build("chunk", shards=1, threads=1)
     try:
         for term in ("w001", "w003", "w007"):
             plan = index.explain([term], k=40, conjunctive=False,

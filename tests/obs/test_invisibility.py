@@ -113,7 +113,6 @@ def test_list_cache_counts_aggregate_per_shard():
     corpus = make_corpus(random.Random(97), num_docs=40, vocabulary=25)
     index = SVRTextIndex(method="chunk", shards=4, threads=4,
                          cache_pages=256, list_cache_pages=8,
-                         blocked_postings=True,  # only blocked lists are cached
                          **METHOD_OPTIONS["chunk"])
     try:
         for doc_id, terms, score in corpus:

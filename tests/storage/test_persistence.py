@@ -660,10 +660,10 @@ def test_commit_record_catalog_is_picklable_and_versioned(tmp_path):
 class TestBlockedPayloadIntegrity:
     """Silent corruption below the page layer must surface as ChecksumError.
 
-    The blocked posting codec carries a CRC per directory and per block; a
-    flipped byte or a torn (zero-filled) tail in a long-list page must raise
-    a typed error during the scan — on the memory and the file backend alike
-    — and intact blocked payloads must survive checkpoint/recovery bytewise.
+    Every long-list page carries its own CRC; a flipped byte or a torn
+    (zero-filled) tail in a long-list page must raise a typed error during
+    the scan — on the memory and the file backend alike — and intact
+    payloads must survive checkpoint/recovery bytewise.
     """
 
     def _build_index(self, env):
@@ -672,10 +672,9 @@ class TestBlockedPayloadIntegrity:
         import random as random_module
 
         rng = random_module.Random(7)
-        index = create_index("id", env, DocumentStore(), blocked_postings=True)
-        # Widely spaced doc ids keep the deltas multi-byte, so the blocked
-        # list spans several 256-byte pages and page-level corruption lands
-        # inside block payloads.
+        index = create_index("id", env, DocumentStore())
+        # Widely spaced doc ids keep the deltas multi-byte, so the list
+        # spans several 256-byte pages.
         for doc_id in range(600):
             index.add_document(doc_id * 9973, rng.uniform(1.0, 500.0),
                                terms=["alpha", f"x{doc_id % 7}"])
@@ -723,7 +722,8 @@ class TestBlockedPayloadIntegrity:
             index.query(["alpha"], k=300)
 
     def test_blocked_payloads_survive_checkpoint_recovery(self, tmp_path):
-        from repro.core.posting import decode_blocked_id_postings
+        from repro.core.posting import iter_blocked_id_postings_lazy
+        from tests.helpers import id_postings
 
         path = str(tmp_path / "env")
         env = StorageEnvironment(cache_pages=16, page_size=256, path=path)
@@ -731,14 +731,15 @@ class TestBlockedPayloadIntegrity:
         handle = index._segments["alpha"]
         heap_name = index._long_lists.name
         original = index._long_lists.read(handle)
-        expected = [(p.doc_id, p.term_score)
-                    for p in decode_blocked_id_postings(original)]
+        expected = id_postings(
+            iter_blocked_id_postings_lazy(index._long_lists.iter_pages(handle)))
+        assert len(expected) == 600
         env.close()
 
         recovered = open_environment(path)
         heap = recovered.heapfile(heap_name)
         restored = heap.read(heap.get(handle.segment_id))
         assert restored == original
-        assert [(p.doc_id, p.term_score)
-                for p in decode_blocked_id_postings(restored)] == expected
+        assert id_postings(iter_blocked_id_postings_lazy(
+            heap.iter_pages(heap.get(handle.segment_id)))) == expected
         recovered.close()
