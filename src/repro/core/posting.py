@@ -303,10 +303,15 @@ def encode_blocked_chunk_runs(runs: Sequence[ChunkRun],
 
 def read_list_header(page: bytes) -> tuple[int, bool, int]:
     """``(kind, with_term_scores, total)`` from a list's CRC-checked page 0."""
-    _check_page(page)
-    flags = page[_CRC.size]
-    total, _offset = decode_varint(page, _CRC.size + 1)
+    flags, total, _offset = _read_header(page)
     return flags >> 1, bool(flags & 1), total
+
+
+def _read_header(page: bytes) -> tuple[int, int, int]:
+    """Page 0's kind/flags byte, total, and the offset of its count."""
+    _check_page(page)
+    total, offset = decode_varint(page, _CRC.size + 1)
+    return page[_CRC.size], total, offset
 
 
 def _check_page(page: bytes) -> None:
@@ -326,16 +331,16 @@ def _iter_pages(pages: Iterable[bytes], kind: int
     seen = 0
     with_term_scores = False
     for page in pages:
-        _check_page(page)
-        offset = _CRC.size
         if total is None:
-            flags = page[offset]
+            flags, total, offset = _read_header(page)
             if flags >> 1 != kind:
                 raise InvertedIndexError(
                     f"blocked posting list: kind/flags 0x{flags:02x} where "
                     f"kind {kind} was expected")
             with_term_scores = bool(flags & 1)
-            total, offset = decode_varint(page, offset + 1)
+        else:
+            _check_page(page)
+            offset = _CRC.size
         count, offset = decode_varint(page, offset)
         seen += count
         if seen > total:
