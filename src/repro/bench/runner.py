@@ -164,7 +164,7 @@ class ExperimentRunner:
     ``storage_dir`` (a fresh temporary directory when omitted).  The two
     backends share the accounting code, so experiment I/O numbers are
     identical — the file backend exists so full-corpus runs fit in RAM and
-    restart workloads have something to restart.
+    an index can be reopened after a crash.
     """
 
     def __init__(self, scale: BenchScale | None = None,

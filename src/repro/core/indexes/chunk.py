@@ -111,8 +111,7 @@ class ChunkIndex(LongListIndex):
     def _merge_term_streams(self, streams: list, terms: list[str], k: int,
                             conjunctive: bool, stats: QueryStats) -> list[QueryResult]:
         heap = ResultHeap(k)
-        candidates = _ChunkCandidates(len(terms), conjunctive, processed=set(),
-                                      stale_of=self._stale_long_docs)
+        candidates = _ChunkCandidates(len(terms), conjunctive, processed=set())
         self._scan(streams, candidates, heap, stats,
                    lambda next_chunk: self._can_stop(next_chunk, heap))
         return heap.results()
@@ -140,10 +139,10 @@ class ChunkIndex(LongListIndex):
                 on_docs(docs)
             term_scores = None
             if self.stores_term_scores:
-                found = {doc_id: found for doc_id, _short, found in completed}
+                found = dict(completed)
                 term_scores = lambda doc_ids: [  # noqa: E731
                     found[doc_id].values() for doc_id in doc_ids]
-            self._resolve_batch([doc_id for doc_id, _short, _found in completed],
+            self._resolve_batch([doc_id for doc_id, _found in completed],
                                 heap, stats, term_scores)
             if next_key is not None and can_stop(-next_key):
                 return [0] * len(window)
@@ -182,27 +181,16 @@ class _ChunkCandidates:
       The completing posting is the first posting of the highest term not
       seen earlier.
 
-    ``from_short`` is whether a short posting came up to and including the
-    completing one; ``found`` maps term index to the term score of the
-    latest such posting of each term, in the order the terms were first seen
-    (Chunk-TermScore sums it, so the order fixes float rounding).
-
-    A completion made only of long postings is checked against ListChunk
-    (``stale_of``).  When the row says the document lives in the short
-    lists, its long postings are stale — it was deleted and re-inserted at a
-    lower chunk — so they are dropped, for this chunk and every later one,
-    and the document completes from its short postings when they arrive.
-    It is not marked processed on the stale completion.
+    ``found`` maps term index to the term score of the latest posting of
+    each term up to and including the completing one, in the order the
+    terms were first seen (Chunk-TermScore sums it, so the order fixes float
+    rounding).
     """
 
     def __init__(self, term_count: int, conjunctive: bool, processed: "set[int]",
-                 stale_of: "Callable[[list[int]], set[int]]",
                  term_scores: bool = False) -> None:
         self.term_count = term_count
         self.processed = processed
-        self.stale_of = stale_of
-        #: Documents whose long postings are known to be stale.
-        self.stale: "set[int]" = set()
         self.all_terms = conjunctive and term_count > 1
         self.term_scores = term_scores
         # AND state, per term: doc id -> term score of its latest posting in
@@ -212,73 +200,36 @@ class _ChunkCandidates:
         self.first_chunk: "list[dict[int, int]]" = (
             [{} for _ in range(term_count)] if term_scores else []
         )
-        self.short_seen: "set[int]" = set()
 
     def complete(self, chunk_id: int, longs: list, shorts: list
-                 ) -> "tuple[set[int], list[tuple[int, bool, dict | None]]]":
+                 ) -> "tuple[set[int], list[tuple[int, dict | None]]]":
         """``(docs in the chunk, completions)``; completions are
-        ``(doc_id, from_short, found)`` in ascending doc-id order."""
-        if self.stale:
-            longs = self._drop_stale(longs)
-        short_docs: set[int] = set().union(*(m for m in shorts if m is not None))
-        docs = short_docs.union(*(m for m in longs if m is not None))
-        completed = self._completions(longs, shorts, short_docs,
-                                      docs.difference(self.processed))
-        long_only = [doc_id for doc_id, from_short, _found in completed if not from_short]
-        stale = self.stale_of(long_only) if long_only else None
-        if stale:
-            self.stale |= stale
-            for by_doc in (*self.seen, *self.first_chunk):
-                for doc_id in stale.intersection(by_doc):
-                    del by_doc[doc_id]
-            longs = self._drop_stale(longs)
-            docs = short_docs.union(*(m for m in longs if m is not None))
-            redone = self._completions(longs, shorts, short_docs,
-                                       stale & short_docs)
-            completed = sorted(
-                [entry for entry in completed if entry[0] not in stale] + redone,
-                key=lambda entry: entry[0],
-            )
+        ``(doc_id, found)`` in ascending doc-id order."""
+        docs: set[int] = set().union(*(m for m in longs + shorts if m is not None))
+        fresh = docs.difference(self.processed)
         if self.all_terms:
-            self._record(chunk_id, longs, shorts, short_docs)
-        self.processed.update(doc_id for doc_id, _short, _found in completed)
+            completed = self._complete_all(longs, shorts, fresh)
+            self._record(chunk_id, longs, shorts)
+        else:
+            completed = self._complete_any(longs, shorts, fresh)
+        self.processed.update(doc_id for doc_id, _found in completed)
         return docs, completed
 
-    def _drop_stale(self, longs: list) -> list:
-        stale = self.stale
-        return [
-            postings if postings is None or stale.isdisjoint(postings)
-            else ({doc_id: score for doc_id, score in postings.items()
-                   if doc_id not in stale} or None)
-            for postings in longs
-        ]
-
-    def _completions(self, longs: list, shorts: list, short_docs: "set[int]",
-                     fresh: "set[int]") -> list:
-        if self.all_terms:
-            return self._complete_all(longs, shorts, short_docs, fresh)
-        return self._complete_any(longs, shorts, short_docs, fresh)
-
-    def _complete_any(self, longs: list, shorts: list, short_docs: "set[int]",
-                      fresh: "set[int]") -> list:
+    def _complete_any(self, longs: list, shorts: list, fresh: "set[int]") -> list:
+        if not self.term_scores:
+            return [(doc_id, None) for doc_id in sorted(fresh)]
         completed = []
         for doc_id in sorted(fresh):
-            if not self.term_scores and doc_id not in short_docs:
-                completed.append((doc_id, False, None))
-                continue
             for term in range(self.term_count):
                 postings = longs[term]
+                if postings is None or doc_id not in postings:
+                    postings = shorts[term]
                 if postings is not None and doc_id in postings:
-                    completed.append((doc_id, False, {term: postings[doc_id]}))
-                    break
-                postings = shorts[term]
-                if postings is not None and doc_id in postings:
-                    completed.append((doc_id, True, {term: postings[doc_id]}))
+                    completed.append((doc_id, {term: postings[doc_id]}))
                     break
         return completed
 
-    def _complete_all(self, longs: list, shorts: list,
-                      short_docs: "set[int]", fresh: "set[int]") -> list:
+    def _complete_all(self, longs: list, shorts: list, fresh: "set[int]") -> list:
         seen = self.seen
         terms = range(self.term_count)
         ready = fresh
@@ -287,27 +238,14 @@ class _ChunkCandidates:
                                         if m is not None))
             if absent:
                 ready -= absent.difference(seen[term])
-        completed = []
-        for doc_id in sorted(ready):
-            if not self.term_scores and doc_id not in short_docs:
-                # Every posting of the document in this chunk is long.
-                completed.append((doc_id, doc_id in self.short_seen, None))
-                continue
-            missing = [term for term in terms if doc_id not in seen[term]]
-            last = missing[-1]
-            from_short = (
-                doc_id in self.short_seen
-                or any(shorts[term] is not None and doc_id in shorts[term]
-                       for term in range(last))
-                or longs[last] is None or doc_id not in longs[last]
-            )
-            found = (self._found(doc_id, missing, longs, shorts)
-                     if self.term_scores else None)
-            completed.append((doc_id, from_short, found))
-        return completed
+        if not self.term_scores:
+            return [(doc_id, None) for doc_id in sorted(ready)]
+        return [(doc_id, self._found(doc_id, [term for term in terms
+                                              if doc_id not in seen[term]],
+                                     longs, shorts))
+                for doc_id in sorted(ready)]
 
-    def _record(self, chunk_id: int, longs: list, shorts: list,
-                short_docs: "set[int]") -> None:
+    def _record(self, chunk_id: int, longs: list, shorts: list) -> None:
         """Fold this chunk's postings into the AND state."""
         seen = self.seen
         for term in range(self.term_count):
@@ -319,7 +257,6 @@ class _ChunkCandidates:
                     if first_seen:
                         self.first_chunk[term].update(dict.fromkeys(first_seen, chunk_id))
                 seen[term].update(postings)
-        self.short_seen |= short_docs
 
     def _found(self, doc_id: int, missing: "list[int]", longs: list,
                shorts: list) -> "dict[int, float]":

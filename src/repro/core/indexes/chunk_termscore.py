@@ -112,9 +112,9 @@ class ChunkTermScoreIndex(ChunkIndex):
     def _after_content_update(self, doc_id: int, old_document: Document,
                               new_document: Document) -> None:
         super()._after_content_update(doc_id, old_document, new_document)
-        self._refresh_fancy(doc_id,
-                            old_document.distinct_terms - new_document.distinct_terms,
-                            new_document.distinct_terms - old_document.distinct_terms)
+        # The new length changes the term score of every kept term too.
+        self._refresh_fancy(doc_id, old_document.distinct_terms,
+                            new_document.distinct_terms)
 
     # -- query (Algorithm 3) ----------------------------------------------------------------
 
@@ -152,7 +152,6 @@ class ChunkTermScoreIndex(ChunkIndex):
 
         # Phase 2: merge short and long lists in chunk order (lines 10-34).
         candidates = _ChunkCandidates(len(terms), conjunctive, processed,
-                                      stale_of=self._stale_long_docs,
                                       term_scores=True)
         sum_floors = sum(fancy_floors)
 

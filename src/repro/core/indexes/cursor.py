@@ -309,31 +309,35 @@ class LongListIndex(InvertedIndex):
 
     def _after_content_update(self, doc_id: int, old_document: Document,
                               new_document: Document) -> None:
-        """ADD the new terms and REM the dropped ones at the list state."""
+        """ADD the new terms at the list state and REM the dropped ones.
+
+        A dropped term loses its ADD under the list state, and its long
+        posting gets a REM keyed ``(term, 1, doc_id)`` like a re-insert's,
+        which no later ADD overwrites.  A TermScore variant re-files every
+        kept term as well: the new length changes its term score.  The row
+        then says the document has short postings, so a later promotion or
+        re-insert drops them.
+        """
         state = None
         if self._bookkeeping is not None:
             entry = self._bookkeeping.get(doc_id, default=None)
             state = (entry[0] if entry is not None
                      else self._state_of(self.score_table.get(doc_id)))
-        added = new_document.distinct_terms - old_document.distinct_terms
-        removed = old_document.distinct_terms - new_document.distinct_terms
-        entries = sorted(
-            [(self._short_key(term, doc_id, state),
-              (ADD, self._current_term_score(doc_id, term))) for term in added]
-            + [(self._short_key(term, doc_id, state), (REM, 0.0)) for term in removed]
-        )
-        self._short.put_many(entries)
-        self.update_stats.short_list_postings_written += len(entries)
-
-    def _stale_long_docs(self, doc_ids: "list[int]") -> "set[int]":
-        """The documents whose bookkeeping row says they live in the short lists.
-
-        Their long postings are stale — a document deleted and re-inserted
-        lower arrives in the long lists first — and the short postings
-        represent it.  One bulk pass that descends once per leaf run.
-        """
-        rows = self._bookkeeping.get_many(doc_ids)
-        return {doc_id for doc_id, (_state, in_short) in rows.items() if in_short}
+        old_terms, new_terms = old_document.distinct_terms, new_document.distinct_terms
+        ops: dict[tuple, tuple | None] = {}
+        for term in old_terms - new_terms:
+            ops[self._short_key(term, doc_id, state)] = None
+            ops[self._short_key(term, doc_id, None)] = (REM, 0.0)
+        for term in new_terms if self.stores_term_scores else new_terms - old_terms:
+            if term in old_terms:
+                ops[self._short_key(term, doc_id, None)] = (REM, 0.0)
+            ops[self._short_key(term, doc_id, state)] = (
+                ADD, self._current_term_score(doc_id, term))
+        self._flush_coalesced_ops(self._short, ops)
+        self.update_stats.short_list_postings_written += sum(
+            op is not None for op in ops.values())
+        if self._bookkeeping is not None:
+            self._bookkeeping.put(doc_id, (state, True))
 
 
 def _tag_scan_errors(handle, items):

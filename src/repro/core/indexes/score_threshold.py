@@ -103,10 +103,7 @@ class ScoreThresholdIndex(LongListIndex):
         required = len(terms) if conjunctive else 1
         heap = ResultHeap(k)
         seen_terms: dict[int, set[int]] = {}
-        seen_short: dict[int, bool] = {}
         processed: set[int] = set()
-        # Documents whose long postings are stale (see _stale_long_docs).
-        stale: set[int] = set()
 
         def on_window(window: list, _next_key) -> "list[int] | None":
             consumed = [0] * len(window)
@@ -122,19 +119,11 @@ class ScoreThresholdIndex(LongListIndex):
                     return [sum(len(piece[1]) for piece in slices) - consumed[index]
                             for index, slices in enumerate(window)]
                 consumed[stream] += 1
-                is_short = stream % 2 == 1
-                if doc_id in processed or (doc_id in stale and not is_short):
+                if doc_id in processed:
                     continue
                 terms_seen = seen_terms.setdefault(doc_id, set())
                 terms_seen.add(stream // 2)
-                seen_short[doc_id] = seen_short.get(doc_id, False) or is_short
                 if len(terms_seen) < required:
-                    continue
-                if not seen_short[doc_id] and self._long_postings_stale(doc_id):
-                    # Forget the stale postings; the document completes from
-                    # its short postings when they arrive, further down.
-                    stale.add(doc_id)
-                    del seen_terms[doc_id], seen_short[doc_id]
                     continue
                 processed.add(doc_id)
                 stats.candidates += 1
@@ -147,11 +136,6 @@ class ScoreThresholdIndex(LongListIndex):
 
         run_windows(streams, scored_position, on_window, stats, inclusive=True)
         return heap.results()
-
-    def _long_postings_stale(self, doc_id: int) -> bool:
-        """:meth:`_stale_long_docs` for one document, as a point lookup."""
-        entry = self._bookkeeping.get(doc_id, default=None)
-        return entry is not None and entry[1]
 
 
 def _postings(stream: int, slices: list):

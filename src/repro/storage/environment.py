@@ -11,16 +11,11 @@ plus a write-ahead log) with **identical accounting**, :meth:`commit` group-
 commits a batch of work, :meth:`checkpoint` folds the log into the paged file,
 and :func:`repro.storage.persistence.open_environment` recovers the
 environment — stores included — to the last committed batch boundary after a
-crash.  Setting ``REPRO_BACKEND=file`` in the process environment routes
-every ``path``-less environment onto a fresh file-backed directory (under
-``REPRO_BACKEND_DIR`` when set), which is how CI runs the whole test suite
-against the durable engine.
+crash.
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
 import threading
 from dataclasses import dataclass
 from typing import Any
@@ -74,16 +69,6 @@ class IODelta:
         return (model or DiskCostModel()).cost_ms(self.disk)
 
 
-def _backend_path_from_environ() -> str | None:
-    """A fresh file-backend directory when ``REPRO_BACKEND=file`` is set."""
-    if os.environ.get("REPRO_BACKEND", "").lower() != "file":
-        return None
-    root = os.environ.get("REPRO_BACKEND_DIR") or None
-    if root is not None:
-        os.makedirs(root, exist_ok=True)
-    return tempfile.mkdtemp(prefix="repro-env-", dir=root)
-
-
 class StorageEnvironment:
     """One simulated disk + buffer pool and a catalogue of named stores.
 
@@ -97,15 +82,11 @@ class StorageEnvironment:
         Page size in bytes.
     path:
         Optional directory for a durable, file-backed environment.  ``None``
-        keeps the memory-backed engine (unless ``REPRO_BACKEND=file`` routes
-        it onto a temporary file-backed directory).  Accounting is identical
-        either way.
+        keeps the memory-backed engine.  Accounting is identical either way.
     """
 
     def __init__(self, cache_pages: int = 4096, page_size: int = PAGE_SIZE,
                  path: str | None = None) -> None:
-        if path is None:
-            path = _backend_path_from_environ()
         if path is None:
             self.disk: SimulatedDisk = SimulatedDisk(page_size=page_size)
         else:

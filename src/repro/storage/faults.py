@@ -4,8 +4,9 @@ Real disks fail in ways a clean ``crash()`` never exercises: writes error
 transiently, fsyncs fail and take the unsynced tail with them on power loss,
 page writes tear, the volume fills up, and bits rot silently under data at
 rest.  This module schedules exactly those faults *deterministically* so the
-chaos workloads (:mod:`repro.workloads.chaos`) can drive the engine through
-arbitrary failure histories and still be byte-reproducible from a seed.
+tests (the state machine in ``tests/core/test_state_machine.py``) can drive
+the engine through arbitrary failure histories and still be byte-reproducible
+from a seed.
 
 Model
 -----
@@ -196,11 +197,16 @@ class FaultPlan:
             ]
             exceed = 2
         specs = []
-        for _ in range(max(0, escalations)):
+        for position in range(max(0, escalations)):
             op, kind = rng.choice(spec_menu)
             run = (max(1, retry_budget + exceed)
                    if kind in ("transient", "fsync", "torn") else 1)
-            specs.append(FaultSpec(op=op, kind=kind, at=rng.randrange(4, 60), run=run))
+            at = rng.randrange(4, 60)
+            if backend == "memory":
+                # One window per 64 occurrences: two runs on one op must
+                # never chain into a run longer than the budget.
+                at += 64 * position
+            specs.append(FaultSpec(op=op, kind=kind, at=at, run=run))
         return cls(
             seed=seed, rate=rate, ops=ops, max_run=min(2, retry_budget - 1),
             specs=tuple(specs), retry_budget=retry_budget, shards=shards,

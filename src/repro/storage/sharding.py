@@ -541,8 +541,8 @@ class ShardedEnvironment:
         only after every other shard has durably committed, so recovering all
         shards to their own last commit yields a consistent batch boundary
         whenever the crash fell outside this fan-out window.  (A crash *inside*
-        the window can leave shards one batch apart — the restart workload
-        injects crashes between batches, where the boundary is exact.)
+        the window can leave shards one batch apart; recovery rolls the
+        shards that ran ahead back to shard 0's batch.)
 
         ``skip`` names quarantined shard indices excluded from the fan-out
         (degraded commit): a skipped shard simply falls behind shard 0's batch

@@ -16,21 +16,13 @@
   closed-loop *concurrent* client threads with a p50/p95/p99 latency profile
   and an optional background checkpoint cadence (the concurrent-engine
   service workload).
-* :mod:`repro.workloads.restart` — crash-storm / restart workloads against the
-  durable engine: kill mid-batch, recover, verify the committed prefix.
-* :mod:`repro.workloads.chaos` — the same storms under *injected* storage
-  faults (transients, torn appends, failed fsyncs, ENOSPC, bit-rot), holding
-  the engine to typed failures and committed-prefix recovery.
+
+Crash, recovery and fault storms are not workloads here: the state machine
+in ``tests/core/test_state_machine.py`` drives them against a reference
+model.
 """
 
 from repro.workloads.archive import ArchiveConfig, InternetArchiveDataset
-from repro.workloads.chaos import (
-    ChaosStormConfig,
-    ChaosStormResult,
-    fault_seed_from_environ,
-    run_chaos_storm,
-    sweep_chaos_seeds,
-)
 from repro.workloads.multiclient import (
     MultiClientConfig,
     MultiClientDriver,
@@ -42,13 +34,6 @@ from repro.workloads.service import (
     ServiceLoadDriver,
     ServiceLoadResult,
     percentile,
-)
-from repro.workloads.restart import (
-    RestartStormConfig,
-    RestartStormResult,
-    build_persistent_index,
-    run_crash_storm,
-    sweep_crash_points,
 )
 from repro.workloads.synthetic import (
     SyntheticCorpus,
@@ -81,14 +66,4 @@ __all__ = [
     "ServiceLoadDriver",
     "ServiceLoadResult",
     "percentile",
-    "RestartStormConfig",
-    "RestartStormResult",
-    "build_persistent_index",
-    "run_crash_storm",
-    "sweep_crash_points",
-    "ChaosStormConfig",
-    "ChaosStormResult",
-    "fault_seed_from_environ",
-    "run_chaos_storm",
-    "sweep_chaos_seeds",
 ]

@@ -1,16 +1,7 @@
-"""Shared fixtures for the test suite.
-
-Setting ``REPRO_BACKEND=file`` reruns the whole suite against the durable
-file-backed storage engine: every ``StorageEnvironment`` created without an
-explicit path lands on a fresh ``FileBackedDisk`` directory (under pytest's
-tmp root, via the session fixture below).  Accounting is backend-independent,
-so the suite must pass unchanged — that equivalence is itself part of the
-durability contract and is what the CI file-backend leg checks.
-"""
+"""Shared fixtures for the test suite."""
 
 from __future__ import annotations
 
-import os
 import random
 
 import pytest
@@ -18,16 +9,6 @@ import pytest
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.disk import SimulatedDisk
 from repro.storage.environment import StorageEnvironment
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _file_backend_dir(tmp_path_factory) -> None:
-    """Route REPRO_BACKEND=file environments under pytest's tmp root."""
-    if os.environ.get("REPRO_BACKEND", "").lower() == "file":
-        if not os.environ.get("REPRO_BACKEND_DIR"):
-            os.environ["REPRO_BACKEND_DIR"] = str(
-                tmp_path_factory.mktemp("repro-file-backend")
-            )
 
 #: Options that make the chunked methods behave sensibly on tiny corpora.
 SMALL_CHUNK_OPTIONS = {"chunk_ratio": 3.0, "min_chunk_size": 2}
@@ -56,12 +37,7 @@ UPDATE_STORM_SEEDS = (11, 23, 57, 2026)
 
 @pytest.fixture
 def env():
-    """A fresh storage environment with a modest cache (closed at teardown).
-
-    Closing releases the file handles deterministically when the suite runs
-    against the file backend; on the memory backend it is a cheap no-op
-    beyond marking the stores closed.
-    """
+    """A fresh storage environment with a modest cache (closed at teardown)."""
     environment = StorageEnvironment(cache_pages=256)
     yield environment
     environment.close()

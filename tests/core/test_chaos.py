@@ -5,18 +5,16 @@ quarantined shard degrades queries (flagged, never silently wrong), fails
 writes fast with a typed error before any mutation, is skipped by degraded
 commits, and is re-admitted by ``reopen_shard`` from its checkpoint + WAL.
 
-The bottom half is the chaos property: for arbitrary seeded fault schedules,
-every method on both backends either succeeds, raises a typed
-:class:`ReproError` leaving the engine at its last committed state, or
-quarantines the faulty shard — and after recovery, contents and top-k equal
-the committed prefix of a fault-free memory twin.  With injection disabled
-(or a ``FaultPlan.none()`` attached), I/O fingerprints are bit-identical to
-an index with no injector at all.
+The bottom half replays seeded fault storms as scripted runs of the state
+machine (``tests/core/test_state_machine.py``): every operation either
+succeeds or raises a typed :class:`StorageError`, after which the machine
+crash-recovers the index and holds it to the reference model's committed
+snapshot.  With injection disabled (or a ``FaultPlan.none()`` attached),
+I/O fingerprints are bit-identical to an index with no injector at all.
 """
 
 from __future__ import annotations
 
-import os
 import random
 
 import pytest
@@ -24,26 +22,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import METHOD_OPTIONS, make_corpus
+from tests.core.test_state_machine import scripted_machine, scripted_window
 from tests.helpers import category_fingerprint
 from repro.core.text_index import SVRTextIndex
 from repro.errors import ShardQuarantinedError, StorageError
 from repro.storage.faults import FaultPlan, FaultSpec
 from repro.storage.sharding import shard_of_doc, shard_of_term
-from repro.workloads.chaos import (
-    ChaosStormConfig,
-    fault_seed_from_environ,
-    run_chaos_storm,
-)
 
 METHODS = tuple(METHOD_OPTIONS)
-
-#: Backends the storm sweep covers.  The CI chaos matrix sets
-#: ``REPRO_CHAOS_BACKEND`` to pin one backend per leg so a failure names it;
-#: unset (local runs), every storm covers both.
-CHAOS_BACKENDS = tuple(
-    backend for backend in ("memory", "file")
-    if os.environ.get("REPRO_CHAOS_BACKEND", backend) == backend
-) or ("memory", "file")
 
 
 def _corpus(num_docs: int = 40) -> list:
@@ -256,26 +242,6 @@ class TestQuarantine:
 
 
 # ---------------------------------------------------------------------------
-# REPRO_FAULT_SEED plumbing
-# ---------------------------------------------------------------------------
-
-
-class TestFaultSeedEnviron:
-    def test_unset_returns_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FAULT_SEED", raising=False)
-        assert fault_seed_from_environ() is None
-        assert fault_seed_from_environ(7) == 7
-
-    def test_set_parses(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_SEED", "13")
-        assert fault_seed_from_environ() == 13
-
-    def test_garbage_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_SEED", "not-a-seed")
-        assert fault_seed_from_environ(3) == 3
-
-
-# ---------------------------------------------------------------------------
 # Fingerprint invariance with injection disabled
 # ---------------------------------------------------------------------------
 
@@ -300,73 +266,59 @@ class TestDisabledInjectionInvariance:
 
 
 # ---------------------------------------------------------------------------
-# The chaos property
+# Seeded fault storms
 # ---------------------------------------------------------------------------
 
 
 CHAOS_SETTINGS = settings(
-    max_examples=8, deadline=None,
+    max_examples=8, deadline=None, derandomize=True, database=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 
 
+def _storm(method: str, backend: str, fault_seed: int, escalations: int = 2,
+           cycles: int = 5):
+    """Churn, a window of score updates, a commit and a query per cycle,
+    under a seeded fault plan, then a final recovery and a scrub of the data
+    at rest; returns the finished machine."""
+    rng = random.Random(fault_seed)
+    with scripted_machine(method, shards=2, backend=backend) as machine:
+        machine.inject_faults(fault_seed, escalations)
+        for cycle in range(cycles):
+            if cycle % 2 == 0:
+                machine.insert(["churn", f"churn{cycle}"], 50.0 * (cycle + 1))
+            elif machine.model.live:
+                machine.delete(0)
+            machine.apply_score_updates(scripted_window(rng, 6))
+            machine.commit(checkpoint=cycle % 4 == 3)
+            machine.query(["v0"], k=5, conjunctive=False)
+        machine.clear_faults()
+        if machine.durable:
+            machine.crash_and_recover()
+            assert all(report.clean for report in machine.index.scrub())
+    return machine
+
+
 class TestChaosStorms:
     @pytest.mark.parametrize("method", METHODS)
-    def test_storm_survives_on_both_backends(self, method, tmp_path):
-        corpus = _corpus()
-        for backend in CHAOS_BACKENDS:
-            config = ChaosStormConfig(
-                backend=backend, num_batches=5, batch_size=6,
-                fault_seed=fault_seed_from_environ(0),
-                rate=0.04, escalations=2,
-            )
-            path = (str(tmp_path / f"{method}-{backend}")
-                    if backend == "file" else None)
-            result = run_chaos_storm(path, method, corpus, config, shards=2,
-                                     **METHOD_OPTIONS[method])
-            assert result.survived, result.mismatches
-            assert result.cycles_committed <= result.cycles_attempted
-            assert not result.unrecovered
+    def test_storm_survives_on_both_backends(self, method):
+        for backend in ("memory", "file"):
+            _storm(method, backend, fault_seed=0)
 
     @CHAOS_SETTINGS
     @given(
         fault_seed=st.integers(min_value=0, max_value=10_000),
         method=st.sampled_from(METHODS),
-        backend=st.sampled_from(CHAOS_BACKENDS),
+        backend=st.sampled_from(("memory", "file")),
         escalations=st.integers(min_value=0, max_value=3),
     )
     def test_arbitrary_fault_schedules_hold_the_contract(
-            self, tmp_path_factory, fault_seed, method, backend, escalations):
-        corpus = _corpus(num_docs=30)
-        config = ChaosStormConfig(
-            backend=backend, num_batches=4, batch_size=5,
-            fault_seed=fault_seed, rate=0.05, escalations=escalations,
-        )
-        path = None
-        if backend == "file":
-            path = str(tmp_path_factory.mktemp("chaos")
-                       / f"{method}-{fault_seed}")
-        result = run_chaos_storm(path, method, corpus, config, shards=2,
-                                 **METHOD_OPTIONS[method])
-        # The contract: typed failures only (anything untyped would have
-        # propagated out of run_chaos_storm), recovered state equal to the
-        # committed prefix of the fault-free twin, clean data at rest.
-        assert result.survived, (result.typed_errors, result.mismatches)
+            self, fault_seed, method, backend, escalations):
+        _storm(method, backend, fault_seed, escalations=escalations, cycles=4)
 
-    def test_file_storms_actually_escalate_somewhere(self, tmp_path):
+    def test_file_storms_actually_escalate_somewhere(self):
         # Guard against the storm silently degenerating into a no-fault walk:
         # across a small seed sweep the file profile must produce at least
-        # one injected fault and one typed hard failure + recovery.
-        corpus = _corpus()
-        total_injected = total_recoveries = 0
-        for seed in range(3):
-            config = ChaosStormConfig(backend="file", num_batches=5,
-                                      batch_size=6, fault_seed=seed,
-                                      rate=0.05, escalations=2)
-            result = run_chaos_storm(str(tmp_path / f"s{seed}"), "score",
-                                     corpus, config, shards=2)
-            assert result.survived, result.mismatches
-            total_injected += sum(result.faults_injected.values())
-            total_recoveries += result.recoveries
-        assert total_injected > 0
-        assert total_recoveries > 0
+        # one typed hard failure and recovery.
+        assert sum(_storm("score", "file", seed).fault_recoveries
+                   for seed in range(3)) > 0

@@ -7,7 +7,8 @@ Three guarantees, each pinned for every index method:
   history;
 * **crash-point sweep** — a crash injected at any batch boundary (with an
   uncommitted partial batch in flight) recovers to exactly the committed
-  prefix, verified against a twin that applied only that prefix;
+  prefix: scripted runs of the state machine, whose recovery check holds
+  the engine to the reference model's committed snapshot;
 * **accounting fidelity** — building, updating and cold-cache querying an
   index produces identical per-category ``DiskStats``/``BufferPoolStats``
   fingerprints on the memory and file backends (the fig7/table1 acceptance
@@ -16,17 +17,15 @@ Three guarantees, each pinned for every index method:
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from tests.conftest import METHOD_OPTIONS, make_corpus
+from tests.core.test_state_machine import scripted_machine, scripted_window
 from tests.helpers import category_fingerprint
 from repro.core.text_index import SVRTextIndex
 from repro.errors import StorageError
-from repro.workloads.restart import (
-    RestartStormConfig,
-    run_crash_storm,
-    sweep_crash_points,
-)
 from repro.workloads.updates import UpdateWorkload, UpdateWorkloadConfig
 
 ALL_METHODS = sorted(METHOD_OPTIONS)
@@ -131,45 +130,45 @@ def test_reopen_sharded_index(method, rng, tmp_path):
 
 
 @pytest.mark.parametrize("method", ALL_METHODS)
-def test_crash_at_every_batch_boundary_recovers_committed_prefix(
-        method, rng, tmp_path):
-    corpus = make_corpus(rng, num_docs=30, vocabulary=20, terms_per_doc=8)
-    config = RestartStormConfig(num_batches=3, batch_size=12,
-                                checkpoint_every=2, partial_tail=5)
-    results = sweep_crash_points(
-        str(tmp_path), method, corpus, config=config,
-        cache_pages=128, page_size=512, **METHOD_OPTIONS[method],
-    )
-    assert len(results) == config.num_batches + 1
-    for result in results:
-        assert result.recovered_exactly, (
-            method, result.crash_after_batch, result.mismatches
-        )
-        assert result.batches_committed == result.crash_after_batch
+def test_crash_at_every_batch_boundary_recovers_committed_prefix(method):
+    """One lineage crashes at every boundary, with updates in flight: before
+    the first window, then after each committed (or checkpointed) one."""
+    rng = random.Random(11)
+    with scripted_machine(method) as machine:
+        for boundary in range(4):
+            if boundary:
+                machine.apply_score_updates(scripted_window(rng, 12))
+                machine.commit(checkpoint=boundary % 2 == 0)
+            for pick, score in scripted_window(rng, 5):
+                machine.update_score(pick, score, deleted=False)
+            machine.crash_and_recover()
 
 
-def test_crash_storm_with_document_churn(rng, tmp_path):
-    corpus = make_corpus(rng, num_docs=30, vocabulary=20, terms_per_doc=8)
-    config = RestartStormConfig(num_batches=4, batch_size=10,
-                                crash_after_batch=3, doc_churn=True)
-    result = run_crash_storm(
-        str(tmp_path / "churn"), "chunk", corpus, config=config,
-        cache_pages=128, page_size=512, **METHOD_OPTIONS["chunk"],
-    )
-    assert result.recovered_exactly, result.mismatches
-    assert result.updates_lost > 0
+def test_crash_storm_with_document_churn():
+    rng = random.Random(11)
+    with scripted_machine("chunk") as machine:
+        for batch in range(3):
+            if batch % 2 == 0:
+                machine.insert(["churn", f"churn{batch}"], 50.0 * (batch + 1))
+            else:
+                machine.delete(0)
+            machine.apply_score_updates(scripted_window(rng, 10))
+            machine.commit(checkpoint=False)
+        lost = machine.next_doc
+        machine.insert(["churn", "lost"], 999.0)
+        machine.delete(3)
+        machine.crash_and_recover()
+        assert machine.index.current_score(lost) is None
 
 
-def test_crash_storm_sharded(rng, tmp_path):
-    corpus = make_corpus(rng, num_docs=30, vocabulary=20, terms_per_doc=8)
-    config = RestartStormConfig(num_batches=3, batch_size=10,
-                                crash_after_batch=2)
-    result = run_crash_storm(
-        str(tmp_path / "sharded"), "score_threshold", corpus, config=config,
-        cache_pages=128, page_size=512, shards=2,
-        **METHOD_OPTIONS["score_threshold"],
-    )
-    assert result.recovered_exactly, result.mismatches
+def test_crash_storm_sharded():
+    rng = random.Random(11)
+    with scripted_machine("score_threshold", shards=2) as machine:
+        for _batch in range(2):
+            machine.apply_score_updates(scripted_window(rng, 10))
+            machine.commit(checkpoint=False)
+        machine.apply_score_updates(scripted_window(rng, 5))
+        machine.crash_and_recover()
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from repro.core.text_index import SVRTextIndex
 from repro.errors import InvertedIndexError, TransientIOError
 from repro.storage.sharding import shard_of_term
 from tests.conftest import METHOD_OPTIONS, SVR_ONLY_METHODS, TERMSCORE_METHODS, make_corpus
-from tests.helpers import build_index, query_doc_scores
+from tests.helpers import ReferenceModel, build_index, query_doc_scores
 
 ALL_METHODS = SVR_ONLY_METHODS + TERMSCORE_METHODS
 
@@ -246,47 +246,54 @@ def test_cache_survives_each_write_entry_point(method):
 def _interleave(cached: SVRTextIndex, plain: SVRTextIndex, seed: int,
                 operations: int = 300) -> None:
     """A seeded mix of writes and queries applied to both indexes; every
-    query's results and scores must agree."""
+    query's results and scores must agree, and answer the query."""
     rng = random.Random(seed)
     vocab = [f"w{i:03d}" for i in range(25)]
-    scores = {doc_id: score for doc_id, _terms, score in make_corpus(
-        random.Random(97), num_docs=40, vocabulary=25)}
+    model = ReferenceModel(cached.method)
+    for doc_id, terms, score in make_corpus(random.Random(97), num_docs=40,
+                                            vocabulary=25):
+        model.insert(doc_id, terms, score)
     deleted: list[int] = []
     for step in range(operations):
-        live = sorted(set(scores) - set(deleted))
+        live = model.live
         roll = rng.random()
         if roll < 0.35:
             keywords = rng.sample(vocab, rng.randint(1, 3))
             k = rng.choice([1, 5, 10])
             conjunctive = rng.random() < 0.5
-            answers = [[(r.doc_id, r.score) for r in index.search(
-                keywords, k=k, conjunctive=conjunctive).results]
-                for index in (cached, plain)]
-            assert answers[0] == answers[1], (step, keywords, conjunctive)
+            results = [index.search(keywords, k=k, conjunctive=conjunctive).results
+                       for index in (cached, plain)]
+            assert results[0] == results[1], (step, keywords, conjunctive)
+            model.check(results[0], keywords, k, conjunctive)
             continue
         if roll < 0.55:
             doc_id = rng.choice(live)
-            scores[doc_id] = round(rng.uniform(0.0, 1000.0), 2)
-            write = lambda i: i.update_score(doc_id, scores[doc_id])
+            score = round(rng.uniform(0.0, 1000.0), 2)
+            model.update_score(doc_id, score)
+            write = lambda i: i.update_score(doc_id, score)
         elif roll < 0.7:
             window = [(rng.choice(live), round(rng.uniform(0.0, 1000.0), 2))
                       for _ in range(rng.randint(2, 12))]
-            scores.update(window)
+            for doc_id, score in window:
+                model.update_score(doc_id, score)
             write = lambda i: i.apply_score_updates(window)
         elif roll < 0.8:
             doc_id = rng.choice(live)
             deleted.append(doc_id)
+            model.delete(doc_id)
             write = lambda i: i.delete_document(doc_id)
         elif roll < 0.9 and deleted:
             doc_id = deleted.pop(rng.randrange(len(deleted)))
-            old = scores[doc_id]
-            scores[doc_id] = round(rng.choice(
+            old = model.scores[doc_id]
+            score = round(rng.choice(
                 [rng.uniform(0.0, old), rng.uniform(old, 1000.0)]), 2)
             terms = rng.sample(vocab, rng.randint(2, 6))
-            write = lambda i: i.insert_document_terms(doc_id, terms, scores[doc_id])
+            model.insert(doc_id, terms, score)
+            write = lambda i: i.insert_document_terms(doc_id, terms, score)
         else:
             doc_id = rng.choice(live)
             text = " ".join(rng.sample(vocab, rng.randint(2, 6)))
+            model.update_content(doc_id, text.split())
             write = lambda i: i.update_content(doc_id, text)
         write(cached)
         write(plain)

@@ -23,6 +23,11 @@ conjunctive queries only, for the reason above.
 
 A score update to a deleted document must not bring back the Score method's
 clustered entries: a later lower re-insert would rank at the stale score.
+
+A content update files its new terms' postings under the document's list
+state; a later re-insert without such a term must retire them, at a lower
+or a higher score.  It also changes the document's length, so the TermScore
+methods must re-file the term scores of the terms it keeps.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from repro.core.indexes.registry import create_index
 from repro.storage.environment import StorageEnvironment
 from repro.text.documents import DocumentStore
 from tests.conftest import METHOD_OPTIONS
-from tests.helpers import normalized_tf, reference_top_k
+from tests.helpers import ReferenceModel, normalized_tf, reference_top_k
 
 VOCABULARY = [f"r{i}" for i in range(8)]
 
@@ -138,3 +143,50 @@ def test_score_update_of_deleted_document_keeps_no_entries(seed):
         for keyword in VOCABULARY:
             got = [(r.doc_id, r.score) for r in index.query([keyword], k=5).results]
             assert got == reference_top_k(contents, scores, set(), [keyword], 5), keyword
+
+
+@pytest.mark.parametrize("higher", [False, True])
+@pytest.mark.parametrize("method", ["chunk", "chunk_termscore", "score_threshold"])
+def test_term_added_by_content_update_is_retired_by_reinsert(method, higher):
+    """``update_content`` adds a term, the document is deleted and
+    re-inserted without it: an OR query on that term must not find it."""
+    index = _build(method)
+    model = ReferenceModel(method)
+    for doc_id in index.documents.doc_ids():
+        model.insert(doc_id, list(index.documents.get(doc_id).term_frequencies),
+                     index.current_score(doc_id))
+    rng = random.Random(23)
+    for doc_id in rng.sample(sorted(model.scores), 8):
+        kept = model.terms[doc_id]
+        added = kept + ["added"]
+        index.update_content(doc_id, added)
+        model.update_content(doc_id, added)
+        index.delete_document(doc_id)
+        model.delete(doc_id)
+        score = round(model.scores[doc_id] * (3.0 if higher else 0.3), 2)
+        index.insert_document(doc_id, kept, score)
+        model.insert(doc_id, kept, score)
+        for keywords in (["added"], ["added", kept[0]]):
+            response = index.query(keywords, k=100, conjunctive=False)
+            model.check(response.results, keywords, 100, False)
+
+
+@pytest.mark.parametrize("method", ["id_termscore", "chunk_termscore"])
+def test_content_update_refiles_the_term_scores_of_kept_terms(method):
+    """A content update changes the document length, so every kept term's
+    term score changes too; AND queries rank by the new ones."""
+    index = _build(method)
+    model = ReferenceModel(method)
+    for doc_id in index.documents.doc_ids():
+        model.insert(doc_id, list(index.documents.get(doc_id).term_frequencies),
+                     index.current_score(doc_id))
+    rng = random.Random(29)
+    for doc_id in rng.sample(sorted(model.scores), 10):
+        terms = model.terms[doc_id] + [rng.choice(VOCABULARY)] * rng.randint(1, 4)
+        index.update_content(doc_id, terms)
+        model.update_content(doc_id, terms)
+        for term in VOCABULARY:
+            response = index.query([term], k=100)
+            model.check(response.results, [term], 100, True)
+        pair = rng.sample(VOCABULARY, 2)
+        model.check(index.query(pair, k=100).results, pair, 100, True)

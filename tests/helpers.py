@@ -1,14 +1,17 @@
 """Shared helpers for the test suite.
 
-The most important helper is :func:`reference_top_k`, a brute-force
-re-implementation of the paper's query semantics: rank the documents matching
-the keywords by their *latest* scores.  Every index method must produce exactly
-the same answer (Theorems 1 and 2), which is what the equivalence and
-property-based tests check.
+The most important helpers are :func:`reference_top_k`, a brute-force
+re-implementation of the paper's query semantics — rank the documents
+matching the keywords by their *latest* scores — and
+:class:`ReferenceModel`, which keeps the state those answers come from
+across writes, commits and recoveries.  Every index method must produce
+the same answer (Theorems 1 and 2), which is what the equivalence,
+property-based and state-machine tests check.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Mapping, Sequence
 
 from repro.core.indexes.base import InvertedIndex
@@ -51,6 +54,123 @@ def reference_top_k(
         matches.append((doc_id, score))
     matches.sort(key=lambda item: (-item[1], item[0]))
     return matches[:k]
+
+
+class ReferenceModel:
+    """Brute-force model of one index: its contents and the answers they imply.
+
+    It holds each document's terms, its latest score, the deleted set and
+    the normalised term frequencies the TermScore methods rank by.
+    :meth:`commit` snapshots that state and :meth:`rollback` returns to the
+    snapshot, which is exactly what recovery must reproduce.
+
+    :meth:`check` holds a method's answer to the contract:
+
+    * SVR-only methods: exactly :func:`reference_top_k`.
+    * ID-TermScore, and Chunk-TermScore on AND (or one-term) queries: the
+      combined scores, rank-wise within ``1e-6`` per query term (long-list
+      postings store the term score as a 32-bit float), and the documents
+      wherever the score is not tied within that tolerance.
+    * Chunk-TermScore on multi-term OR queries, which adds only the
+      completing posting's term score: distinct live matches whose scores
+      lie rank-wise in ``[svr, svr + terms * max_ntf]`` of the best SVR
+      scores (the slack of the benchmark's frozen twin).
+    """
+
+    def __init__(self, method: str) -> None:
+        self.method = method
+        self.terms: dict[int, list[str]] = {}
+        self.scores: dict[int, float] = {}
+        self.deleted: set[int] = set()
+        self.ntf: dict[int, dict[str, float]] = {}
+        self.commit()
+
+    # -- writes, mirroring the index API -------------------------------------
+
+    def insert(self, doc_id: int, terms: Sequence[str], score: float) -> None:
+        """A build-time add, an insert or a re-insert."""
+        self.deleted.discard(doc_id)
+        self.scores[doc_id] = float(score)
+        self.update_content(doc_id, terms)
+
+    def delete(self, doc_id: int) -> None:
+        self.deleted.add(doc_id)
+
+    def update_score(self, doc_id: int, score: float) -> None:
+        """Also legal on a deleted document; a re-insert replaces it."""
+        self.scores[doc_id] = float(score)
+
+    def update_content(self, doc_id: int, terms: Sequence[str]) -> None:
+        self.terms[doc_id] = list(terms)
+        self.ntf[doc_id] = normalized_tf(terms)
+
+    def commit(self) -> None:
+        self.committed = (dict(self.terms), dict(self.scores), set(self.deleted),
+                          dict(self.ntf))
+
+    def rollback(self) -> None:
+        """Back to the last :meth:`commit`, as crash recovery must go."""
+        terms, scores, deleted, ntf = self.committed
+        self.terms, self.scores = dict(terms), dict(scores)
+        self.deleted, self.ntf = set(deleted), dict(ntf)
+
+    # -- reads ----------------------------------------------------------------
+
+    @property
+    def live(self) -> list[int]:
+        return sorted(doc_id for doc_id in self.scores if doc_id not in self.deleted)
+
+    def ranking(self, keywords: Sequence[str], conjunctive: bool,
+                term_scores: bool) -> list[tuple[int, float]]:
+        """Every live match, best first (svr only, or svr plus term scores)."""
+        documents = {doc_id: set(terms) for doc_id, terms in self.terms.items()}
+        return reference_top_k(documents, self.scores, self.deleted, keywords,
+                               len(documents), conjunctive,
+                               term_scores=self.ntf if term_scores else None)
+
+    def check(self, results, keywords: Sequence[str], k: int,
+              conjunctive: bool) -> None:
+        """Assert that ``results``, a sequence of ``QueryResult``, answer the query."""
+        got = [(result.doc_id, result.score) for result in results]
+        keywords = list(dict.fromkeys(keywords))
+        where = (self.method, keywords, k, conjunctive, got)
+        if self.method not in ("id_termscore", "chunk_termscore"):
+            assert got == self.ranking(keywords, conjunctive, False)[:k], where
+            return
+        terms = len(keywords)
+        if self.method == "chunk_termscore" and not conjunctive and terms > 1:
+            ranking = self.ranking(keywords, False, False)
+            want = ranking[:k]
+            matches = {doc_id for doc_id, _score in ranking}
+            above = terms * max((value for doc_id in self.live
+                                 for value in self.ntf[doc_id].values()), default=0.0)
+            assert len(got) == len(want), where
+            assert len({doc_id for doc_id, _ in got}) == len(got), where
+            assert {doc_id for doc_id, _ in got} <= matches, where
+            assert all(score <= found <= score + above
+                       for (_doc, found), (_d, score) in zip(got, want)), where
+            return
+        tolerance = 1e-6 * terms
+        ranking = self.ranking(keywords, conjunctive, True)
+        want = ranking[:k]
+        assert len(got) == len(want), where
+        assert len({doc_id for doc_id, _ in got}) == len(got), where
+        assert {doc_id for doc_id, _ in got} <= {doc_id for doc_id, _ in ranking}, where
+        for position, ((doc_id, found), (want_doc, score)) in enumerate(zip(got, want)):
+            assert abs(found - score) <= tolerance, where
+            tied = any(abs(ranking[other][1] - score) <= 2 * tolerance
+                       for other in (position - 1, position + 1)
+                       if 0 <= other < len(ranking))
+            assert tied or doc_id == want_doc, where
+
+    def check_contents(self, index) -> None:
+        """Assert that a text index holds exactly the model's documents."""
+        assert index.document_count() == len(self.live)
+        for doc_id, score in self.scores.items():
+            expected = None if doc_id in self.deleted else score
+            assert index.current_score(doc_id) == expected, (doc_id, expected)
+            assert (dict(index.documents.get(doc_id).term_frequencies)
+                    == Counter(self.terms[doc_id])), doc_id
 
 
 def paginate(data: bytes, page_size: int) -> list[bytes]:

@@ -105,6 +105,18 @@ class TestFaultPlan:
             assert spec.run + memory.max_run <= memory.retry_budget
         assert memory.ops == ("read", "write")
 
+    def test_memory_escalations_never_chain_past_the_budget(self):
+        # Seed 2535 once put two write runs back to back (occurrences 18-21):
+        # four consecutive failures exhaust the budget, which memory cannot
+        # recover from.
+        for seed in (2535, *range(200)):
+            plan = FaultPlan.chaos(seed, backend="memory", escalations=3)
+            for first in plan.specs:
+                for second in plan.specs:
+                    if first is not second and first.op == second.op:
+                        assert (second.at >= first.at + first.run + plan.max_run
+                                or first.at >= second.at + second.run + plan.max_run)
+
     def test_none_plan_is_disabled(self):
         assert not FaultPlan.none().enabled
         assert FaultPlan(seed=3, rate=0.0).enabled is False

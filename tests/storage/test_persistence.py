@@ -402,16 +402,7 @@ class TestEnvironmentDurability:
         assert recovered.kvstore("t.kv").get(1) == "committed"
         recovered.close()
 
-    def test_repro_backend_dir_is_created_on_demand(self, monkeypatch, tmp_path):
-        missing = tmp_path / "not" / "yet" / "there"
-        monkeypatch.setenv("REPRO_BACKEND", "file")
-        monkeypatch.setenv("REPRO_BACKEND_DIR", str(missing))
-        env = StorageEnvironment(cache_pages=8)
-        assert env.durable and str(env.path).startswith(str(missing))
-        env.close()
-
-    def test_memory_environment_close_and_commit_are_safe(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    def test_memory_environment_close_and_commit_are_safe(self):
         env = StorageEnvironment(cache_pages=8)
         env.create_kvstore("t.kv").put(1, 1)
         assert env.commit() == 0
