@@ -8,7 +8,9 @@ scale in the test suite and at benchmark scale from ``benchmarks/``.
 The paper's absolute milliseconds were measured on a 2.8 GHz Pentium 4 against
 an 805 MB BerkeleyDB database; the reproduction reports wall-clock time at a
 reduced scale *and* the simulated I/O the arguments are actually about (page
-reads under the cold-cache methodology).  EXPERIMENTS.md compares the shapes.
+reads under the cold-cache methodology).  The ``benchmarks/bench_*.py``
+scripts save each table's rows under ``benchmarks/results/``, where the shapes
+can be compared with the paper's.
 
 The paper tunes the Chunk and Score-Threshold knobs to 6.12 / 11.24 for its
 100,000-document corpus; because the stopping rules act at chunk granularity,

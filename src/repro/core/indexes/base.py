@@ -130,6 +130,10 @@ class InvertedIndex(abc.ABC):
     method_name = "abstract"
     #: Whether long-list postings carry a per-term score.
     stores_term_scores = False
+    #: Attributes that change only when a long list is written, which bumps
+    #: ``long_list_version``: a durable index commits them only then.
+    long_list_state: tuple[str, ...] = ()
+    long_list_version = 0
 
     def __init__(self, env: "StorageEnvironment | ShardedEnvironment",
                  documents: DocumentStore, name: str = "svr",

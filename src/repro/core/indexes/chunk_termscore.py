@@ -40,6 +40,8 @@ class ChunkTermScoreIndex(ChunkIndex):
 
     method_name = "chunk_termscore"
     stores_term_scores = True
+    #: The fancy floors are set only while the long lists are built.
+    long_list_state = ("_segments", "_fancy_floor_by_term")
 
     def __init__(self, env: StorageEnvironment, documents: DocumentStore,
                  name: str = "svr", chunk_ratio: float = 6.12, min_chunk_size: int = 100,

@@ -172,28 +172,20 @@ def _enforce_min_size(boundaries: list[float], ordered_scores: list[float],
     """Drop boundaries until every chunk holds at least ``min_chunk_size`` docs.
 
     Underfull chunks are merged downwards (their lower boundary is removed),
-    which matches the paper's intent of avoiding tiny chunks under skew.
+    which matches the paper's intent of avoiding tiny chunks under skew.  One
+    sweep from the top chunk down does it, counting by bisection over the
+    sorted (non-negative) scores: an underfull chunk's documents are carried
+    into the chunk below.  The bottom chunk's lower bound (0.0) can never be
+    removed, so an underfull bottom chunk merges upwards instead, into the
+    lowest kept chunk, which is full.
     """
-    def occupancy(bounds: list[float]) -> list[int]:
-        counts = [0] * len(bounds)
-        for score in ordered_scores:
-            counts[bisect.bisect_right(bounds, score) - 1] += 1
-        return counts
-
-    bounds = list(boundaries)
-    while len(bounds) > 1:
-        counts = occupancy(bounds)
-        underfull = [
-            index for index, count in enumerate(counts) if count < min_chunk_size
-        ]
-        if not underfull:
-            break
-        # Remove the lower boundary of the highest underfull chunk, merging it
-        # into the chunk below.  Index 0's lower bound (0.0) can never be
-        # removed, so merge chunk 0 upwards by removing the boundary above it.
-        target = underfull[-1]
-        if target == 0:
-            bounds.pop(1)
-        else:
-            bounds.pop(target)
-    return ChunkMap(lower_bounds=tuple(bounds))
+    upper = len(ordered_scores)  # scores below the upper end of the current chunk
+    kept: list[float] = []  # kept lower bounds, highest first
+    for bound in reversed(boundaries[1:]):
+        lower = bisect.bisect_left(ordered_scores, bound)
+        if upper - lower >= min_chunk_size:
+            kept.append(bound)
+            upper = lower
+    if kept and upper < min_chunk_size:
+        kept.pop()
+    return ChunkMap(lower_bounds=(boundaries[0], *reversed(kept)))

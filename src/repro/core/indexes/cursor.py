@@ -43,6 +43,7 @@ class LongListIndex(InvertedIndex):
     list_kind = "abstract"
     #: Store-name suffix of the short list (the ID methods call it "delta").
     short_list_name = "short"
+    long_list_state = ("_segments",)
 
     def __init__(self, env, documents, name: str = "svr",
                  list_cache_pages: "int | None" = None) -> None:
@@ -107,6 +108,7 @@ class LongListIndex(InvertedIndex):
             encode(items, with_term_scores=self.stores_term_scores,
                    page_size=self.page_size), key=term)
         self.update_stats.long_list_postings_written += count
+        self.long_list_version += 1
 
     def _long_items(self, term: str) -> Iterator[tuple]:
         """Decode the long list a page at a time.  It may come from the

@@ -30,23 +30,26 @@ from repro.text.termscore import TermScorer
 _STORE_TYPES = (KVStore, HeapFile, ShardedKVStore, ShardedHeapFile)
 
 
-def _capture_index_state(index: InvertedIndex) -> dict[str, Any]:
+def _capture_index_state(index: InvertedIndex, long_lists: bool) -> dict[str, Any]:
     """The method object's picklable, non-storage attributes.
 
     Everything an index method keeps outside the storage engine — segment
     handle maps, chunk maps, thresholds, update statistics, the finalized
-    flag — rides in the commit record's application blob and is restored
-    with ``setattr`` after the method is re-instantiated over the recovered
-    stores.
+    flag — rides in the application blob and is restored with ``setattr``
+    after the method is re-instantiated over the recovered stores.  The
+    attributes named by ``long_list_state`` (the segment map) change only
+    when a long list is written; ``long_lists=False`` leaves them out.
     """
+    skip = ("env", "documents", "list_cache", "long_list_version")
+    if not long_lists:
+        skip += index.long_list_state
     return {
         key: value
         for key, value in vars(index).items()
         # ``list_cache`` is ephemeral by design: a recovered index starts
         # with a cold hot-term cache (its entries may predate the recovery
         # point).
-        if key not in ("env", "documents", "list_cache")
-        and not isinstance(value, _STORE_TYPES)
+        if key not in skip and not isinstance(value, _STORE_TYPES)
     }
 
 
@@ -131,6 +134,9 @@ class SVRTextIndex:
         )
         self.router = IndexRouter(self.index, threads=threads)
         self._obs_server = self._maybe_serve_observability()
+        #: Part versions (see :meth:`_part_versions`) of the last durable
+        #: commit record; ``None`` makes the next record carry every part.
+        self._durable_versions: "tuple[int, int, int] | None" = None
 
     # -- durability ---------------------------------------------------------------
 
@@ -142,9 +148,10 @@ class SVRTextIndex:
         Replays each environment's write-ahead log onto its paged file,
         restores the stores from the storage catalog and the text-layer state
         (documents, dictionary, analyzer, method bookkeeping) from the
-        application blob committed with that batch.  Contents and top-k
-        answers equal exactly the state at the last :meth:`commit` (or
-        :meth:`checkpoint`/:meth:`close`) — uncommitted work is gone.
+        application blob, folded from the checkpoint and every commit record
+        up to that batch.  Contents and top-k answers equal exactly the state
+        at the last :meth:`commit` (or :meth:`checkpoint`/:meth:`close`) —
+        uncommitted work is gone.
         """
         from repro.storage.persistence import open_any_environment
 
@@ -171,6 +178,7 @@ class SVRTextIndex:
             setattr(self.index, key, value)
         self.router = IndexRouter(self.index, threads=threads)
         self._obs_server = self._maybe_serve_observability()
+        self._durable_versions = self._part_versions()
         return self
 
     @property
@@ -178,8 +186,26 @@ class SVRTextIndex:
         """Whether the index persists to files."""
         return getattr(self.env, "durable", False)
 
-    def _app_blob(self) -> dict[str, Any]:
-        return {
+    def _part_versions(self) -> "tuple[int, int, int]":
+        """Version counters of the documents, the dictionary and the long lists."""
+        return (self.documents.version, self.dictionary.version,
+                self.index.long_list_version)
+
+    def _app_delta(self) -> "tuple[dict[str, Any], tuple[int, int, int]]":
+        """The application-blob parts that changed since the last durable
+        commit record, and the part versions they bring it to.
+
+        The method's small bookkeeping (``index_state``) rides every record.
+        The documents and the dictionary ride only when they changed, the
+        options and analyzer with either of them, and the long-list entries
+        of ``index_state`` only when a long list was written.  Nothing here
+        is pickled or hashed: the parts are compared by version counter.
+        """
+        versions = self._part_versions()
+        documents, dictionary, long_lists = (
+            now != then for now, then in
+            zip(versions, self._durable_versions or (None, None, None)))
+        blob = {
             "kind": "svr-text-index",
             "version": 1,
             "method": self.index.method_name,
@@ -188,8 +214,32 @@ class SVRTextIndex:
             "analyzer": self.analyzer,
             "documents": self.documents,
             "dictionary": self.dictionary,
-            "index_state": _capture_index_state(self.index),
+            "index_state": _capture_index_state(self.index, long_lists=long_lists),
         }
+        for part, changed in (("options", documents or dictionary),
+                              ("analyzer", documents or dictionary),
+                              ("documents", documents), ("dictionary", dictionary)):
+            if not changed:
+                del blob[part]
+        return blob, versions
+
+    def _make_durable(self, action) -> int:
+        """Run the environment's commit or checkpoint with the changed parts.
+
+        The durable versions advance only once the environment returns, so a
+        commit that rolls back (``CommitError``) leaves them behind and the
+        retry carries the same parts.  On a memory index no blob is built.
+        """
+        with self.router.exclusive():
+            app, versions = self._app_delta() if self.durable else (None, None)
+            skip = self.router.quarantined_shards()
+            if skip and isinstance(self.env, ShardedEnvironment):
+                batch = action(app_state=app, skip=skip)
+            else:
+                batch = action(app_state=app)
+            if versions is not None:
+                self._durable_versions = versions
+            return batch
 
     def commit(self) -> int:
         """Group-commit everything since the last durability boundary.
@@ -200,24 +250,14 @@ class SVRTextIndex:
         behind the commit point and catch up after :meth:`reopen_shard`.
         Returns the committed batch id.
         """
-        with self.router.exclusive():
-            app = self._app_blob() if self.durable else None
-            skip = self.router.quarantined_shards()
-            if skip and isinstance(self.env, ShardedEnvironment):
-                return self.env.commit(app_state=app, skip=skip)
-            return self.env.commit(app_state=app)
+        return self._make_durable(self.env.commit)
 
     def checkpoint(self) -> int:
         """Commit, then fold the write-ahead log into the paged file(s).
 
         Quarantined shards are skipped, exactly as in :meth:`commit`.
         """
-        with self.router.exclusive():
-            app = self._app_blob() if self.durable else None
-            skip = self.router.quarantined_shards()
-            if skip and isinstance(self.env, ShardedEnvironment):
-                return self.env.checkpoint(app_state=app, skip=skip)
-            return self.env.checkpoint(app_state=app)
+        return self._make_durable(self.env.checkpoint)
 
     def close(self) -> None:
         """Checkpoint (when durable) and release all file handles, idempotently.
@@ -233,7 +273,7 @@ class SVRTextIndex:
                 and isinstance(self.env, ShardedEnvironment)):
             for shard in self.router.quarantined_shards():
                 self.env.shards[shard].crash()
-        app = self._app_blob() if self.durable and not self.env.closed else None
+        app = self._app_delta()[0] if self.durable and not self.env.closed else None
         self.env.close(app_state=app)
 
     def crash(self) -> None:

@@ -11,7 +11,9 @@ plus a write-ahead log) with **identical accounting**, :meth:`commit` group-
 commits a batch of work, :meth:`checkpoint` folds the log into the paged file,
 and :func:`repro.storage.persistence.open_environment` recovers the
 environment — stores included — to the last committed batch boundary after a
-crash.
+crash.  Each ``COMMIT`` record carries only the catalog parts that changed
+since the previous durable record (see :func:`fold_catalog`); the checkpoint
+catalog in ``meta.pkl`` is always whole.
 """
 
 from __future__ import annotations
@@ -28,6 +30,43 @@ from repro.storage.disk import DiskCostModel, DiskStats, SimulatedDisk
 from repro.storage.heap_file import HeapFile
 from repro.storage.kvstore import KVStore
 from repro.storage.pager import PAGE_SIZE
+
+
+def merge_parts(base: Any, update: Any, depth: int = 2) -> Any:
+    """``update`` folded over ``base``.
+
+    A dict is a set of named parts, and a part that is itself a dict is a
+    set of named entries: the update's entries replace the base's entries
+    of the same name, and every part or entry the update does not carry is
+    kept.  Anything that is not a dict replaces the base outright.
+    """
+    if depth == 0 or not isinstance(base, dict) or not isinstance(update, dict):
+        return update
+    # The update's side goes in first, so the merged dicts keep the
+    # committer's own name objects: pickle shares equal strings by identity,
+    # and ``meta.pkl`` then pickles to the bytes a whole blob would.
+    merged = {name: merge_parts(base.get(name), part, depth - 1)
+              for name, part in update.items()}
+    merged.update((name, part) for name, part in base.items() if name not in merged)
+    return merged
+
+
+def fold_catalog(catalog: dict, record: dict) -> dict:
+    """One ``COMMIT`` record folded over the catalog it was written after.
+
+    A record carries every key-value store's root, the heap files whose
+    segment table changed, and the application-state parts the committer
+    passed; what it does not carry keeps its value from ``catalog`` (see
+    :func:`merge_parts`).  A record that carries everything (every record of
+    an older writer) thus replaces the catalog outright.  The disk's own
+    ``"disk"`` part is folded by the disk, not here.
+    """
+    folded = {**catalog, **record}
+    folded.pop("disk", None)
+    for key in ("stores", "app"):
+        if key in record:
+            folded[key] = merge_parts(catalog.get(key), record[key])
+    return folded
 
 
 @dataclass(frozen=True)
@@ -101,6 +140,9 @@ class StorageEnvironment:
         self._closed = False
         self._lifecycle_lock = threading.Lock()
         self._app_state: Any = None
+        #: Heap-file versions as of the last durable ``COMMIT`` record: a heap
+        #: file whose version moved since then rides the next record.
+        self._durable_heap_versions: dict[str, int] = {}
         #: Shard index for observability tags (set by ``ShardedEnvironment``;
         #: ``None`` for unsharded environments and during bootstrap).
         self.obs_shard: "int | None" = None
@@ -139,6 +181,7 @@ class StorageEnvironment:
         env.event_sink = None
         env.recovered = True
         env._restore_stores(catalog.get("stores", {}))
+        env._durable_heap_versions = env._heap_versions()
         return env
 
     # -- durability ---------------------------------------------------------------
@@ -170,7 +213,11 @@ class StorageEnvironment:
         for name, state in catalog.get("heap", {}).items():
             self._heapfiles[name] = HeapFile.attach(self.pool, name, state)
 
+    def _heap_versions(self) -> dict[str, int]:
+        return {name: heap.version for name, heap in self._heapfiles.items()}
+
     def _commit_payload(self, app_state: Any) -> dict:
+        """The whole catalog, as a checkpoint writes it to ``meta.pkl``."""
         return {
             "stores": self._store_catalog(),
             "app": app_state,
@@ -183,20 +230,43 @@ class StorageEnvironment:
 
         Flushes the buffer pool — which is charged identically on every
         backend — and, on a durable environment, appends the batch's page
-        images plus a ``COMMIT`` record (carrying the store catalog and the
-        optional ``app_state`` blob) to the write-ahead log in one fsync.
-        After a crash, recovery lands exactly on the last committed boundary.
+        images plus a ``COMMIT`` record to the write-ahead log in one fsync.
+        The record carries every key-value store's root, the segment tables
+        of the heap files written or freed since the last durable record, and
+        ``app_state`` when one is passed.  A dict ``app_state`` is a set of
+        named parts (see :func:`merge_parts`): the caller may pass only the
+        parts, or the entries of a part, that changed.  After a crash,
+        recovery lands exactly on the last committed boundary.
 
         Returns the committed batch id (0 on a memory environment).
         """
         self._check_open()
         if app_state is not None:
-            self._app_state = app_state
+            self._app_state = merge_parts(self._app_state, app_state)
         with span("storage.commit", shard=self.obs_shard):
             self.pool.flush()
             if not self.durable:
                 return 0
-            return self.disk.commit_batch(self._commit_payload(self._app_state))
+            versions = self._heap_versions()
+            durable = self._durable_heap_versions
+            record = {
+                "stores": {
+                    "kv": {name: store.state()
+                           for name, store in self._kvstores.items()},
+                    "heap": {name: self._heapfiles[name].state()
+                             for name, version in versions.items()
+                             if durable.get(name) != version},
+                },
+                "cache_pages": self.cache_pages,
+                "page_size": self.disk.page_size,
+            }
+            if app_state is not None:
+                record["app"] = app_state
+            batch = self.disk.commit_batch(record)
+            # Only now is the record durable; a CommitError above leaves the
+            # versions behind, so the retry carries the same heap files.
+            self._durable_heap_versions = versions
+            return batch
 
     def checkpoint(self, app_state: Any = None) -> int:
         """Commit, then fold the WAL into the paged file and truncate it.

@@ -63,6 +63,9 @@ class HeapFile:
     # the cold-cache query path (drop_from_cache before every timed query) and
     # rebuilding it from every handle dominated the macro benchmark.
     _page_id_cache: "set[int] | None" = field(default=None, repr=False, compare=False)
+    #: Bumped by every write and delete: a durable environment commits the
+    #: segment table only when this moved since its last durable record.
+    version: int = field(default=0, repr=False, compare=False)
 
     # -- persistence ---------------------------------------------------------
 
@@ -110,6 +113,7 @@ class HeapFile:
         )
         self._segments[handle.segment_id] = handle
         self._next_segment_id += 1
+        self.version += 1
         if self._page_id_cache is not None:
             self._page_id_cache.update(page_ids)
         return handle
@@ -159,6 +163,7 @@ class HeapFile:
             self.pool.drop({page_id})
             self.pool.disk.free(page_id)
         del self._segments[handle.segment_id]
+        self.version += 1
         if self._page_id_cache is not None:
             self._page_id_cache.difference_update(handle.page_ids)
 

@@ -15,19 +15,23 @@ Durability protocol (redo logging, no-force / steal-safe):
   checkpoint**: slot *i* occupies bytes ``[i * page_size, (i+1) * page_size)``
   padded with zeros; payload lengths live in the catalog, not the file.
 * ``wal.log`` — every page written since the checkpoint, plus one ``COMMIT``
-  record per batch carrying the serialized catalog (see
-  :mod:`repro.storage.persistence.wal`).  Page images buffer in memory and
-  spill to the log when the buffer exceeds ``wal_buffer_bytes``, so RAM holds
-  at most one buffer's worth of un-spilled images regardless of corpus size.
-* ``meta.pkl`` — the checkpoint catalog (free-page bitmap, payload lengths,
-  next page id, plus whatever the environment adds), written atomically via
-  rename.
+  record per batch carrying the catalog parts that changed since the
+  previous durable record (see :mod:`repro.storage.persistence.wal`).  The
+  disk's part is the allocation cursor plus the payload length (or
+  ``None``, freed) of every page id created, written or freed since then.
+  Page images buffer in memory and spill to the log when the buffer exceeds
+  ``wal_buffer_bytes``, so RAM holds at most one buffer's worth of
+  un-spilled images regardless of corpus size.
+* ``meta.pkl`` — the whole checkpoint catalog (free-page bitmap, payload
+  lengths, per-page checksums, next page id, plus whatever the environment
+  adds), written atomically via rename.  The bitmap and the checksums change
+  only here.
 
 ``checkpoint()`` folds the committed overlay into ``pages.dat``, rewrites
 ``meta.pkl`` and truncates the log; :func:`FileBackedDisk.open` loads the
-checkpoint and replays the WAL's committed prefix, which restores exactly the
-state of the last group commit — a crash mid-batch loses only the uncommitted
-tail.
+checkpoint, replays the WAL's committed prefix and folds its records over the
+checkpoint catalog in log order, which restores exactly the state of the last
+group commit — a crash mid-batch loses only the uncommitted tail.
 
 The free-page bitmap records which page ids are live.  Allocation stays
 monotonic (freed ids are never reused) to mirror the memory backend's id
@@ -54,6 +58,7 @@ from repro.errors import (
 )
 from repro.obs.trace import span
 from repro.storage.disk import DiskStats, SimulatedDisk
+from repro.storage.environment import fold_catalog
 from repro.storage.faults import run_with_retries
 from repro.storage.pager import PAGE_SIZE, Page
 from repro.storage.persistence.wal import ReplayResult, WalSlot, WriteAheadLog, replay
@@ -103,11 +108,11 @@ class PageBitmap:
     """A dense bitmap over page ids marking which pages are live.
 
     This is the persisted liveness authority of the disk's free/live page
-    set: compact enough to ride inside every ``COMMIT`` record (one bit per
-    page), and sufficient for recovery to reconstruct
-    ``contains``/``page_count`` without scanning the paged file.  Payload
-    sizes of non-empty pages travel separately in the catalog's lengths
-    dict; empty live pages exist only here.
+    set in the checkpoint catalog (one bit per page), sufficient for
+    recovery to reconstruct ``contains``/``page_count`` without scanning the
+    paged file; ``COMMIT`` records carry only the page ids that changed.
+    Payload sizes of non-empty pages travel separately in the catalog's
+    lengths dict; empty live pages exist only here.
     """
 
     __slots__ = ("_bits",)
@@ -196,6 +201,8 @@ class FileBackedDisk(SimulatedDisk):
         self._buffered_bytes = 0
         #: page ids below this bound have a valid slot in ``pages.dat``.
         self._checkpointed_next_id = 0
+        #: page ids created, written or freed since the last durable record.
+        self._dirty: set[int] = set()
         self.committed_batches = 0
         self._closed = False
         self._pages_file = open(os.path.join(path, _PAGES_FILE), "w+b")
@@ -216,8 +223,9 @@ class FileBackedDisk(SimulatedDisk):
 
         Loads the checkpoint catalog, replays the WAL's committed prefix on
         top, truncates the torn/uncommitted tail, and returns
-        ``(disk, catalog)`` where ``catalog`` is the environment-level dict of
-        the most recent commit (checkpoint when no batch committed since).
+        ``(disk, catalog)`` where ``catalog`` is the environment-level
+        catalog as of the most recent commit: every committed record folded,
+        in batch order, over the checkpoint's (the disk keeps its own part).
 
         ``max_batch`` caps the replay at a batch id (commits beyond it are
         truncated with the tail) — sharded recovery's rollback of a torn
@@ -231,13 +239,10 @@ class FileBackedDisk(SimulatedDisk):
             meta = pickle.load(handle)
         replayed: ReplayResult = replay(os.path.join(path, _WAL_FILE),
                                         max_batch=max_batch)
-        catalog = meta
-        if replayed.catalog is not None:
-            catalog = pickle.loads(replayed.catalog)
 
         disk = cls.__new__(cls)
         disk.path = path
-        disk.page_size = catalog["disk"]["page_size"]
+        disk.page_size = meta["disk"]["page_size"]
         disk.stats = DiskStats()
         disk._pages = {}
         disk._wal_buffer_bytes = wal_buffer_bytes
@@ -246,7 +251,14 @@ class FileBackedDisk(SimulatedDisk):
         disk._uncommitted = {}
         disk._buffered_bytes = 0
         disk._closed = False
-        disk._restore_disk_state(catalog["disk"])
+        disk._dirty = set()
+        disk._restore_disk_state(meta["disk"])
+        catalog = dict(meta)
+        catalog.pop("disk")
+        for blob in replayed.catalogs:
+            record = pickle.loads(blob)
+            disk._fold_disk_part(record["disk"])
+            catalog = fold_catalog(catalog, record)
         disk._checkpointed_next_id = meta["disk"]["next_page_id"]
         disk.committed_batches = replayed.batch_id or meta.get("batch", 0)
         disk._pages_file = open(os.path.join(path, _PAGES_FILE), "r+b")
@@ -268,11 +280,29 @@ class FileBackedDisk(SimulatedDisk):
         # their pages simply go unverified until the next checkpoint.
         self._checksums = dict(state.get("checksums", {}))
 
+    def _fold_disk_part(self, part: dict) -> None:
+        """Apply one ``COMMIT`` record's disk part during recovery.
+
+        A part with a bitmap is a whole disk state (written by an older
+        writer, which put one in every record) and replaces ours.
+        """
+        if "bitmap" in part:
+            self._restore_disk_state(part)
+            return
+        self._next_page_id = part["next_page_id"]
+        for page_id, length in part["pages"].items():
+            if length is None:
+                self._lengths.pop(page_id, None)
+                self._checksums.pop(page_id, None)
+            else:
+                self._lengths[page_id] = length
+
     # -- storage backend hooks (the accounting code lives in the base class) --
 
     def _backend_create(self, page_id: int) -> None:
         self._check_open()
         self._lengths[page_id] = 0
+        self._dirty.add(page_id)
 
     def _backend_fetch(self, page_id: int) -> "Page | None":
         self._check_open()
@@ -289,6 +319,7 @@ class FileBackedDisk(SimulatedDisk):
             self._buffered_bytes -= len(previous)
         self._uncommitted[page.page_id] = page.data
         self._lengths[page.page_id] = len(page.data)
+        self._dirty.add(page.page_id)
         self._buffered_bytes += len(page.data)
         if self._buffered_bytes > self._wal_buffer_bytes:
             self._spill()
@@ -297,6 +328,7 @@ class FileBackedDisk(SimulatedDisk):
         self._check_open()
         self._lengths.pop(page_id, None)
         self._checksums.pop(page_id, None)
+        self._dirty.add(page_id)
         previous = self._uncommitted.pop(page_id, None)
         if isinstance(previous, bytes):
             self._buffered_bytes -= len(previous)
@@ -413,7 +445,8 @@ class FileBackedDisk(SimulatedDisk):
     # -- durability protocol -----------------------------------------------------
 
     def disk_state(self) -> dict:
-        """The disk's slice of the catalog (bitmap, lengths, allocation cursor).
+        """The disk's slice of the checkpoint catalog (bitmap, lengths,
+        checksums, allocation cursor).
 
         Liveness is carried by the free-page bitmap alone (one bit per page);
         the lengths dict records payload sizes only for non-empty pages, so
@@ -432,15 +465,23 @@ class FileBackedDisk(SimulatedDisk):
         }
 
     def commit_batch(self, catalog: dict) -> int:
-        """Group-commit the current batch with the environment catalog.
+        """Group-commit the current batch with the environment's record.
 
-        ``catalog`` must contain everything recovery needs besides the page
-        images (store roots, application state); the disk adds its own state
-        under ``"disk"``.  Returns the new committed-batch id.
+        ``catalog`` holds the environment's catalog parts that changed since
+        the last durable record (recovery folds it over the ones before, see
+        :func:`~repro.storage.environment.fold_catalog`); the disk adds its
+        own part under ``"disk"``: the allocation cursor and the length of
+        every page id created, written or freed since that record (``None``
+        when freed).  Returns the new committed-batch id.
         """
         self._check_open()
         catalog = dict(catalog)
-        catalog["disk"] = self.disk_state()
+        lengths = self._lengths
+        catalog["disk"] = {
+            "page_size": self.page_size,
+            "next_page_id": self._next_page_id,
+            "pages": {page_id: lengths.get(page_id) for page_id in self._dirty},
+        }
         self._spill()
         batch_id = self.committed_batches + 1
         catalog["batch"] = batch_id
@@ -476,6 +517,7 @@ class FileBackedDisk(SimulatedDisk):
         self._overlay.update(self._uncommitted)
         self._uncommitted.clear()
         self._buffered_bytes = 0
+        self._dirty = set()
         return self.committed_batches
 
     def checkpoint(self, catalog: dict) -> None:

@@ -5,11 +5,12 @@ implements (see :mod:`repro.storage.persistence.file_disk`): the paged data
 file always holds the image of the *last checkpoint*, and every page written
 since then lives in the WAL.  A batch of page writes becomes durable in one
 group commit — the buffered ``WRITE`` records are appended followed by a
-single ``COMMIT`` record carrying the catalog blob (store roots, free-page
-bitmap, application state) that describes the environment at that batch
-boundary.  Recovery replays the longest valid committed prefix and discards
-everything after it, so a crash mid-batch loses exactly the uncommitted tail
-and nothing else.
+single ``COMMIT`` record carrying the catalog blob: the parts of the
+environment's catalog (store roots, page lengths, application state) that
+changed since the previous durable record.  Recovery replays the longest
+valid committed prefix, folds its records over the checkpoint catalog in log
+order, and discards everything after the prefix, so a crash mid-batch loses
+exactly the uncommitted tail and nothing else.
 
 Record framing (all integers little-endian):
 
@@ -72,16 +73,22 @@ class ReplayResult:
     """Outcome of scanning a WAL file.
 
     ``pages`` maps page id -> :class:`WalSlot` of its latest *committed*
-    image; ``catalog`` is the blob of the last valid ``COMMIT`` record
-    (``None`` when no batch ever committed); ``valid_bytes`` is the offset of
-    the end of the committed prefix — everything past it is an uncommitted or
-    torn tail that recovery truncates away.
+    image; ``catalogs`` holds the blob of every valid ``COMMIT`` record in
+    log order, and ``catalog`` the last of them (``None`` when no batch ever
+    committed); ``valid_bytes`` is the offset of the end of the committed
+    prefix — everything past it is an uncommitted or torn tail that recovery
+    truncates away.
     """
 
     pages: dict[int, WalSlot] = field(default_factory=dict)
-    catalog: bytes | None = None
+    catalogs: list[bytes] = field(default_factory=list)
     batch_id: int = 0
     valid_bytes: int = 0
+
+    @property
+    def catalog(self) -> "bytes | None":
+        """Blob of the last committed record (``None`` when none committed)."""
+        return self.catalogs[-1] if self.catalogs else None
 
 
 class WriteAheadLog:
@@ -279,7 +286,7 @@ def replay(path: str, max_batch: "int | None" = None) -> ReplayResult:
                     break
                 result.pages.update(pending)
                 pending.clear()
-                result.catalog = catalog
+                result.catalogs.append(catalog)
                 result.batch_id = batch_id
                 result.valid_bytes = handle.tell()
             else:

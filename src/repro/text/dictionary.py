@@ -16,12 +16,23 @@ class TermDictionary:
     of term scoring and let index implementations size their fancy lists.
     """
 
+    #: Bumped by every mutator; a durable index commits the dictionary only
+    #: when this moved since its last durable commit record.
+    version = 0
+
+    def __getstate__(self) -> dict:
+        # The version counts this process's mutations; it is not state.
+        state = dict(vars(self))
+        state.pop("version", None)
+        return state
+
     def __init__(self) -> None:
         self._term_ids: dict[str, int] = {}
         self._doc_freq: dict[str, int] = {}
 
     def add_document_terms(self, terms: set[str]) -> None:
         """Record that a new document contains the given distinct terms."""
+        self.version += 1
         for term in terms:
             if term not in self._term_ids:
                 self._term_ids[term] = len(self._term_ids)
@@ -30,6 +41,7 @@ class TermDictionary:
 
     def remove_document_terms(self, terms: set[str]) -> None:
         """Record that a document containing the given distinct terms was removed."""
+        self.version += 1
         for term in terms:
             current = self._doc_freq.get(term)
             if current is None or current <= 0:

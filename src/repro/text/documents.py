@@ -58,6 +58,16 @@ class DocumentStore:
     accounting focused on what the paper varies.
     """
 
+    #: Bumped by every mutator; a durable index commits the store only when
+    #: this moved since its last durable commit record.
+    version = 0
+
+    def __getstate__(self) -> dict:
+        # The version counts this process's mutations; it is not state.
+        state = dict(vars(self))
+        state.pop("version", None)
+        return state
+
     def __init__(self) -> None:
         self._documents: dict[int, Document] = {}
 
@@ -66,6 +76,7 @@ class DocumentStore:
         if document.doc_id in self._documents:
             raise TextError(f"document {document.doc_id} already exists")
         self._documents[document.doc_id] = document
+        self.version += 1
 
     def add_terms(self, doc_id: int, terms: Iterable[str]) -> Document:
         """Analyzed-terms convenience wrapper around :meth:`add`."""
@@ -79,6 +90,7 @@ class DocumentStore:
         if old is None:
             raise DocumentNotFoundError(f"document {document.doc_id} does not exist")
         self._documents[document.doc_id] = document
+        self.version += 1
         return old
 
     def remove(self, doc_id: int) -> Document:
@@ -86,6 +98,7 @@ class DocumentStore:
         document = self._documents.pop(doc_id, None)
         if document is None:
             raise DocumentNotFoundError(f"document {doc_id} does not exist")
+        self.version += 1
         return document
 
     def get(self, doc_id: int) -> Document:

@@ -1,5 +1,6 @@
 """Tests for chunk-boundary strategies and the ChunkMap."""
 
+import bisect
 import math
 import random
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from repro.errors import InvertedIndexError
 from repro.core.indexes.chunking import (
     ChunkMap,
+    _enforce_min_size,
     equal_count_chunks,
     exponential_count_chunks,
     ratio_chunks,
@@ -139,3 +141,37 @@ def test_property_ratio_chunks_are_monotone_and_total(scores, ratio, min_size):
     ordered = sorted(scores)
     chunks = [chunk_map.chunk_of(score) for score in ordered]
     assert chunks == sorted(chunks)  # chunk id is monotone in the score
+
+
+def _enforce_min_size_by_recount(boundaries, ordered_scores, min_chunk_size):
+    """The previous ``_enforce_min_size``, kept as the oracle: recount every
+    score after each dropped boundary (O(boundaries² × docs))."""
+    def occupancy(bounds):
+        counts = [0] * len(bounds)
+        for score in ordered_scores:
+            counts[bisect.bisect_right(bounds, score) - 1] += 1
+        return counts
+
+    bounds = list(boundaries)
+    while len(bounds) > 1:
+        underfull = [index for index, count in enumerate(occupancy(bounds))
+                     if count < min_chunk_size]
+        if not underfull:
+            break
+        target = underfull[-1]
+        bounds.pop(1 if target == 0 else target)
+    return ChunkMap(lower_bounds=tuple(bounds))
+
+
+@settings(max_examples=200, deadline=None)
+@given(scores=st.lists(st.floats(min_value=0, max_value=1e6, allow_nan=False), max_size=200),
+       extra=st.lists(st.floats(min_value=0, max_value=1e6, allow_nan=False,
+                                exclude_min=True), max_size=40),
+       min_size=st.integers(min_value=1, max_value=30))
+def test_min_size_sweep_equals_the_recount(scores, extra, min_size):
+    """Boundaries drawn from the scores themselves (ties at a bound) and
+    from anywhere else, including ranges that hold no score at all."""
+    ordered = sorted(scores)
+    boundaries = [0.0, *sorted({score for score in [*scores, *extra] if score > 0})]
+    assert (_enforce_min_size(boundaries, ordered, min_size)
+            == _enforce_min_size_by_recount(boundaries, ordered, min_size))
