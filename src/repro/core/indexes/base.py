@@ -20,6 +20,7 @@ by the update algorithms (``Content(id)`` in Algorithm 1).
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -145,8 +146,11 @@ class InvertedIndex(abc.ABC):
         #: page, and the list cache's budget is counted in pages.
         self.page_size = getattr(env, "page_size", None) or env.disk.page_size
         self.list_cache = self._make_list_cache(list_cache_pages)
-        self.score_table = self._create_kvstore(f"{name}.score", key_shard="doc")
-        self.deleted_table = self._create_kvstore(f"{name}.deleted", key_shard="doc")
+        # doc_id -> score (float64); doc_id -> deleted flag (no value bytes).
+        self.score_table = self._create_kvstore(f"{name}.score", key_shard="doc",
+                                                key_codec="i", value_codec="f64")
+        self.deleted_table = self._create_kvstore(f"{name}.deleted", key_shard="doc",
+                                                  key_codec="i", value_codec="true")
         self.update_stats = UpdateStats()
         self._staged: list[_StagedDocument] = []
         self._finalized = False
@@ -155,8 +159,11 @@ class InvertedIndex(abc.ABC):
     # Store creation (shard-aware)
     # ------------------------------------------------------------------
 
-    def _create_kvstore(self, name: str, key_shard: str):
-        """Create a kv store, routed by ``key_shard`` when the env is sharded.
+    def _create_kvstore(self, name: str, key_shard: str, key_codec: str,
+                        value_codec: str):
+        """Create a kv store with the given codecs (see
+        :class:`~repro.storage.kvstore.KVStore`), routed by ``key_shard``
+        when the env is sharded.
 
         ``key_shard`` is ``"term"`` for stores keyed by ``(term, ...)`` tuples
         (short lists, delta lists, clustered score lists, fancy lists) and
@@ -172,9 +179,10 @@ class InvertedIndex(abc.ABC):
                 return self.env.kvstore(name)
             except StorageError:
                 pass
+        codecs = {"key_codec": key_codec, "value_codec": value_codec}
         if isinstance(self.env, ShardedEnvironment):
-            return self.env.create_kvstore(name, key_shard=key_shard)
-        return self.env.create_kvstore(name)
+            return self.env.create_kvstore(name, key_shard=key_shard, **codecs)
+        return self.env.create_kvstore(name, **codecs)
 
     def _create_heapfile(self, name: str, key_shard: str = "term"):
         """Create a heap file, with per-term segment routing when sharded.
@@ -337,21 +345,34 @@ class InvertedIndex(abc.ABC):
         is strictly safer than the sequential loop's fail-midway behaviour.
         """
         self._check_finalized("apply_batch")
+        # Validate the scores up to the first bad one, read the window's
+        # Score rows in one bulk pass, then raise the first failure in
+        # arrival order: nothing is written unless the whole window is valid.
+        window: list[tuple[int, float]] = []
+        invalid = None
+        for doc_id, new_score in updates:
+            try:
+                window.append((doc_id, self._validate_score(new_score)))
+            except InvertedIndexError as exc:
+                invalid = exc
+                break
+        stored = self.score_table.get_many([doc_id for doc_id, _score in window])
         changes: list[tuple[int, float, float]] = []
         pending: dict[int, float] = {}
-        for doc_id, new_score in updates:
-            new_score = self._validate_score(new_score)
+        for doc_id, new_score in window:
             old_score = pending.get(doc_id)
             if old_score is None:
-                old_score = self.score_table.get(doc_id, default=None)
+                old_score = stored.get(doc_id)
                 if old_score is None:
                     raise DocumentNotFoundError(f"document {doc_id} is not indexed")
             changes.append((doc_id, old_score, new_score))
             pending[doc_id] = new_score
+        if invalid is not None:
+            raise invalid
         if not changes:
             return 0
         self._forget_scores(pending)
-        self.score_table.put_many(sorted(pending.items()))
+        self.score_table.put_many(pending.items())
         self.update_stats.score_updates += len(changes)
         self._after_score_batch(changes)
         return len(changes)
@@ -537,22 +558,22 @@ class InvertedIndex(abc.ABC):
 
         ``ops`` maps a key to the *last* operation a sequential replay would
         have performed on it; deletes run before puts, each as one sorted
-        bulk pass.  The ordering is safe because coalescing already resolved
-        any within-batch delete/put sequence on the same key to its final
-        outcome.
+        bulk pass (the store sorts).  The ordering is safe because
+        coalescing already resolved any within-batch delete/put sequence on
+        the same key to its final outcome.
         """
-        deletes = sorted(key for key, op in ops.items() if op is None)
-        puts = sorted(
-            ((key, op) for key, op in ops.items() if op is not None),
-            key=lambda item: item[0],
-        )
-        store.delete_many(deletes, ignore_missing=True)
-        store.put_many(puts)
+        store.delete_many([key for key, op in ops.items() if op is None],
+                          ignore_missing=True)
+        store.put_many([(key, op) for key, op in ops.items() if op is not None])
 
     def _validate_score(self, score: float) -> float:
         if not isinstance(score, (int, float)) or isinstance(score, bool):
             raise InvertedIndexError(f"scores must be numbers, got {score!r}")
         score = float(score)
+        if not math.isfinite(score):
+            # NaN has no rank, and an infinite score would collide with the
+            # +/-inf sentinels of chunk bounds and the result heap's floor.
+            raise InvertedIndexError(f"scores must be finite, got {score}")
         if score < 0:
             raise InvertedIndexError(f"scores must be non-negative, got {score}")
         return score

@@ -56,6 +56,7 @@ class ChunkIndex(LongListIndex):
     method_name = "chunk"
     stores_term_scores = False
     list_kind = "chunk"
+    short_key_codec = "sju"
 
     def __init__(self, env: StorageEnvironment, documents: DocumentStore,
                  name: str = "svr", chunk_ratio: float = 6.12,
@@ -72,7 +73,8 @@ class ChunkIndex(LongListIndex):
         self.chunk_map: ChunkMap | None = None
         # Short list key (term, -chunk_id, doc_id); ListChunk table:
         # doc_id -> (list_chunk, in_short_list).
-        self._bookkeeping = self._create_kvstore(f"{name}.listchunk", key_shard="doc")
+        self._bookkeeping = self._create_kvstore(f"{name}.listchunk", key_shard="doc",
+                                                 key_codec="i", value_codec="state_i")
 
     def _state_of(self, score: float) -> int:
         assert self.chunk_map is not None

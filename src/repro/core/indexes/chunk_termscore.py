@@ -57,7 +57,8 @@ class ChunkTermScoreIndex(ChunkIndex):
         # Entries are materialised only for terms with more than ``fancy_size``
         # postings — for rarer terms a fancy list cannot prune anything, so
         # only the per-term score ceiling below is kept.
-        self._fancy = self._create_kvstore(f"{name}.fancy", key_shard="term")
+        self._fancy = self._create_kvstore(f"{name}.fancy", key_shard="term",
+                                           key_codec="su", value_codec="f64")
         # Per-term upper bound on the term score of any document *not* present
         # in the term's fancy list (the pruning bound of Algorithm 3).
         self._fancy_floor_by_term: dict[str, float] = {}
@@ -126,8 +127,8 @@ class ChunkTermScoreIndex(ChunkIndex):
         processed: set[int] = set()
 
         # Phase 1: merge the fancy lists (Algorithm 3, lines 8-9).
-        fancy = [{doc_id: term_score for (_term, doc_id), term_score
-                  in self._fancy.prefix_items((term,))} for term in terms]
+        fancy = [{doc_id: term_score for (doc_id,), term_score
+                  in self._fancy.suffix_items((term,))} for term in terms]
         fancy_floors = [self._fancy_floor_by_term.get(term, 0.0) for term in terms]
         heap = ResultHeap(k)
         all_fancy_docs = set().union(*fancy)

@@ -43,6 +43,9 @@ class LongListIndex(InvertedIndex):
     list_kind = "abstract"
     #: Store-name suffix of the short list (the ID methods call it "delta").
     short_list_name = "short"
+    #: Key fields of the short list (see :func:`~repro.storage.kvstore.key_codec`):
+    #: ``(term, doc_id)`` for ID, ``(term, -state, doc_id)`` for the others.
+    short_key_codec = "su"
     long_list_state = ("_segments",)
 
     def __init__(self, env, documents, name: str = "svr",
@@ -52,7 +55,8 @@ class LongListIndex(InvertedIndex):
         self._long_lists = self._create_heapfile(f"{name}.long")
         self._segments: dict[str, SegmentHandle] = {}
         self._short = self._create_kvstore(f"{name}.{self.short_list_name}",
-                                           key_shard="term")
+                                           key_shard="term", key_codec=self.short_key_codec,
+                                           value_codec="op_f64")
 
     # -- size / cache ---------------------------------------------------------
 
@@ -140,7 +144,7 @@ class LongListIndex(InvertedIndex):
         and the doc ids whose long postings it REMoves or supersedes."""
         adds: list[tuple[int, float]] = []
         removed: set[int] = set()
-        for (_term, doc_id), (operation, term_score) in self._short.prefix_items((term,)):
+        for (doc_id,), (operation, term_score) in self._short.suffix_items((term,)):
             removed.add(doc_id)
             if operation == ADD:
                 adds.append((doc_id, term_score))
@@ -153,7 +157,7 @@ class LongListIndex(InvertedIndex):
         blocks: list = []
         removed: set[int] = set()
         scored = self.list_kind == "scored"
-        for (_term, neg_key, doc_id), (operation, term_score) in self._short.prefix_items((term,)):
+        for (neg_key, doc_id), (operation, term_score) in self._short.suffix_items((term,)):
             if operation != ADD:
                 removed.add(doc_id)
             elif blocks and (scored or blocks[-1][0] == neg_key):
@@ -249,23 +253,22 @@ class LongListIndex(InvertedIndex):
 
     def _after_score_batch(self, changes: list[tuple[int, float, float]]) -> None:
         """:meth:`_after_score_update` for a batch: decisions replay in order
-        against an in-memory overlay of the bookkeeping table, and the
-        short-list writes coalesce per key into sorted bulk passes.  For ID
+        against an in-memory overlay of the bookkeeping table (its rows read
+        in one bulk pass), and the short-list writes coalesce per key into
+        sorted bulk passes.  For ID
         the Score-table pass is the whole batch."""
         bookkeeping = self._bookkeeping
         if bookkeeping is None:
             return
-        state: dict[int, tuple] = {}
+        state: dict[int, tuple] = bookkeeping.get_many(
+            [doc_id for doc_id, _old, _new in changes])
         dirty: set[int] = set()
         short_ops: dict[tuple, tuple | None] = {}
         for doc_id, old_score, new_score in changes:
             entry = state.get(doc_id)
             if entry is None:
-                entry = bookkeeping.get(doc_id, default=None)
-                if entry is None:
-                    entry = (self._state_of(old_score), False)
-                    dirty.add(doc_id)
-                state[doc_id] = entry
+                entry = state[doc_id] = (self._state_of(old_score), False)
+                dirty.add(doc_id)
             list_state, in_short_list = entry
             new_state = self._state_of(new_score)
             if new_state <= self.threshold_value_of(list_state):
@@ -280,7 +283,7 @@ class LongListIndex(InvertedIndex):
             dirty.add(doc_id)
             self.update_stats.short_list_updates += 1
         self._flush_coalesced_ops(self._short, short_ops)
-        bookkeeping.put_many(sorted((doc_id, state[doc_id]) for doc_id in dirty))
+        bookkeeping.put_many([(doc_id, state[doc_id]) for doc_id in dirty])
 
     def _after_insert(self, doc_id: int, score: float,
                       previous: "Document | None") -> None:

@@ -39,7 +39,8 @@ class ScoreIndex(InvertedIndex):
                          list_cache_pages=list_cache_pages)
         # Key: (term, -score, doc_id) -> None.  Negating the score makes the
         # B+-tree's ascending key order correspond to descending score order.
-        self._lists = self._create_kvstore(f"{name}.scorelists", key_shard="term")
+        self._lists = self._create_kvstore(f"{name}.scorelists", key_shard="term",
+                                           key_codec="sfu", value_codec="none")
 
     # -- build ---------------------------------------------------------------
 
@@ -164,7 +165,7 @@ class ScoreIndex(InvertedIndex):
 
     def _term_stream(self, term_index: int, term: str,
                      stats: QueryStats) -> Iterator[tuple[float, int, int]]:
-        for (_term, neg_score, doc_id), _ in self._lists.prefix_items((term,)):
+        for (neg_score, doc_id), _ in self._lists.suffix_items((term,)):
             stats.postings_scanned += 1
             yield neg_score, doc_id, term_index
 

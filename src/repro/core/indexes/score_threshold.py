@@ -49,6 +49,7 @@ class ScoreThresholdIndex(LongListIndex):
     method_name = "score_threshold"
     stores_term_scores = False
     list_kind = "scored"
+    short_key_codec = "sfu"
 
     def __init__(self, env: StorageEnvironment, documents: DocumentStore,
                  name: str = "svr", threshold_ratio: float = 11.24,
@@ -62,7 +63,8 @@ class ScoreThresholdIndex(LongListIndex):
         self.threshold_ratio = float(threshold_ratio)
         # Short list key (term, -list_score, doc_id); ListScore table:
         # doc_id -> (list_score, in_short_list).
-        self._bookkeeping = self._create_kvstore(f"{name}.listscore", key_shard="doc")
+        self._bookkeeping = self._create_kvstore(f"{name}.listscore", key_shard="doc",
+                                                 key_codec="i", value_codec="state_f")
 
     # -- threshold ---------------------------------------------------------------
 

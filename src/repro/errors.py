@@ -42,6 +42,15 @@ class DuplicateKeyError(StorageError):
     """An insert would violate a unique-key constraint."""
 
 
+class KeyEncodingError(StorageError):
+    """A key cannot be encoded in its store's order-preserving byte form
+    (NaN, an integer out of range, or a value of the wrong type)."""
+
+
+class FormatVersionError(StorageError):
+    """A durable directory was written in a different on-disk format."""
+
+
 class StoreClosedError(StorageError):
     """An operation was attempted on a closed store or environment."""
 

@@ -12,12 +12,14 @@ query/update trade-offs can be measured:
   every read and write and exposes a configurable cost model.
 * :class:`~repro.storage.buffer_pool.BufferPool` — an LRU cache of pages with
   hit/miss statistics.
-* :class:`~repro.storage.btree.BPlusTree` — an ordered map with range scans,
-  used for primary keys, secondary indexes, short lists and lookup tables.
+* :class:`~repro.storage.btree.BPlusTree` — an ordered map over byte-string
+  keys and values with range scans, used for primary keys, secondary
+  indexes, short lists and lookup tables.
 * :class:`~repro.storage.heap_file.HeapFile` — append-only segments holding
   immutable serialized long inverted lists.
-* :class:`~repro.storage.kvstore.KVStore` — a thin BerkeleyDB-flavoured facade
-  over a B+-tree.
+* :class:`~repro.storage.kvstore.KVStore` — a BerkeleyDB-flavoured facade
+  over a B+-tree whose key and value codecs turn tuples and values into
+  order-preserving bytes.
 * :class:`~repro.storage.environment.StorageEnvironment` — a named collection
   of stores sharing one disk + buffer pool, with global I/O statistics.
 * :class:`~repro.storage.sharding.ShardedEnvironment` — the term space

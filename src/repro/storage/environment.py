@@ -225,7 +225,7 @@ class StorageEnvironment:
             "page_size": self.disk.page_size,
         }
 
-    def commit(self, app_state: Any = None) -> int:
+    def commit(self, app_state: Any = None, batch_id: "int | None" = None) -> int:
         """Group-commit the current batch of work (a durability boundary).
 
         Flushes the buffer pool — which is charged identically on every
@@ -238,6 +238,8 @@ class StorageEnvironment:
         parts, or the entries of a part, that changed.  After a crash,
         recovery lands exactly on the last committed boundary.
 
+        ``batch_id`` commits under a given id instead of the next one (see
+        :meth:`~repro.storage.persistence.file_disk.FileBackedDisk.commit_batch`).
         Returns the committed batch id (0 on a memory environment).
         """
         self._check_open()
@@ -262,7 +264,7 @@ class StorageEnvironment:
             }
             if app_state is not None:
                 record["app"] = app_state
-            batch = self.disk.commit_batch(record)
+            batch = self.disk.commit_batch(record, batch_id=batch_id)
             # Only now is the record durable; a CommitError above leaves the
             # versions behind, so the retry carries the same heap files.
             self._durable_heap_versions = versions
@@ -398,12 +400,15 @@ class StorageEnvironment:
 
     # -- store management -------------------------------------------------------
 
-    def create_kvstore(self, name: str, order: int | None = None) -> KVStore:
-        """Create (or raise if it exists) a named ordered key-value store."""
+    def create_kvstore(self, name: str, order: int | None = None,
+                       key_codec: str = "*", value_codec: str = "pickle") -> KVStore:
+        """Create (or raise if it exists) a named ordered key-value store
+        with the given codecs (see :class:`~repro.storage.kvstore.KVStore`)."""
         self._check_open()
         if name in self._kvstores or name in self._heapfiles:
             raise StorageError(f"store {name!r} already exists")
-        store = KVStore(self.pool, name=name, order=order)
+        store = KVStore(self.pool, name=name, order=order,
+                        key_codec=key_codec, value_codec=value_codec)
         self._kvstores[name] = store
         return store
 

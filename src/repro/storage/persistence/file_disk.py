@@ -51,12 +51,14 @@ from repro.errors import (
     ChecksumError,
     CommitError,
     DiskFullError,
+    FormatVersionError,
     PageNotFoundError,
     StorageError,
     StoreClosedError,
     TransientIOError,
 )
 from repro.obs.trace import span
+from repro.storage.btree import FORMAT_VERSION
 from repro.storage.disk import DiskStats, SimulatedDisk
 from repro.storage.environment import fold_catalog
 from repro.storage.faults import run_with_retries
@@ -70,6 +72,15 @@ _META_TMP = "meta.pkl.tmp"
 
 #: Default in-memory budget for not-yet-spilled page images.
 DEFAULT_WAL_BUFFER_BYTES = 4 * 1024 * 1024
+
+
+def check_format_version(path: str, found: int) -> None:
+    """Refuse a directory written in another on-disk format (a catalog
+    without a version predates versioning: format 1, pickled nodes)."""
+    if found != FORMAT_VERSION:
+        raise FormatVersionError(
+            f"{path!r} holds on-disk format {found}; this engine reads format "
+            f"{FORMAT_VERSION} (B+-tree nodes as byte runs, not pickled)")
 
 
 def fsync_directory(path: str) -> None:
@@ -237,6 +248,7 @@ class FileBackedDisk(SimulatedDisk):
             raise StorageError(f"{path!r} does not hold a persistent disk")
         with open(meta_path, "rb") as handle:
             meta = pickle.load(handle)
+        check_format_version(path, meta.get("format", 1))
         replayed: ReplayResult = replay(os.path.join(path, _WAL_FILE),
                                         max_batch=max_batch)
 
@@ -255,6 +267,7 @@ class FileBackedDisk(SimulatedDisk):
         disk._restore_disk_state(meta["disk"])
         catalog = dict(meta)
         catalog.pop("disk")
+        catalog.pop("format")
         for blob in replayed.catalogs:
             record = pickle.loads(blob)
             disk._fold_disk_part(record["disk"])
@@ -464,7 +477,7 @@ class FileBackedDisk(SimulatedDisk):
             "checksums": dict(self._checksums),
         }
 
-    def commit_batch(self, catalog: dict) -> int:
+    def commit_batch(self, catalog: dict, batch_id: "int | None" = None) -> int:
         """Group-commit the current batch with the environment's record.
 
         ``catalog`` holds the environment's catalog parts that changed since
@@ -473,6 +486,11 @@ class FileBackedDisk(SimulatedDisk):
         own part under ``"disk"``: the allocation cursor and the length of
         every page id created, written or freed since that record (``None``
         when freed).  Returns the new committed-batch id.
+
+        ``batch_id`` names the batch instead of the next id: a sharded group
+        commit files every shard under its commit point's id, and a shard
+        that already committed that id (its fan-out was retried) appends a
+        second record under it rather than running ahead.
         """
         self._check_open()
         catalog = dict(catalog)
@@ -483,7 +501,12 @@ class FileBackedDisk(SimulatedDisk):
             "pages": {page_id: lengths.get(page_id) for page_id in self._dirty},
         }
         self._spill()
-        batch_id = self.committed_batches + 1
+        if batch_id is None:
+            batch_id = self.committed_batches + 1
+        elif batch_id < self.committed_batches:
+            raise StorageError(
+                f"{self.path}: batch {batch_id} is behind the committed batch "
+                f"{self.committed_batches}")
         catalog["batch"] = batch_id
         blob = pickle.dumps(catalog)
         # Atomic commit: nothing below mutates commit state until the COMMIT
@@ -567,6 +590,7 @@ class FileBackedDisk(SimulatedDisk):
         catalog = dict(catalog)
         catalog["disk"] = self.disk_state()
         catalog["batch"] = self.committed_batches
+        catalog["format"] = FORMAT_VERSION
         # The tmp file is rewritten from scratch on every attempt, so a torn
         # meta write needs no reset either.
         run_with_retries(

@@ -24,6 +24,7 @@ from repro.storage.persistence.file_disk import (
     DEFAULT_WAL_BUFFER_BYTES,
     FileBackedDisk,
     _META_FILE,
+    check_format_version,
 )
 from repro.storage.sharding import (
     ShardedEnvironment,
@@ -89,6 +90,7 @@ def open_sharded_environment(path: str, cache_pages: int | None = None,
 
     with open(registry_path, "rb") as handle:
         registry = pickle.load(handle)
+    check_format_version(path, registry.get("format", 1))
     shard_count = registry["shard_count"]
     per_shard = None
     if cache_pages is not None:

@@ -245,7 +245,7 @@ def replay(path: str, max_batch: "int | None" = None) -> ReplayResult:
     ``max_batch`` caps the prefix at a batch id: commits beyond it are
     treated as tail and discarded.  Sharded recovery uses this to roll a
     shard that committed *inside* a torn group-commit fan-out back to the
-    commit point (batch ids in one log are strictly increasing, so the cap
+    commit point (batch ids in one log never decrease, so the cap
     is a clean prefix cut).
     """
     result = ReplayResult()

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import StorageError
+from repro.storage.btree import FORMAT_VERSION
 from repro.storage.buffer_pool import BufferPoolStats
 from repro.storage.disk import DiskStats
 from repro.storage.environment import IODelta, IOSnapshot, StorageEnvironment
@@ -311,6 +312,12 @@ class ShardedKVStore:
             return self._single.prefix_items(prefix)
         return self._parts[self._route(tuple(prefix))].prefix_items(prefix)
 
+    def suffix_items(self, prefix: Any) -> Iterator[tuple[tuple, Any]]:
+        """:meth:`KVStore.suffix_items` on the shard the prefix routes to."""
+        if self._single is not None:
+            return self._single.suffix_items(prefix)
+        return self._parts[self._route(tuple(prefix))].suffix_items(prefix)
+
     def cursor(self, low: Any = None, high: Any = None,
                inclusive: tuple[bool, bool] = (True, True)) -> Cursor:
         if self._single is not None:
@@ -515,6 +522,7 @@ class ShardedEnvironment:
 
     def _write_registry(self) -> None:
         registry = {
+            "format": FORMAT_VERSION,
             "shard_count": self.shard_count,
             "cache_pages": self.cache_pages,
             "page_size": self.page_size,
@@ -549,6 +557,11 @@ class ShardedEnvironment:
         counter, which recovery accepts (only a shard *ahead* of shard 0
         indicates a torn fan-out).  Shard 0 is the commit point and can never
         be skipped.
+
+        Every shard commits under the commit point's batch id (shard 0's
+        next one).  A shard whose earlier attempt at this batch landed
+        before shard 0 failed then appends to that id instead of advancing,
+        so a retried fan-out cannot leave it a batch ahead for good.
         """
         skipped = set(skip)
         if 0 in skipped:
@@ -556,10 +569,11 @@ class ShardedEnvironment:
                 "shard 0 carries the commit point and cannot be skipped; "
                 "reopen it before committing"
             )
+        batch = self.shards[0].committed_batches + 1 if self.durable else None
         for index, shard in enumerate(self.shards[1:], start=1):
             if index not in skipped:
-                shard.commit()
-        return self.shards[0].commit(app_state=app_state)
+                shard.commit(batch_id=batch)
+        return self.shards[0].commit(app_state=app_state, batch_id=batch)
 
     def checkpoint(self, app_state: Any = None,
                    skip: "Iterable[int]" = ()) -> int:
@@ -727,16 +741,20 @@ class ShardedEnvironment:
     # -- store management -------------------------------------------------------
 
     def create_kvstore(self, name: str, order: int | None = None,
-                       key_shard: str = "term") -> ShardedKVStore:
+                       key_shard: str = "term", key_codec: str = "*",
+                       value_codec: str = "pickle") -> ShardedKVStore:
         """Create a logical key-value store partitioned by ``key_shard``.
 
         ``key_shard`` names the routing policy: ``"term"`` for stores keyed by
         ``(term, ...)`` tuples, ``"doc"`` for stores keyed by document id.
+        Every part uses the given codecs (each shard's catalog records them).
         """
         if name in self._kvstores or name in self._heapfiles:
             raise StorageError(f"store {name!r} already exists")
         policy = _resolve_policy(key_shard)
-        parts = [(shard, shard.create_kvstore(name, order=order)) for shard in self.shards]
+        parts = [(shard, shard.create_kvstore(name, order=order, key_codec=key_codec,
+                                              value_codec=value_codec))
+                 for shard in self.shards]
         count = self.shard_count
         store = ShardedKVStore(name, parts, route=lambda key: policy(key, count))
         self._kvstores[name] = store

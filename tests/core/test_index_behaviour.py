@@ -61,6 +61,32 @@ class TestLifecycleContracts:
             index.update_score(corpus[0][0], -1.0)
 
     @pytest.mark.parametrize("method", sorted(METHOD_OPTIONS))
+    @pytest.mark.parametrize("score", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_scores_rejected_by_every_write(self, method, score, corpus):
+        """NaN has no rank and an infinite score collides with the chunk
+        bounds' and the result heap's sentinels: every write entry point
+        refuses both, and a rejected window writes nothing."""
+        from repro.core.indexes.registry import create_index
+        from repro.storage.environment import StorageEnvironment
+        from repro.text.documents import DocumentStore
+
+        staged = create_index(method, StorageEnvironment(cache_pages=64), DocumentStore(),
+                              **METHOD_OPTIONS[method])
+        with pytest.raises(InvertedIndexError):
+            staged.add_document(1, score, terms=["a"])
+        index = build_index(method, corpus, **METHOD_OPTIONS[method])
+        doc_id = corpus[0][0]
+        before = index.current_score(doc_id)
+        with pytest.raises(InvertedIndexError):
+            index.update_score(doc_id, score)
+        with pytest.raises(InvertedIndexError):
+            index.apply_batch([(doc_id, before + 1.0), (doc_id, score)])
+        assert index.current_score(doc_id) == before
+        with pytest.raises(InvertedIndexError):
+            index.insert_document(10_000, ["w000"], score)
+        assert index.current_score(10_000) is None
+
+    @pytest.mark.parametrize("method", sorted(METHOD_OPTIONS))
     def test_query_for_unknown_term_returns_empty(self, method, corpus):
         index = build_index(method, corpus, **METHOD_OPTIONS[method])
         response = index.query(["never-seen-term"], k=5)

@@ -7,10 +7,12 @@ from repro.storage.btree import BPlusTree, default_order
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.disk import SimulatedDisk
 
+from tests.helpers import CodecTree
+
 
 def make_tree(order=6, page_size=4096, cache_pages=64):
     pool = BufferPool(SimulatedDisk(page_size=page_size), capacity_pages=cache_pages)
-    return BPlusTree(pool, order=order, name="test")
+    return CodecTree(pool, order=order, name="test")
 
 
 class TestBasicOperations:
@@ -152,12 +154,13 @@ class TestStructure:
         assert tree.size_bytes() > empty_size
 
 
-class TestSizeEstimateInvariant:
-    def test_upper_bound_never_underestimates(self):
-        """The incremental size bound must never report less than the true size.
+class TestExactNodeSize:
+    def test_size_is_the_exact_encoded_size(self):
+        """Every node's tracked size equals the length of its encoding.
 
-        The bound is what makes the lazy split check exact: estimate <= limit
-        implies true size <= limit only while the bound stays an upper bound.
+        The split rule compares that integer with the page capacity, so it
+        must stay exact through inserts, overwrites that change a value's
+        length, deletes and splits.
         """
         import random
 
@@ -175,46 +178,50 @@ class TestSizeEstimateInvariant:
                     tree.delete(key)
                 except Exception:
                     pass
+        inner = tree.tree
         checked = 0
         for page_id in tree.page_ids():
-            node = tree._peek_node(page_id)
-            estimate = node.estimated_size()
-            exact = len(node.to_bytes())
-            if estimate is not None:
-                assert estimate >= exact
-            assert exact <= tree.pool.disk.page_size
+            node = inner._peek_node(page_id)
+            encoded = inner._encode(node)
+            assert node.size == len(encoded)
+            assert len(encoded) <= tree.pool.disk.page_size
+            assert inner._decode(page_id, encoded).keys == node.keys
             checked += 1
         assert checked == tree.node_count()
+        assert tree.size_bytes() == sum(
+            len(inner._encode(inner._peek_node(page_id))) for page_id in tree.page_ids())
 
-    def test_split_check_and_write_guard_share_one_threshold(self):
-        """A node passing the split check can always be written to its page.
-
-        Randomized value sizes below the per-entry maximum must never trip the
-        oversized-node error: the split threshold (capacity minus slack) keeps
-        every non-splittable node within page capacity.
-        """
+    def test_nodes_fill_to_the_page_and_always_fit(self):
+        """Splits happen on the exact size: a node may fill its page to the
+        last byte, never past it, and values of any size below the page's
+        share never trip the oversized-node error."""
         import random
 
-        from repro.storage.btree import NODE_SPLIT_SLACK, split_threshold
-
         page_size = 512
-        assert split_threshold(page_size) == page_size - NODE_SPLIT_SLACK
         tree = make_tree(order=64, page_size=page_size, cache_pages=128)
         rng = random.Random(5)
         for key in range(300):
             tree.insert(key, "v" * rng.randrange(0, 120))
         assert len(tree) == 300
-        # Exercise the boundary: values sized right around the slack.
-        boundary = make_tree(order=64, page_size=page_size, cache_pages=128)
-        for key in range(64):
-            boundary.insert(key, "w" * (NODE_SPLIT_SLACK + key))
-        assert len(boundary) == 64
+        inner = tree.tree
+        sizes = [inner._peek_node(page_id).size for page_id in tree.page_ids()]
+        assert max(sizes) <= page_size
+        # Fixed-width entries land exactly on the capacity before splitting.
+        pool = BufferPool(SimulatedDisk(page_size=page_size), capacity_pages=64)
+        fixed = BPlusTree(pool, order=500, value_width=8)
+        entry = 1 + 4 + 8  # key length byte, 4-byte key, 8-byte value
+        fits = (page_size - 7) // entry
+        for key in range(fits):
+            fixed.insert(key.to_bytes(4, "big"), bytes(8))
+        assert fixed.height() == 1 and fixed.size_bytes() == 7 + fits * entry
+        fixed.insert(fits.to_bytes(4, "big"), bytes(8))
+        assert fixed.height() == 2
 
 
 class TestMaintenanceAccounting:
     def make_loaded(self, cache_pages=256):
         pool = BufferPool(SimulatedDisk(page_size=512), capacity_pages=cache_pages)
-        tree = BPlusTree(pool, order=8, name="maint")
+        tree = CodecTree(pool, order=8, name="maint")
         for key in range(400):
             tree.insert(key, key)
         return pool, tree
@@ -333,7 +340,7 @@ class TestSharedNodeIterationSafety:
         when every allocation evicts the node being split.
         """
         pool = BufferPool(SimulatedDisk(page_size=512), capacity_pages=1)
-        tree = BPlusTree(pool, order=64, name="tiny-pool")
+        tree = CodecTree(pool, order=64, name="tiny-pool")
         for key in range(12):
             tree.insert(key, "x" * 120)
         assert len(tree) == 12
@@ -348,7 +355,7 @@ class TestSharedNodeIterationSafety:
         the size counter is rolled back, and reads and write-back agree.
         """
         pool = BufferPool(SimulatedDisk(page_size=512), capacity_pages=1)
-        tree = BPlusTree(pool, order=64, name="tiny-pool")
+        tree = CodecTree(pool, order=64, name="tiny-pool")
         for key in range(3):
             tree.insert(key, "x" * 100)
         with pytest.raises(StorageError, match="HeapFile"):
@@ -361,7 +368,7 @@ class TestSharedNodeIterationSafety:
         """After a flush, a failed split must not leave reads serving a
         mutated decoded node while the disk holds the committed bytes."""
         pool = BufferPool(SimulatedDisk(page_size=512), capacity_pages=4)
-        tree = BPlusTree(pool, order=64, name="flush-pool")
+        tree = CodecTree(pool, order=64, name="flush-pool")
         for key in (5, 6, 7):
             tree.insert(key, "x" * 100)
         pool.flush()
@@ -376,7 +383,7 @@ class TestSharedNodeIterationSafety:
 class TestIOBehaviour:
     def test_lookups_touch_pages_through_the_pool(self):
         pool = BufferPool(SimulatedDisk(page_size=4096), capacity_pages=128)
-        tree = BPlusTree(pool, order=8, name="io")
+        tree = CodecTree(pool, order=8, name="io")
         for key in range(300):
             tree.insert(key, key)
         before = pool.stats.accesses
@@ -385,7 +392,7 @@ class TestIOBehaviour:
 
     def test_persists_across_cache_drop(self):
         pool = BufferPool(SimulatedDisk(page_size=4096), capacity_pages=8)
-        tree = BPlusTree(pool, order=8, name="evict")
+        tree = CodecTree(pool, order=8, name="evict")
         for key in range(500):
             tree.insert(key, key * 3)
         pool.drop()

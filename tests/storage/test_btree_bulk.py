@@ -13,14 +13,15 @@ import random
 import pytest
 
 from repro.errors import DuplicateKeyError, KeyNotFoundError, StorageError
-from repro.storage.btree import BPlusTree
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.disk import SimulatedDisk
+
+from tests.helpers import CodecTree
 
 
 def make_tree(order=6, page_size=4096, cache_pages=64):
     pool = BufferPool(SimulatedDisk(page_size=page_size), capacity_pages=cache_pages)
-    return BPlusTree(pool, order=order, name="bulk")
+    return CodecTree(pool, order=order, name="bulk")
 
 
 def tree_layout(tree):
@@ -98,7 +99,7 @@ class TestBulkInsert:
         reads agree with write-back afterwards.
         """
         pool = BufferPool(SimulatedDisk(page_size=512), capacity_pages=4)
-        tree = BPlusTree(pool, order=64, name="tiny")
+        tree = CodecTree(pool, order=64, name="tiny")
         tree.insert_many([(key, "x" * 100) for key in range(3)])
         with pytest.raises(StorageError, match="HeapFile"):
             tree.insert_many([(3, "x" * 100), (4, "y" * 400), (5, "z")])
@@ -112,7 +113,7 @@ class TestBulkInsert:
         must fail at that entry without corrupting the tree or leaving a
         frame whose write-back crashes every later flush."""
         pool = BufferPool(SimulatedDisk(page_size=512), capacity_pages=4)
-        tree = BPlusTree(pool, order=64, name="tiny")
+        tree = CodecTree(pool, order=64, name="tiny")
         with pytest.raises(StorageError, match="HeapFile"):
             tree.insert_many([(1, "x" * 1000)])
         assert len(tree) == 0

@@ -4,14 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import KeyNotFoundError
-from repro.storage.btree import BPlusTree
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.disk import SimulatedDisk
+
+from tests.helpers import CodecTree
 
 
 def make_tree(order=6):
     pool = BufferPool(SimulatedDisk(page_size=4096), capacity_pages=32)
-    return BPlusTree(pool, order=order, name="prop")
+    return CodecTree(pool, order=order, name="prop")
 
 
 keys = st.integers(min_value=-10_000, max_value=10_000)

@@ -21,8 +21,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.helpers import category_fingerprint, disk_page_bytes
-from repro.errors import PageNotFoundError, StorageError, StoreClosedError
+from repro.errors import (
+    CommitError,
+    FormatVersionError,
+    PageNotFoundError,
+    StorageError,
+    StoreClosedError,
+)
 from repro.storage.disk import SimulatedDisk
+from repro.storage.faults import DEFAULT_RETRY_BUDGET, FaultPlan, FaultSpec
 from repro.storage.environment import StorageEnvironment
 from repro.storage.pager import Page
 from repro.storage.persistence import (
@@ -487,6 +494,68 @@ class TestShardedDurability:
         assert rkv.get(("a", 1)) == 1
         assert rkv.get(("b", 2), default=None) is None
         recovered.close()
+
+    def test_retried_fanout_keeps_every_shard_at_the_commit_point(self, tmp_path):
+        """A fan-out whose commit point (shard 0) fails after shard 1 has
+        committed is retried under the same batch id: shard 1 must not stay
+        a batch ahead, or the next crash would cut its last acknowledged
+        window back to shard 0's id."""
+        path = str(tmp_path / "skew")
+        env = ShardedEnvironment(shard_count=2, cache_pages=32,
+                                 page_size=256, path=path)
+        scores = env.create_kvstore("x.score", key_shard="doc")
+        model = {doc_id: float(doc_id) for doc_id in range(20)}
+        scores.put_many(model.items())
+        env.commit()
+        assert {scores.shard_of(doc_id) for doc_id in model} == {0, 1}
+        env.inject_faults(FaultPlan(
+            specs=(FaultSpec("wal_commit", "transient", at=0,
+                             run=DEFAULT_RETRY_BUDGET + 1),),
+            shards=(0,)))
+        window = {doc_id: 100.0 + doc_id for doc_id in model}
+        scores.put_many(window.items())
+        with pytest.raises(CommitError):
+            env.commit()
+        env.clear_faults()
+        env.commit()  # the retry: acknowledged
+        model.update(window)
+        window = {doc_id: 200.0 + doc_id for doc_id in model}
+        scores.put_many(window.items())
+        env.commit()  # one more acknowledged window
+        model.update(window)
+        batches = [shard.committed_batches for shard in env.shards]
+        assert batches[0] == batches[1]
+        env.crash()
+
+        recovered = open_sharded_environment(path)
+        assert dict(recovered.kvstore("x.score").items()) == model
+        recovered.close()
+
+    def test_directories_of_another_format_are_refused(self, tmp_path):
+        """A directory whose catalog predates the byte-run node layout
+        (no version: format 1, pickled nodes) is refused with both versions
+        named, instead of its pages being misread."""
+        from repro.storage.btree import FORMAT_VERSION
+
+        plain = str(tmp_path / "plain")
+        with StorageEnvironment(cache_pages=8, path=plain) as env:
+            env.create_kvstore("a").put(1, 1)
+        sharded = str(tmp_path / "sharded")
+        with ShardedEnvironment(shard_count=2, cache_pages=8, path=sharded) as env:
+            env.create_kvstore("b").put(("t", 1), 1)
+        for catalog_path in (os.path.join(plain, "meta.pkl"),
+                             os.path.join(sharded, "sharded.pkl")):
+            with open(catalog_path, "rb") as handle:
+                catalog = pickle.load(handle)
+            assert catalog.pop("format") == FORMAT_VERSION
+            with open(catalog_path, "wb") as handle:
+                pickle.dump(catalog, handle)
+        for path, opener in ((plain, open_environment),
+                             (sharded, open_sharded_environment)):
+            with pytest.raises(FormatVersionError) as raised:
+                opener(path)
+            message = str(raised.value)
+            assert "format 1" in message and f"format {FORMAT_VERSION}" in message
 
     def test_open_any_environment_dispatches(self, tmp_path):
         plain_path = str(tmp_path / "plain")
