@@ -73,7 +73,7 @@ def bench_btree_insert(docs: int, terms: int, **_: object) -> dict:
     ``BPlusTree`` dominate it.
     """
     env = StorageEnvironment(cache_pages=8192, page_size=4096)
-    store = env.create_kvstore("bench.scorelists", key_codec="sfu", value_codec="none")
+    store = env.create_kvstore("bench.scorelists")
     rng = random.Random(7)
     scores = [rng.uniform(0.0, 1000.0) for _ in range(docs)]
     operations = 0
@@ -96,7 +96,7 @@ def bench_btree_score_update(docs: int, terms: int, updates: int, **_: object) -
     insert/update microbench the PR targets aim at.
     """
     env = StorageEnvironment(cache_pages=8192, page_size=4096)
-    store = env.create_kvstore("bench.scorelists", key_codec="sfu", value_codec="none")
+    store = env.create_kvstore("bench.scorelists")
     rng = random.Random(11)
     scores = [rng.uniform(0.0, 1000.0) for _ in range(docs)]
     doc_terms = {
@@ -132,7 +132,7 @@ def bench_btree_batch_update(docs: int, terms: int, updates: int, **_: object) -
     the two entries is the batching speedup the trajectory tracks.
     """
     env = StorageEnvironment(cache_pages=8192, page_size=4096)
-    store = env.create_kvstore("bench.scorelists", key_codec="sfu", value_codec="none")
+    store = env.create_kvstore("bench.scorelists")
     rng = random.Random(11)
     scores = [rng.uniform(0.0, 1000.0) for _ in range(docs)]
     doc_terms = {
@@ -253,16 +253,16 @@ def bench_decode_scored_list(decode_postings: int, **_: object) -> dict:
 def bench_prefix_scan(docs: int, terms: int, **_: object) -> dict:
     """Short-list prefix scans: every method's query path over (term, ...) keys."""
     env = StorageEnvironment(cache_pages=8192, page_size=4096)
-    store = env.create_kvstore("bench.shortlists", key_codec="su", value_codec="op_f64")
+    store = env.create_kvstore("bench.shortlists")
     for doc_id in range(docs):
         for k in range(terms // 8):
             term = f"t{(doc_id + k) % terms:04d}"
-            store.put((term, doc_id), ("ADD", 0.5))
+            store.put((term, doc_id), ("update", 0.5))
     operations = 0
     start = time.perf_counter()
     for rep in range(3):
         for term_id in range(terms):
-            for _suffix, _value in store.suffix_items((f"t{term_id:04d}",)):
+            for _key, _value in store.prefix_items((f"t{term_id:04d}",)):
                 operations += 1
     elapsed = time.perf_counter() - start
     return {"seconds": elapsed, "operations": operations}

@@ -37,6 +37,10 @@ from repro.storage.environment import StorageEnvironment
 from repro.storage.sharding import ShardedEnvironment, ShardedKVStore
 from repro.text.documents import Document, DocumentStore
 
+#: The largest doc id: the short-list, fancy and clustered-list keys store a
+#: doc id as an unsigned 32-bit field.
+MAX_DOC_ID = 0xFFFFFFFF
+
 
 @dataclass
 class QueryStats:
@@ -260,6 +264,7 @@ class InvertedIndex(abc.ABC):
         Scores must be non-negative (§4.1).
         """
         self._check_not_finalized("add_document")
+        self._validate_doc_id(doc_id)
         score = self._validate_score(score)
         if terms is not None:
             if self.documents.contains(doc_id):
@@ -318,6 +323,7 @@ class InvertedIndex(abc.ABC):
         short/long list maintenance.
         """
         self._check_finalized("update_score")
+        self._validate_doc_id(doc_id)
         new_score = self._validate_score(new_score)
         old_score = self.score_table.get(doc_id, default=None)
         if old_score is None:
@@ -340,19 +346,20 @@ class InvertedIndex(abc.ABC):
         run instead of once per key.
 
         Returns the number of updates applied.  Like a sequential loop, a
-        validation failure (negative score, unknown document) raises before
+        validation failure (bad score or doc id, unknown document) raises before
         any update in the batch is applied — the batch is pre-validated, which
         is strictly safer than the sequential loop's fail-midway behaviour.
         """
         self._check_finalized("apply_batch")
-        # Validate the scores up to the first bad one, read the window's
+        # Validate the updates up to the first bad one, read the window's
         # Score rows in one bulk pass, then raise the first failure in
         # arrival order: nothing is written unless the whole window is valid.
         window: list[tuple[int, float]] = []
         invalid = None
         for doc_id, new_score in updates:
             try:
-                window.append((doc_id, self._validate_score(new_score)))
+                window.append((self._validate_doc_id(doc_id),
+                               self._validate_score(new_score)))
             except InvertedIndexError as exc:
                 invalid = exc
                 break
@@ -380,6 +387,7 @@ class InvertedIndex(abc.ABC):
     def insert_document(self, doc_id: int, terms: Iterable[str], score: float) -> None:
         """Insert a new document after the index has been built (Appendix A.2)."""
         self._check_finalized("insert_document")
+        self._validate_doc_id(doc_id)
         score = self._validate_score(score)
         indexed = self.score_table.contains(doc_id)
         if indexed and not self.deleted_table.contains(doc_id):
@@ -399,6 +407,7 @@ class InvertedIndex(abc.ABC):
     def delete_document(self, doc_id: int) -> None:
         """Delete a document (Appendix A.2): mark it deleted in the Score table."""
         self._check_finalized("delete_document")
+        self._validate_doc_id(doc_id)
         if not self.score_table.contains(doc_id) or self.deleted_table.contains(doc_id):
             raise DocumentNotFoundError(f"document {doc_id} is not indexed")
         self._forget_scores((doc_id,))
@@ -409,6 +418,7 @@ class InvertedIndex(abc.ABC):
     def update_content(self, doc_id: int, new_terms: Iterable[str]) -> None:
         """Replace a document's content (Appendix A.1)."""
         self._check_finalized("update_content")
+        self._validate_doc_id(doc_id)
         if not self.score_table.contains(doc_id) or self.deleted_table.contains(doc_id):
             raise DocumentNotFoundError(f"document {doc_id} is not indexed")
         old_document = self.documents.get(doc_id)
@@ -565,6 +575,17 @@ class InvertedIndex(abc.ABC):
         store.delete_many([key for key, op in ops.items() if op is None],
                           ignore_missing=True)
         store.put_many([(key, op) for key, op in ops.items() if op is not None])
+
+    @staticmethod
+    def _validate_doc_id(doc_id: int) -> int:
+        # Checked before anything is written: the short-list, fancy and
+        # clustered-list keys hold a doc id as an unsigned 32-bit field, so a
+        # wider id would fail midway through a multi-store write.
+        if not isinstance(doc_id, int) or isinstance(doc_id, bool) \
+                or not 0 <= doc_id <= MAX_DOC_ID:
+            raise InvertedIndexError(
+                f"doc ids must be ints in [0, {MAX_DOC_ID}], got {doc_id!r}")
+        return doc_id
 
     def _validate_score(self, score: float) -> float:
         if not isinstance(score, (int, float)) or isinstance(score, bool):

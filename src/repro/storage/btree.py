@@ -50,10 +50,6 @@ _HEADER = struct.Struct("<BHI")
 _NO_PAGE = 0xFFFFFFFF
 #: Longest key (one length byte) and value (two length bytes).
 _MAX_KEY, _MAX_VALUE = 0xFF, 0xFFFF
-#: A bulk lookup run this long builds the leaf's ``{key: value}`` index at
-#: once; shorter runs bisect, and the leaf's second bulk lookup before it
-#: changes builds the index (building costs more than a few bisects).
-_INDEXED_RUN = 8
 
 
 def default_order(page_size: int) -> int:
@@ -94,12 +90,9 @@ def _runs(data: bytes, start: int, lengths: bytes) -> list[bytes]:
 class _Node:
     """A decoded node: sorted ``keys``, and ``values`` (leaf) or
     ``children`` (internal, one more than keys).  ``size`` is the exact
-    encoded size.  ``derived`` holds what is computed from a leaf's entries
-    for the rest of its residency — its ``{key: value}`` index (under
-    ``None``) and decoded scan runs — and any mutation drops it."""
+    encoded size."""
 
-    __slots__ = ("page_id", "is_leaf", "keys", "values", "children", "next_leaf", "size",
-                 "derived")
+    __slots__ = ("page_id", "is_leaf", "keys", "values", "children", "next_leaf", "size")
 
     def __init__(self, page_id: int, is_leaf: bool) -> None:
         self.page_id = page_id
@@ -109,7 +102,6 @@ class _Node:
         self.children: list[int] = []
         self.next_leaf: "int | None" = None
         self.size = _HEADER.size
-        self.derived: "dict | None" = None
 
 
 class BPlusTree:
@@ -177,16 +169,10 @@ class BPlusTree:
             node = self._read_node(self._root_id)
             while not node.is_leaf:
                 node = self._read_node(node.children[bisect_right(node.keys, key)])
-            lookup = None if node.derived is None else node.derived.get(None)
-            if lookup:
-                value = lookup.get(key)
-                if value is not None:
-                    return value
-            else:
-                keys = node.keys
-                index = bisect_left(keys, key)
-                if index < len(keys) and keys[index] == key:
-                    return node.values[index]
+            keys = node.keys
+            index = bisect_left(keys, key)
+            if index < len(keys) and keys[index] == key:
+                return node.values[index]
         if default is not ...:
             return default
         raise KeyNotFoundError(f"{self.name}: key {key!r} not found")
@@ -201,7 +187,6 @@ class BPlusTree:
             raise DuplicateKeyError(f"{self.name}: duplicate key {key!r}")
         if present and len(value) == self.value_width:  # same size: in place
             leaf.values[index] = value
-            leaf.derived = None
             self._write_node(leaf)
             return
         if not self._place(path, index, key, value, present):
@@ -235,48 +220,24 @@ class BPlusTree:
 
     def get_sorted(self, keys: list) -> list:
         """The value of each of the ascending ``keys`` (``None`` when absent);
-        a leaf run uses the leaf's ``{key: value}`` index, or bisects."""
+        each key of a leaf run bisects from where the previous one landed."""
         if not self._size:
             return [None] * len(keys)
         values: list = []
-        append, extend = values.append, values.extend
+        append = values.append
         total = len(keys)
         path: list = []
         position = 0
         while position < total:
             leaf, upper = self._descend(path, keys[position])
             end = total if upper is None else bisect_left(keys, upper, position)
-            derived = leaf.derived
-            lookup = None if derived is None else derived.get(None)
-            if end == position + 1:
-                # One key: bisect, or use an index some longer run built.
-                key, leaf_keys = keys[position], leaf.keys
-                if lookup:
-                    append(lookup.get(key))
-                else:
-                    index = bisect_left(leaf_keys, key)
-                    append(leaf.values[index] if index < len(leaf_keys)
-                           and leaf_keys[index] == key else None)
-                position = end
-                continue
-            if lookup is False or (lookup is None and end - position >= _INDEXED_RUN):
-                if derived is None:
-                    derived = leaf.derived = {}
-                lookup = derived[None] = dict(zip(leaf.keys, leaf.values))
-            elif lookup is None:  # the leaf's first run: note it, and bisect
-                if derived is None:
-                    derived = leaf.derived = {}
-                derived[None] = False
-            if lookup:
-                extend(map(lookup.get, keys[position:end]))
-            else:
-                leaf_keys, leaf_values = leaf.keys, leaf.values
-                size = len(leaf_keys)
-                index = 0
-                for key in keys[position:end]:
-                    index = bisect_left(leaf_keys, key, index)
-                    append(leaf_values[index] if index < size and leaf_keys[index] == key
-                           else None)
+            leaf_keys, leaf_values = leaf.keys, leaf.values
+            size = len(leaf_keys)
+            index = 0
+            for key in keys[position:end]:
+                index = bisect_left(leaf_keys, key, index)
+                append(leaf_values[index] if index < size and leaf_keys[index] == key
+                       else None)
             position = end
         return values
 
@@ -310,7 +271,6 @@ class BPlusTree:
                     split = self._place(path, index, key, value, present)
                 elif present:
                     leaf.values[index] = value
-                    leaf.derived = None
                 else:
                     # The common case inline: a fixed-width entry that fits.
                     size = leaf.size + 1 + len(key) + width
@@ -318,7 +278,6 @@ class BPlusTree:
                         keys.insert(index, key)
                         leaf.values.insert(index, value)
                         leaf.size = size
-                        leaf.derived = None
                     else:
                         split = self._place(path, index, key, value, present)
                 if not present:
@@ -369,21 +328,20 @@ class BPlusTree:
     def items(self, low: "bytes | None" = None, high: "bytes | None" = None,
               inclusive: tuple[bool, bool] = (True, True),
               reverse: bool = False,
-              decode: "Callable[[bytes, bytes], Any] | None" = None,
-              keep: bool = False) -> Iterator:
+              decode: "Callable[[bytes, bytes], Any] | None" = None) -> Iterator:
         """``(key, value)`` pairs (or ``decode(key, value)``) in key order
-        within ``[low, high]`` (``None``: unbounded).  With ``keep`` (a pure
-        ``decode``, forward) each leaf's decoded run stays on the leaf until
-        it changes.  Each leaf is snapshotted when reached, so the consumer
-        may mutate the tree between yields; a reverse scan re-descends from
-        the root per leaf (the chain is singly linked), so a split ahead of
-        the cursor is found again."""
+        within ``[low, high]`` (``None``: unbounded).  Each leaf's run and
+        successor are snapshotted when the leaf is reached, so the consumer
+        may mutate the tree between yields and every key the scan found is
+        still yielded; a reverse scan re-descends from the root per leaf (the
+        chain is singly linked), so a split ahead of the cursor is found
+        again."""
         if reverse:
             pairs = self._items_reverse(low, high, inclusive)
             return pairs if decode is None else (decode(*pair) for pair in pairs)
-        return self._items_forward(low, high, inclusive, decode, keep)
+        return self._items_forward(low, high, inclusive, decode)
 
-    def _items_forward(self, low, high, inclusive, decode, keep) -> Iterator:
+    def _items_forward(self, low, high, inclusive, decode) -> Iterator:
         include_low, include_high = inclusive
         node = self._read_node(self._root_id)
         while not node.is_leaf:
@@ -399,19 +357,12 @@ class BPlusTree:
                 end = len(keys)
             else:
                 end = (bisect_right if include_high else bisect_left)(keys, high)
-            if keep:
-                derived = node.derived
-                if derived is None:
-                    derived = node.derived = {}
-                run = derived.get((decode, start, end))
-                if run is None:
-                    run = derived[decode, start, end] = list(
-                        map(decode, keys[start:end], node.values[start:end]))
-                yield from run
-            else:
-                run = keys[start:end], node.values[start:end]
-                yield from (zip(*run) if decode is None else map(decode, *run))
-            if next_leaf is None or end < len(keys):
+            # Decided before yielding: an insert into this leaf while the
+            # consumer holds the scan must not end it early.
+            more = next_leaf is not None and end == len(keys)
+            run = keys[start:end], node.values[start:end]
+            yield from (zip(*run) if decode is None else map(decode, *run))
+            if not more:
                 return
             node = self._read_node(next_leaf)
             start = 0
@@ -589,7 +540,6 @@ class BPlusTree:
     # -- mutation ----------------------------------------------------------------
 
     def _remove(self, leaf: _Node, index: int) -> bytes:
-        leaf.derived = None
         key = leaf.keys.pop(index)
         value = leaf.values.pop(index)
         leaf.size -= self._entry_cost(key, value)
@@ -624,7 +574,6 @@ class BPlusTree:
                 leaf.keys.insert(index, key)
                 leaf.values.insert(index, value)
             leaf.size = size
-            leaf.derived = None
             return False
         if count < 2:
             raise self._oversized(size)
@@ -642,7 +591,6 @@ class BPlusTree:
         sibling = self._new_node(is_leaf=True)
         sibling.keys, sibling.values, sibling.size = keys[middle:], values[middle:], right
         leaf.keys, leaf.values, leaf.size = keys[:middle], values[:middle], left
-        leaf.derived = None
         sibling.next_leaf, leaf.next_leaf = leaf.next_leaf, sibling.page_id
         self._write_node(leaf)
         self._write_node(sibling)

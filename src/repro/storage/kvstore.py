@@ -526,7 +526,7 @@ class KVStore:
         self._encode_value = self.value_codec.encode
         self._decode_value = self.value_codec.decode
         self._decode_many = self.value_codec.decode_many
-        self._pairs: dict[int, tuple[Callable, bool]] = {}
+        self._pairs: dict[int, Callable] = {}
         fields = self.key_codec.name
         #: Encoder of a one-field prefix (the term of a term-keyed store).
         self._first_field = _FIELDS[fields[0]][0] if len(fields) > 1 and fields != "*" else None
@@ -726,15 +726,11 @@ class KVStore:
             low = codec.encode_prefix(prefix)
         decoder = self._pairs.get(skip)
         if decoder is None:
-            fixed = codec.fixed_suffix(skip)
-            decoder = (self._pair_decoder(codec.suffix_decoder(skip, len(low))), fixed)
-            if fixed:  # independent of the prefix: one decoder serves every scan
+            decoder = self._pair_decoder(codec.suffix_decoder(skip, len(low)))
+            if codec.fixed_suffix(skip):  # independent of the prefix: cache it
                 self._pairs[skip] = decoder
-        # A fixed-width suffix decoder is pure and shared, so the decoded
-        # runs can stay on the leaves until they change.
-        pair, keep = decoder
         return self.tree.items(low=low, high=prefix_end(low), inclusive=(True, False),
-                               decode=pair, keep=keep)
+                               decode=decoder)
 
     def _sort(self, keys: list, key: "Callable | None" = None) -> None:
         """Sort a typed store's keys in place: their order is their

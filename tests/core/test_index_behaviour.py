@@ -11,7 +11,7 @@ import pytest
 
 from repro.errors import DocumentNotFoundError, InvertedIndexError, QueryError
 from tests.conftest import METHOD_OPTIONS, make_corpus
-from tests.helpers import build_index
+from tests.helpers import build_index, disk_page_bytes
 
 
 @pytest.fixture
@@ -85,6 +85,42 @@ class TestLifecycleContracts:
         with pytest.raises(InvertedIndexError):
             index.insert_document(10_000, ["w000"], score)
         assert index.current_score(10_000) is None
+
+    @pytest.mark.parametrize("method", sorted(METHOD_OPTIONS))
+    @pytest.mark.parametrize("doc_id", [-1, 2 ** 32, 2 ** 64, True, 1.0])
+    def test_out_of_range_doc_ids_rejected_before_any_write(self, method, doc_id, corpus):
+        """The narrowest key field holding a doc id is an unsigned 32-bit
+        int: every write entry point refuses any other id up front, so no
+        store is left half-written."""
+        from repro.core.indexes.base import MAX_DOC_ID
+        from repro.core.indexes.registry import create_index
+        from repro.storage.environment import StorageEnvironment
+        from repro.text.documents import DocumentStore
+
+        assert MAX_DOC_ID == 2 ** 32 - 1
+        staged = create_index(method, StorageEnvironment(cache_pages=64), DocumentStore(),
+                              **METHOD_OPTIONS[method])
+        with pytest.raises(InvertedIndexError):
+            staged.add_document(doc_id, 1.0, terms=["a"])
+        assert len(staged.score_table) == 0 and not staged.documents.contains(doc_id)
+
+        index = build_index(method, corpus, **METHOD_OPTIONS[method])
+        known = corpus[0][0]
+        pages = disk_page_bytes(index.env)
+        scores = {doc: index.current_score(doc) for doc, _terms, _score in corpus}
+        calls = [
+            lambda: index.update_score(doc_id, 1.0),
+            lambda: index.apply_batch([(known, scores[known] + 1.0), (doc_id, 1.0)]),
+            lambda: index.insert_document(doc_id, ["w000"], 1.0),
+            lambda: index.delete_document(doc_id),
+            lambda: index.update_content(doc_id, ["w000"]),
+        ]
+        for call in calls:
+            with pytest.raises(InvertedIndexError):
+                call()
+        assert disk_page_bytes(index.env) == pages
+        assert {doc: index.current_score(doc) for doc, _terms, _score in corpus} == scores
+        assert sorted(index.documents.doc_ids()) == sorted(doc for doc, _t, _s in corpus)
 
     @pytest.mark.parametrize("method", sorted(METHOD_OPTIONS))
     def test_query_for_unknown_term_returns_empty(self, method, corpus):

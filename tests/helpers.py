@@ -15,10 +15,7 @@ from collections import Counter
 from typing import Iterable, Mapping, Sequence
 
 from repro.core.indexes.base import InvertedIndex
-from repro.errors import KeyNotFoundError
-from repro.storage.btree import BPlusTree
 from repro.storage.environment import StorageEnvironment
-from repro.storage.kvstore import VALUE_CODECS, key_codec
 from repro.text.documents import DocumentStore
 
 
@@ -290,94 +287,3 @@ def disk_page_bytes(env: StorageEnvironment) -> dict[int, bytes]:
         for page_id in range(disk._next_page_id)
         if disk.contains(page_id)
     }
-
-
-class CodecTree:
-    """A :class:`~repro.storage.btree.BPlusTree` seen through the generic
-    key codec and pickled values, so the tree's tests can speak in Python
-    keys and values.  ``first``/``last``/``update_value``/``keys``/``values``
-    are composed from the tree's own operations."""
-
-    def __init__(self, pool, order=None, name="test"):
-        self.tree = BPlusTree(pool, order=order, name=name)
-        self.pool = pool
-        self._key = key_codec("*")
-        self._value = VALUE_CODECS["pickle"]
-
-    def __len__(self):
-        return len(self.tree)
-
-    def __contains__(self, key):
-        return self._key.encode(key) in self.tree
-
-    def get(self, key, default=...):
-        data = self.tree.get(self._key.encode(key), None)
-        if data is not None:
-            return self._value.decode(data)
-        if default is not ...:
-            return default
-        raise KeyNotFoundError(f"key {key!r} not found")
-
-    def get_many(self, keys):
-        wanted = {self._key.encode(key): key for key in keys}
-        return {wanted[data]: self._value.decode(value)
-                for data, value in self.tree.get_many(wanted).items()}
-
-    def insert(self, key, value, overwrite=True):
-        self.tree.insert(self._key.encode(key), self._value.encode(value), overwrite)
-
-    def insert_many(self, items, overwrite=True):
-        return self.tree.insert_many(
-            [(self._key.encode(key), self._value.encode(value)) for key, value in items],
-            overwrite=overwrite)
-
-    def delete(self, key):
-        return self._value.decode(self.tree.delete(self._key.encode(key)))
-
-    def delete_many(self, keys, ignore_missing=False):
-        return self.tree.delete_many([self._key.encode(key) for key in keys],
-                                     ignore_missing=ignore_missing)
-
-    def items(self, low=None, high=None, inclusive=(True, True), reverse=False):
-        encode = self._key.encode
-        pairs = self.tree.items(None if low is None else encode(low),
-                                None if high is None else encode(high),
-                                inclusive=inclusive, reverse=reverse)
-        for key, value in pairs:
-            yield self._key.decode(key), self._value.decode(value)
-
-    def keys(self):
-        return (key for key, _value in self.items())
-
-    def values(self):
-        return (value for _key, value in self.items())
-
-    def first(self):
-        for pair in self.items():
-            return pair
-        raise KeyNotFoundError("tree is empty")
-
-    def last(self):
-        for pair in self.items(reverse=True):
-            return pair
-        raise KeyNotFoundError("tree is empty")
-
-    def update_value(self, key, fn):
-        value = fn(self.get(key))
-        self.insert(key, value)
-        return value
-
-    def clear(self):
-        self.tree.clear()
-
-    def height(self):
-        return self.tree.height()
-
-    def node_count(self):
-        return self.tree.node_count()
-
-    def size_bytes(self):
-        return self.tree.size_bytes()
-
-    def page_ids(self, accounted=False):
-        return self.tree.page_ids(accounted=accounted)

@@ -6,20 +6,31 @@ from repro.errors import DuplicateKeyError, KeyNotFoundError, StorageError
 from repro.storage.btree import BPlusTree, default_order
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.disk import SimulatedDisk
-
-from tests.helpers import CodecTree
+from repro.storage.kvstore import KVStore
 
 
 def make_tree(order=6, page_size=4096, cache_pages=64):
+    """A tree behind the generic store codecs (any scalar or tuple key,
+    pickled values), so the tests speak in Python keys and values."""
     pool = BufferPool(SimulatedDisk(page_size=page_size), capacity_pages=cache_pages)
-    return CodecTree(pool, order=order, name="test")
+    return KVStore(pool, "test", order=order)
+
+
+def reverse_items(store, low=None, high=None, inclusive=(True, True)):
+    """The store's pairs in descending key order (the tree's reverse scan)."""
+    encode = store.key_codec.encode
+    pairs = store.tree.items(None if low is None else encode(low),
+                             None if high is None else encode(high),
+                             inclusive=inclusive, reverse=True)
+    return ((store.key_codec.decode(key), store.value_codec.decode(value))
+            for key, value in pairs)
 
 
 class TestBasicOperations:
     def test_insert_and_get(self):
         tree = make_tree()
-        tree.insert(5, "five")
-        tree.insert(1, "one")
+        tree.put(5, "five")
+        tree.put(1, "one")
         assert tree.get(5) == "five"
         assert tree.get(1) == "one"
         assert len(tree) == 2
@@ -32,17 +43,18 @@ class TestBasicOperations:
 
     def test_overwrite_and_duplicate_detection(self):
         tree = make_tree()
-        tree.insert("k", 1)
-        tree.insert("k", 2)
+        tree.put("k", 1)
+        tree.put("k", 2)
         assert tree.get("k") == 2
         assert len(tree) == 1
         with pytest.raises(DuplicateKeyError):
-            tree.insert("k", 3, overwrite=False)
+            tree.tree.insert(tree.key_codec.encode("k"), tree.value_codec.encode(3),
+                             overwrite=False)
 
     def test_delete(self):
         tree = make_tree()
-        tree.insert(1, "a")
-        tree.insert(2, "b")
+        tree.put(1, "a")
+        tree.put(2, "b")
         assert tree.delete(1) == "a"
         assert 1 not in tree
         assert len(tree) == 1
@@ -51,23 +63,24 @@ class TestBasicOperations:
 
     def test_contains(self):
         tree = make_tree()
-        tree.insert(10, None)
+        tree.put(10, None)
         assert 10 in tree
         assert 11 not in tree
 
     def test_update_value(self):
         tree = make_tree()
-        tree.insert("counter", 1)
-        assert tree.update_value("counter", lambda value: value + 1) == 2
+        tree.put("counter", 1)
+        tree.put("counter", tree.get("counter") + 1)
         assert tree.get("counter") == 2
+        assert len(tree) == 1
         with pytest.raises(KeyNotFoundError):
-            tree.update_value("missing", lambda value: value)
+            tree.get("missing")
 
     def test_clear(self):
         tree = make_tree()
         for i in range(20):
-            tree.insert(i, i)
-        tree.clear()
+            tree.put(i, i)
+        tree.tree.clear()
         assert len(tree) == 0
         assert list(tree.items()) == []
 
@@ -81,14 +94,14 @@ class TestOrderingAndRangeScans:
         keys = list(range(500))
         rng.shuffle(keys)
         for key in keys:
-            tree.insert(key, key * 2)
+            tree.put(key, key * 2)
         assert [key for key, _ in tree.items()] == sorted(keys)
         assert all(value == key * 2 for key, value in tree.items())
 
     def test_range_scan_bounds(self):
         tree = make_tree()
         for key in range(100):
-            tree.insert(key, None)
+            tree.put(key, None)
         assert [k for k, _ in tree.items(low=10, high=15)] == [10, 11, 12, 13, 14, 15]
         assert [k for k, _ in tree.items(low=10, high=15, inclusive=(False, False))] == [
             11, 12, 13, 14,
@@ -99,34 +112,34 @@ class TestOrderingAndRangeScans:
     def test_reverse_iteration(self):
         tree = make_tree()
         for key in range(10):
-            tree.insert(key, None)
-        assert [k for k, _ in tree.items(reverse=True)] == list(reversed(range(10)))
+            tree.put(key, None)
+        assert [k for k, _ in reverse_items(tree)] == list(reversed(range(10)))
 
     def test_first_and_last(self):
         tree = make_tree()
-        with pytest.raises(KeyNotFoundError):
-            tree.first()
+        assert next(tree.items(), None) is None
+        assert next(reverse_items(tree), None) is None
         for key in (5, 1, 9):
-            tree.insert(key, str(key))
-        assert tree.first() == (1, "1")
-        assert tree.last() == (9, "9")
+            tree.put(key, str(key))
+        assert next(tree.items()) == (1, "1")
+        assert next(reverse_items(tree)) == (9, "9")
 
     def test_tuple_keys_order_lexicographically(self):
         tree = make_tree()
-        tree.insert(("b", 2), "b2")
-        tree.insert(("a", 9), "a9")
-        tree.insert(("a", 1), "a1")
+        tree.put(("b", 2), "b2")
+        tree.put(("a", 9), "a9")
+        tree.put(("a", 1), "a1")
         assert [key for key, _ in tree.items()] == [("a", 1), ("a", 9), ("b", 2)]
 
 
 class TestStructure:
     def test_height_grows_with_size(self):
         tree = make_tree(order=6)
-        assert tree.height() == 1
+        assert tree.tree.height() == 1
         for key in range(200):
-            tree.insert(key, None)
-        assert tree.height() >= 3
-        assert tree.node_count() > 30
+            tree.put(key, None)
+        assert tree.tree.height() >= 3
+        assert tree.tree.node_count() > 30
 
     def test_order_validation(self):
         with pytest.raises(StorageError):
@@ -138,19 +151,19 @@ class TestStructure:
     def test_oversized_value_raises_clear_error(self):
         tree = make_tree(order=6, page_size=256)
         with pytest.raises(StorageError, match="HeapFile"):
-            tree.insert(1, "x" * 5000)
+            tree.put(1, "x" * 5000)
 
     def test_page_ids_cover_all_nodes(self):
         tree = make_tree(order=6)
         for key in range(100):
-            tree.insert(key, None)
-        assert len(tree.page_ids()) == tree.node_count()
+            tree.put(key, None)
+        assert len(tree.page_ids()) == tree.tree.node_count()
 
     def test_size_bytes_positive_and_grows(self):
         tree = make_tree()
         empty_size = tree.size_bytes()
         for key in range(50):
-            tree.insert(key, "payload")
+            tree.put(key, "payload")
         assert tree.size_bytes() > empty_size
 
 
@@ -170,9 +183,9 @@ class TestExactNodeSize:
             key = (f"t{rng.randrange(40):03d}", rng.randrange(200))
             action = rng.random()
             if action < 0.6:
-                tree.insert(key, rng.random() * 100)
+                tree.put(key, rng.random() * 100)
             elif action < 0.8:
-                tree.insert(key, "payload-" + "x" * rng.randrange(30))
+                tree.put(key, "payload-" + "x" * rng.randrange(30))
             else:
                 try:
                     tree.delete(key)
@@ -184,10 +197,10 @@ class TestExactNodeSize:
             node = inner._peek_node(page_id)
             encoded = inner._encode(node)
             assert node.size == len(encoded)
-            assert len(encoded) <= tree.pool.disk.page_size
+            assert len(encoded) <= tree.tree.pool.disk.page_size
             assert inner._decode(page_id, encoded).keys == node.keys
             checked += 1
-        assert checked == tree.node_count()
+        assert checked == tree.tree.node_count()
         assert tree.size_bytes() == sum(
             len(inner._encode(inner._peek_node(page_id))) for page_id in tree.page_ids())
 
@@ -201,7 +214,7 @@ class TestExactNodeSize:
         tree = make_tree(order=64, page_size=page_size, cache_pages=128)
         rng = random.Random(5)
         for key in range(300):
-            tree.insert(key, "v" * rng.randrange(0, 120))
+            tree.put(key, "v" * rng.randrange(0, 120))
         assert len(tree) == 300
         inner = tree.tree
         sizes = [inner._peek_node(page_id).size for page_id in tree.page_ids()]
@@ -221,9 +234,9 @@ class TestExactNodeSize:
 class TestMaintenanceAccounting:
     def make_loaded(self, cache_pages=256):
         pool = BufferPool(SimulatedDisk(page_size=512), capacity_pages=cache_pages)
-        tree = CodecTree(pool, order=8, name="maint")
+        tree = KVStore(pool, "maint", order=8)
         for key in range(400):
-            tree.insert(key, key)
+            tree.put(key, key)
         return pool, tree
 
     def test_size_and_page_enumeration_charge_nothing(self):
@@ -232,8 +245,8 @@ class TestMaintenanceAccounting:
         before_disk = pool.disk.stats.snapshot()
         tree.size_bytes()
         tree.page_ids()
-        tree.node_count()
-        tree.height()
+        tree.tree.node_count()
+        tree.tree.height()
         assert pool.stats.diff(before_pool).hits == 0
         assert pool.stats.diff(before_pool).misses == 0
         delta = pool.disk.stats.diff(before_disk)
@@ -254,43 +267,43 @@ class TestMaintenanceAccounting:
         pool, tree = self.make_loaded()
         before = pool.stats.snapshot()
         ids = tree.page_ids(accounted=True)
-        assert len(ids) == tree.node_count()
+        assert len(ids) == tree.tree.node_count()
         assert pool.stats.diff(before).accesses >= len(ids)
 
     def test_last_reads_only_one_root_to_leaf_path(self):
         pool, tree = self.make_loaded()
         before = pool.stats.snapshot()
-        assert tree.last() == (399, 399)
+        assert next(reverse_items(tree)) == (399, 399)
         accesses = pool.stats.diff(before).hits + pool.stats.diff(before).misses
-        assert accesses <= tree.height() + 1
+        assert accesses <= tree.tree.height() + 1
 
     def test_bounded_reverse_scan_stops_reading_leaves(self):
         from itertools import islice
 
         pool, tree = self.make_loaded()
         before = pool.stats.snapshot()
-        top = [key for key, _ in islice(tree.items(reverse=True), 5)]
+        top = [key for key, _ in islice(reverse_items(tree), 5)]
         assert top == [399, 398, 397, 396, 395]
         accesses = pool.stats.diff(before).accesses
         # A materialising implementation reads every leaf (~dozens of pages).
-        assert accesses <= tree.height() + 3
+        assert accesses <= tree.tree.height() + 3
 
     def test_reverse_iteration_with_bounds(self):
         _pool, tree = self.make_loaded()
-        assert [k for k, _ in tree.items(low=10, high=15, reverse=True)] == [
+        assert [k for k, _ in reverse_items(tree, low=10, high=15)] == [
             15, 14, 13, 12, 11, 10,
         ]
-        assert [k for k, _ in tree.items(low=10, high=15, reverse=True,
-                                         inclusive=(False, False))] == [14, 13, 12, 11]
-        assert [k for k, _ in tree.items(high=3, reverse=True)] == [3, 2, 1, 0]
-        assert [k for k, _ in tree.items(low=396, reverse=True)] == [399, 398, 397, 396]
+        assert [k for k, _ in reverse_items(tree, low=10, high=15,
+                                            inclusive=(False, False))] == [14, 13, 12, 11]
+        assert [k for k, _ in reverse_items(tree, high=3)] == [3, 2, 1, 0]
+        assert [k for k, _ in reverse_items(tree, low=396)] == [399, 398, 397, 396]
 
     def test_reverse_iteration_after_deletes(self):
         _pool, tree = self.make_loaded()
         for key in range(350, 400):
             tree.delete(key)
-        assert [k for k, _ in tree.items(reverse=True)][:3] == [349, 348, 347]
-        assert tree.last() == (349, 349)
+        assert [k for k, _ in reverse_items(tree)][:3] == [349, 348, 347]
+        assert next(reverse_items(tree)) == (349, 349)
 
 
 class TestSharedNodeIterationSafety:
@@ -298,19 +311,24 @@ class TestSharedNodeIterationSafety:
         """A split under the cursor must not re-deliver already-yielded keys.
 
         Cached decoded nodes are shared; the scan snapshots each leaf
-        (entries *and* successor pointer) when it reaches it.
+        (entries *and* successor pointer) when it reaches it, so it neither
+        re-delivers nor drops a key it was going to yield.
         """
-        tree = make_tree(order=4)
-        for key in range(0, 80, 10):
-            tree.insert(key, None)
-        seen = []
-        iterator = tree.items()
-        seen.append(next(iterator)[0])
-        for key in (1, 2, 3, 4):  # splits the leaf under the cursor
-            tree.insert(key, None)
-        seen.extend(key for key, _ in iterator)
-        assert seen == sorted(seen), f"out-of-order or duplicated keys: {seen}"
-        assert len(seen) == len(set(seen))
+        for inserted in ((1, 2, 3, 4), (1,)):  # splits the leaf, or grows it in place
+            tree = make_tree(order=4)
+            original = list(range(0, 80, 10))
+            for key in original:
+                tree.put(key, None)
+            seen = []
+            iterator = tree.items()
+            seen.append(next(iterator)[0])
+            for key in inserted:
+                tree.put(key, None)
+            seen.extend(key for key, _ in iterator)
+            assert seen == sorted(seen), f"out-of-order or duplicated keys: {seen}"
+            assert len(seen) == len(set(seen))
+            missing = set(original) - set(seen)
+            assert not missing, f"committed keys dropped by forward scan: {missing}"
 
     def test_reverse_scan_survives_split_ahead_of_the_cursor(self):
         """A split below the reverse cursor must not hide committed keys.
@@ -321,11 +339,11 @@ class TestSharedNodeIterationSafety:
         tree = make_tree(order=4)
         original = list(range(0, 80, 10))
         for key in original:
-            tree.insert(key, None)
-        iterator = tree.items(reverse=True)
+            tree.put(key, None)
+        iterator = reverse_items(tree)
         seen = [next(iterator)[0]]
         for key in (1, 2, 3, 4):  # splits the leftmost leaf, ahead of the cursor
-            tree.insert(key, None)
+            tree.put(key, None)
         seen.extend(key for key, _ in iterator)
         assert seen == sorted(seen, reverse=True)
         missing = set(original) - set(seen)
@@ -340,9 +358,9 @@ class TestSharedNodeIterationSafety:
         when every allocation evicts the node being split.
         """
         pool = BufferPool(SimulatedDisk(page_size=512), capacity_pages=1)
-        tree = CodecTree(pool, order=64, name="tiny-pool")
+        tree = KVStore(pool, "tiny-pool", order=64)
         for key in range(12):
-            tree.insert(key, "x" * 120)
+            tree.put(key, "x" * 120)
         assert len(tree) == 12
         assert [key for key, _ in tree.items()] == list(range(12))
         assert tree.get(11) == "x" * 120
@@ -355,11 +373,11 @@ class TestSharedNodeIterationSafety:
         the size counter is rolled back, and reads and write-back agree.
         """
         pool = BufferPool(SimulatedDisk(page_size=512), capacity_pages=1)
-        tree = CodecTree(pool, order=64, name="tiny-pool")
+        tree = KVStore(pool, "tiny-pool", order=64)
         for key in range(3):
-            tree.insert(key, "x" * 100)
+            tree.put(key, "x" * 100)
         with pytest.raises(StorageError, match="HeapFile"):
-            tree.insert(3, "y" * 400)
+            tree.put(3, "y" * 400)
         assert len(tree) == 3
         assert [key for key, _ in tree.items()] == [0, 1, 2]
         assert tree.get(1) == "x" * 100
@@ -368,12 +386,12 @@ class TestSharedNodeIterationSafety:
         """After a flush, a failed split must not leave reads serving a
         mutated decoded node while the disk holds the committed bytes."""
         pool = BufferPool(SimulatedDisk(page_size=512), capacity_pages=4)
-        tree = CodecTree(pool, order=64, name="flush-pool")
+        tree = KVStore(pool, "flush-pool", order=64)
         for key in (5, 6, 7):
-            tree.insert(key, "x" * 100)
+            tree.put(key, "x" * 100)
         pool.flush()
         with pytest.raises(StorageError, match="HeapFile"):
-            tree.insert(1, "y" * 400)
+            tree.put(1, "y" * 400)
         assert [key for key, _ in tree.items()] == [5, 6, 7]
         pool.drop()  # force re-read from disk: views must agree
         assert [key for key, _ in tree.items()] == [5, 6, 7]
@@ -383,18 +401,18 @@ class TestSharedNodeIterationSafety:
 class TestIOBehaviour:
     def test_lookups_touch_pages_through_the_pool(self):
         pool = BufferPool(SimulatedDisk(page_size=4096), capacity_pages=128)
-        tree = CodecTree(pool, order=8, name="io")
+        tree = KVStore(pool, "io", order=8)
         for key in range(300):
-            tree.insert(key, key)
+            tree.put(key, key)
         before = pool.stats.accesses
         tree.get(123)
-        assert pool.stats.accesses - before >= tree.height()
+        assert pool.stats.accesses - before >= tree.tree.height()
 
     def test_persists_across_cache_drop(self):
         pool = BufferPool(SimulatedDisk(page_size=4096), capacity_pages=8)
-        tree = CodecTree(pool, order=8, name="evict")
+        tree = KVStore(pool, "evict", order=8)
         for key in range(500):
-            tree.insert(key, key * 3)
+            tree.put(key, key * 3)
         pool.drop()
         assert tree.get(250) == 750
         assert [key for key, _ in tree.items(low=495)] == [495, 496, 497, 498, 499]

@@ -15,21 +15,20 @@ import pytest
 from repro.errors import DuplicateKeyError, KeyNotFoundError, StorageError
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.disk import SimulatedDisk
-
-from tests.helpers import CodecTree
+from repro.storage.kvstore import KVStore
 
 
 def make_tree(order=6, page_size=4096, cache_pages=64):
     pool = BufferPool(SimulatedDisk(page_size=page_size), capacity_pages=cache_pages)
-    return CodecTree(pool, order=order, name="bulk")
+    return KVStore(pool, "bulk", order=order)
 
 
 def tree_layout(tree):
     """Physical shape fingerprint: contents plus node structure and size."""
     return (
         list(tree.items()),
-        tree.height(),
-        tree.node_count(),
+        tree.tree.height(),
+        tree.tree.node_count(),
         tree.size_bytes(),
     )
 
@@ -39,15 +38,15 @@ class TestBulkInsert:
         tree = make_tree()
         items = [(key, key * 3) for key in range(200)]
         random.Random(5).shuffle(items)
-        inserted = tree.insert_many(items)
+        inserted = tree.put_many(items)
         assert inserted == 200
         assert len(tree) == 200
         assert list(tree.items()) == [(key, key * 3) for key in range(200)]
 
     def test_insert_many_overwrites_and_counts_only_new_keys(self):
         tree = make_tree()
-        tree.insert_many([(key, "old") for key in range(10)])
-        inserted = tree.insert_many([(key, "new") for key in range(5, 15)])
+        tree.put_many([(key, "old") for key in range(10)])
+        inserted = tree.put_many([(key, "new") for key in range(5, 15)])
         assert inserted == 5
         assert tree.get(7) == "new"
         assert tree.get(2) == "old"
@@ -55,15 +54,17 @@ class TestBulkInsert:
 
     def test_within_batch_duplicates_follow_sequential_order(self):
         tree = make_tree()
-        tree.insert_many([(1, "first"), (2, "x"), (1, "second"), (1, "third")])
+        tree.put_many([(1, "first"), (2, "x"), (1, "second"), (1, "third")])
         assert tree.get(1) == "third"
         assert len(tree) == 2
 
     def test_duplicate_raises_but_commits_prior_entries(self):
         tree = make_tree()
-        tree.insert(5, "existing")
+        tree.put(5, "existing")
         with pytest.raises(DuplicateKeyError):
-            tree.insert_many([(1, "a"), (5, "clash"), (9, "b")], overwrite=False)
+            tree.tree.insert_many([(tree.key_codec.encode(key), tree.value_codec.encode(value))
+                                   for key, value in [(1, "a"), (5, "clash"), (9, "b")]],
+                                  overwrite=False)
         # Keys sorted before application: 1 committed, 5 raised, 9 never ran.
         assert tree.get(1) == "a"
         assert tree.get(5) == "existing"
@@ -78,18 +79,18 @@ class TestBulkInsert:
         ]
         sequential = make_tree(order=8, page_size=512)
         for key, value in sorted(items, key=lambda item: item[0]):
-            sequential.insert(key, value)
+            sequential.put(key, value)
         bulk = make_tree(order=8, page_size=512)
-        bulk.insert_many(items)
+        bulk.put_many(items)
         assert tree_layout(bulk) == tree_layout(sequential)
 
     def test_mid_run_leaf_splits_keep_contents(self):
         """A single sorted run long enough to split the same leaf repeatedly."""
         tree = make_tree(order=64, page_size=512)
         items = [(key, "v" * 40) for key in range(300)]
-        tree.insert_many(items)
-        assert tree.height() > 1
-        assert list(tree.keys()) == list(range(300))
+        tree.put_many(items)
+        assert tree.tree.height() > 1
+        assert [key for key, _ in tree.items()] == list(range(300))
 
     def test_oversized_entry_fails_atomically_mid_batch(self):
         """The oversized-split rollback path, hit from inside a bulk run.
@@ -99,10 +100,10 @@ class TestBulkInsert:
         reads agree with write-back afterwards.
         """
         pool = BufferPool(SimulatedDisk(page_size=512), capacity_pages=4)
-        tree = CodecTree(pool, order=64, name="tiny")
-        tree.insert_many([(key, "x" * 100) for key in range(3)])
+        tree = KVStore(pool, "tiny", order=64)
+        tree.put_many([(key, "x" * 100) for key in range(3)])
         with pytest.raises(StorageError, match="HeapFile"):
-            tree.insert_many([(3, "x" * 100), (4, "y" * 400), (5, "z")])
+            tree.put_many([(3, "x" * 100), (4, "y" * 400), (5, "z")])
         assert len(tree) == 4  # keys 0-3 committed, 4 unwound, 5 never ran
         assert [key for key, _ in tree.items()] == [0, 1, 2, 3]
         pool.drop()  # force re-decode from disk: views must agree
@@ -113,15 +114,15 @@ class TestBulkInsert:
         must fail at that entry without corrupting the tree or leaving a
         frame whose write-back crashes every later flush."""
         pool = BufferPool(SimulatedDisk(page_size=512), capacity_pages=4)
-        tree = CodecTree(pool, order=64, name="tiny")
+        tree = KVStore(pool, "tiny", order=64)
         with pytest.raises(StorageError, match="HeapFile"):
-            tree.insert_many([(1, "x" * 1000)])
+            tree.put_many([(1, "x" * 1000)])
         assert len(tree) == 0
         assert 1 not in tree
         pool.flush()  # the frame must serialise (i.e. hold committed state)
         # Prior entries of the same batch still commit (sequential semantics).
         with pytest.raises(StorageError, match="HeapFile"):
-            tree.insert_many([(0, "ok"), (1, "y" * 1000), (2, "never")])
+            tree.put_many([(0, "ok"), (1, "y" * 1000), (2, "never")])
         assert list(tree.items()) == [(0, "ok")]
         assert 2 not in tree
         pool.flush()
@@ -130,26 +131,26 @@ class TestBulkInsert:
 
     def test_empty_batch_is_a_noop(self):
         tree = make_tree()
-        before = tree.pool.stats.snapshot()
-        assert tree.insert_many([]) == 0
+        before = tree.tree.pool.stats.snapshot()
+        assert tree.put_many([]) == 0
         assert tree.delete_many([]) == 0
-        delta = tree.pool.stats.diff(before)
+        delta = tree.tree.pool.stats.diff(before)
         assert delta.hits == 0 and delta.misses == 0
 
 
 class TestBulkDelete:
     def test_delete_many_matches_model(self):
         tree = make_tree()
-        tree.insert_many([(key, key) for key in range(100)])
+        tree.put_many([(key, key) for key in range(100)])
         removed = tree.delete_many(range(0, 100, 3))
         assert removed == len(range(0, 100, 3))
         expected = [key for key in range(100) if key % 3 != 0]
-        assert list(tree.keys()) == expected
+        assert [key for key, _ in tree.items()] == expected
         assert len(tree) == len(expected)
 
     def test_missing_key_raises_after_committing_prior_deletes(self):
         tree = make_tree()
-        tree.insert_many([(key, key) for key in range(10)])
+        tree.put_many([(key, key) for key in range(10)])
         with pytest.raises(KeyNotFoundError):
             # Applied in sorted order: 3 commits, 4.5 raises, 7 is never reached.
             tree.delete_many([7, 4.5, 3])
@@ -158,13 +159,13 @@ class TestBulkDelete:
 
     def test_ignore_missing_skips_absent_keys(self):
         tree = make_tree()
-        tree.insert_many([(key, key) for key in range(10)])
+        tree.put_many([(key, key) for key in range(10)])
         assert tree.delete_many([5, 50, 7, 70], ignore_missing=True) == 2
         assert 5 not in tree and 7 not in tree
 
     def test_duplicate_keys_in_batch_delete_once(self):
         tree = make_tree()
-        tree.insert_many([(key, key) for key in range(5)])
+        tree.put_many([(key, key) for key in range(5)])
         assert tree.delete_many([3, 3, 3], ignore_missing=True) == 1
         assert len(tree) == 4
 
@@ -186,7 +187,7 @@ class TestRandomizedInterleavings:
             if action < 0.4:
                 batch = [(rng.choice(key_space), rng.randrange(1000))
                          for _ in range(rng.randrange(1, 60))]
-                tree.insert_many(batch)
+                tree.put_many(batch)
                 for key, value in batch:
                     model[key] = value
             elif action < 0.6 and model:
@@ -200,14 +201,14 @@ class TestRandomizedInterleavings:
             elif action < 0.8:
                 key = rng.choice(key_space)
                 value = rng.randrange(1000)
-                tree.insert(key, value)
+                tree.put(key, value)
                 model[key] = value
             elif model:
                 key = rng.choice(sorted(model))
                 assert tree.delete(key) == model.pop(key)
         assert dict(tree.items()) == model
         assert len(tree) == len(model)
-        assert list(tree.keys()) == sorted(model)
+        assert [key for key, _ in tree.items()] == sorted(model)
 
 
 class TestBulkAccounting:
@@ -222,14 +223,14 @@ class TestBulkAccounting:
 
     def test_bulk_ops_never_use_the_accounting_free_peek_path(self, monkeypatch):
         tree = make_tree(order=8, page_size=512)
-        tree.insert_many([(key, key) for key in range(50)])
+        tree.put_many([(key, key) for key in range(50)])
 
         def forbidden(page_id):
             raise AssertionError("bulk operations must charge every page access")
 
-        monkeypatch.setattr(tree.pool, "peek", forbidden)
-        monkeypatch.setattr(tree.pool.disk, "peek", forbidden)
-        tree.insert_many([(key, key) for key in range(50, 120)])
+        monkeypatch.setattr(tree.tree.pool, "peek", forbidden)
+        monkeypatch.setattr(tree.tree.pool.disk, "peek", forbidden)
+        tree.put_many([(key, key) for key in range(50, 120)])
         tree.delete_many(range(0, 120, 4))
 
     def test_counter_fingerprint_is_deterministic(self):
@@ -237,9 +238,9 @@ class TestBulkAccounting:
         fingerprints = []
         for _ in range(2):
             tree = make_tree(order=8, page_size=512, cache_pages=8)
-            tree.insert_many([(key, "v" * 30) for key in range(400)])
+            tree.put_many([(key, "v" * 30) for key in range(400)])
             tree.delete_many(range(0, 400, 5))
-            stats = tree.pool.stats
+            stats = tree.tree.pool.stats
             fingerprints.append(
                 (stats.hits, stats.misses, stats.evictions, stats.dirty_writebacks)
             )
@@ -249,39 +250,39 @@ class TestBulkAccounting:
         items = [(key, key) for key in range(500)]
         single = make_tree(order=8, page_size=1024)
         for key, value in items:
-            single.insert(key, value)
-        single_accesses = single.pool.stats.accesses
+            single.put(key, value)
+        single_accesses = single.tree.pool.stats.accesses
 
         bulk = make_tree(order=8, page_size=1024)
-        bulk.insert_many(items)
-        bulk_accesses = bulk.pool.stats.accesses
+        bulk.put_many(items)
+        bulk_accesses = bulk.tree.pool.stats.accesses
         assert 0 < bulk_accesses < single_accesses
         # Same layout => the follow-up charges are identical too.
         assert tree_layout(bulk) == tree_layout(single)
 
     def test_warm_and_cold_runs_charge_the_right_categories(self):
         tree = make_tree(order=8, page_size=1024, cache_pages=256)
-        tree.insert_many([(key, key) for key in range(300)])
-        tree.pool.stats.reset()
+        tree.put_many([(key, key) for key in range(300)])
+        tree.tree.pool.stats.reset()
         # Warm pool: a bulk delete touches only resident pages.
         tree.delete_many(range(0, 300, 10))
-        warm = tree.pool.stats.snapshot()
+        warm = tree.tree.pool.stats.snapshot()
         assert warm.hits > 0 and warm.misses == 0
         # Cold pool: the same kind of pass must charge misses.
-        tree.pool.drop()
-        tree.pool.stats.reset()
+        tree.tree.pool.drop()
+        tree.tree.pool.stats.reset()
         tree.delete_many(range(5, 300, 10))
-        cold = tree.pool.stats.snapshot()
+        cold = tree.tree.pool.stats.snapshot()
         assert cold.misses > 0
 
     def test_evictions_and_writebacks_are_charged_under_pressure(self):
         tree = make_tree(order=8, page_size=512, cache_pages=4)
-        tree.insert_many([(key, "v" * 40) for key in range(400)])
-        stats = tree.pool.stats
+        tree.put_many([(key, "v" * 40) for key in range(400)])
+        stats = tree.tree.pool.stats
         assert stats.evictions > 0
         assert stats.dirty_writebacks > 0
         assert stats.accesses == stats.hits + stats.misses
-        assert list(tree.keys()) == list(range(400))
+        assert [key for key, _ in tree.items()] == list(range(400))
 
 
 class TestBulkGet:
@@ -290,7 +291,7 @@ class TestBulkGet:
     @staticmethod
     def _build(count, order=8, page_size=512):
         tree = make_tree(order=order, page_size=page_size, cache_pages=512)
-        tree.insert_many([(2 * key, f"v{key}") for key in range(count)])
+        tree.put_many([(2 * key, f"v{key}") for key in range(count)])
         return tree
 
     @pytest.mark.parametrize("seed", [3, 29, 511])
@@ -301,7 +302,7 @@ class TestBulkGet:
         for _ in range(400):
             key = (f"t{rng.randrange(9)}", rng.randrange(300))
             model[key] = rng.randrange(1000)
-            tree.insert(key, model[key])
+            tree.put(key, model[key])
         for _ in range(20):
             keys = [(f"t{rng.randrange(10)}", rng.randrange(320))
                     for _ in range(rng.randrange(0, 80))]
@@ -309,7 +310,7 @@ class TestBulkGet:
 
     def test_every_leaf_boundary_and_the_rightmost_spine(self):
         tree = self._build(300)
-        assert tree.height() > 2
+        assert tree.tree.height() > 2
         # Every present key (first and last of each leaf included), every gap
         # between two keys, and keys beyond both ends of the tree.
         keys = list(range(-3, 604))
@@ -322,7 +323,7 @@ class TestBulkGet:
         assert empty.get_many([1, 2, 3]) == {}
         assert empty.get_many([]) == {}
         single = make_tree()
-        single.insert(7, "seven")
+        single.put(7, "seven")
         assert single.get_many([6, 7, 7, 8]) == {7: "seven"}
 
     @pytest.mark.parametrize("seed", [1, 5, 42])
@@ -332,7 +333,7 @@ class TestBulkGet:
         rng = random.Random(seed)
         tree = self._build(500)
         keys = [rng.randrange(-5, 1005) for _ in range(rng.randrange(1, 120))]
-        disk = tree.pool.disk
+        disk = tree.tree.pool.disk
         read_log = []
         original_read = disk.read
 
@@ -343,11 +344,11 @@ class TestBulkGet:
         monkeypatch.setattr(disk, "read", logged_read)
 
         def cold_run(lookup):
-            tree.pool.drop()
+            tree.tree.pool.drop()
             read_log.clear()
-            before = tree.pool.stats.snapshot()
+            before = tree.tree.pool.stats.snapshot()
             result = lookup()
-            return result, sorted(read_log), tree.pool.stats.diff(before)
+            return result, sorted(read_log), tree.tree.pool.stats.diff(before)
 
         point, point_reads, point_stats = cold_run(
             lambda: {key: value for key in keys

@@ -6,13 +6,12 @@ from hypothesis import strategies as st
 from repro.errors import KeyNotFoundError
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.disk import SimulatedDisk
-
-from tests.helpers import CodecTree
+from repro.storage.kvstore import KVStore
 
 
 def make_tree(order=6):
     pool = BufferPool(SimulatedDisk(page_size=4096), capacity_pages=32)
-    return CodecTree(pool, order=order, name="prop")
+    return KVStore(pool, "prop", order=order)
 
 
 keys = st.integers(min_value=-10_000, max_value=10_000)
@@ -25,7 +24,7 @@ def test_inserts_match_dict_model(entries):
     tree = make_tree()
     model = {}
     for key, value in entries:
-        tree.insert(key, value)
+        tree.put(key, value)
         model[key] = value
     assert len(tree) == len(model)
     assert list(tree.items()) == sorted(model.items())
@@ -42,7 +41,7 @@ def test_inserts_and_deletes_match_dict_model(entries, deletions):
     tree = make_tree()
     model = {}
     for key, value in entries:
-        tree.insert(key, value)
+        tree.put(key, value)
         model[key] = value
     for key in deletions:
         if key in model:
@@ -69,7 +68,7 @@ def test_range_scans_match_dict_model(entries, low, high):
     tree = make_tree()
     model = {}
     for key, value in entries:
-        tree.insert(key, value)
+        tree.put(key, value)
         model[key] = value
     expected = sorted((k, v) for k, v in model.items() if low <= k <= high)
     assert list(tree.items(low=low, high=high)) == expected
