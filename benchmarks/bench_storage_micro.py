@@ -2,8 +2,9 @@
 
 Unlike the ``bench_fig*``/``bench_table*`` modules, which reproduce the paper's
 figures, this script times the *shared storage engine* directly: the B+-tree
-insert/update path every index method bottoms out in, and the long-list page
-decoding path every query scan bottoms out in.  Results are appended to
+insert/update path every index method bottoms out in, the long-list page
+decoding path every query scan bottoms out in, and the bulk build that writes
+those lists.  Results are appended to
 ``BENCH_storage_micro.json`` at the repository root so each PR leaves a
 timing trajectory future PRs must not regress.
 
@@ -36,9 +37,6 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 from repro.core.posting import (  # noqa: E402
-    ChunkRun,
-    Posting,
-    ScoredPosting,
     build_rekey_operations,
     encode_blocked_chunk_runs,
     encode_blocked_id_postings,
@@ -180,10 +178,8 @@ def bench_decode_id_list(decode_postings: int, **_: object) -> dict:
     """
     env = StorageEnvironment(cache_pages=65536, page_size=4096)
     heap = env.create_heapfile("bench.longlists")
-    postings = [
-        Posting(doc_id=3 * index + 1, term_score=0.25) for index in range(decode_postings)
-    ]
-    handle = heap.write(encode_blocked_id_postings(postings, with_term_scores=True,
+    doc_ids = [3 * index + 1 for index in range(decode_postings)]
+    handle = heap.write(encode_blocked_id_postings(doc_ids, [0.25] * decode_postings,
                                                    page_size=4096))
     rounds = 3
     operations = 0
@@ -193,7 +189,7 @@ def bench_decode_id_list(decode_postings: int, **_: object) -> dict:
         for _last_doc_id, doc_ids, _term_scores in iter_blocked_id_postings_lazy(pages):
             operations += len(doc_ids)
     elapsed = time.perf_counter() - start
-    checksum = postings[-1].doc_id
+    checksum = doc_ids[-1]
     return {"seconds": elapsed, "operations": operations, "checksum": checksum}
 
 
@@ -209,9 +205,8 @@ def bench_decode_chunk_list(decode_postings: int, **_: object) -> dict:
     runs = []
     doc_id = 1
     for chunk_id in range(decode_postings // chunk_size, 0, -1):
-        chunk = tuple(Posting(doc_id=doc_id + 2 * i) for i in range(chunk_size))
+        runs.append((chunk_id, [doc_id + 2 * i for i in range(chunk_size)], None))
         doc_id += 2 * chunk_size
-        runs.append(ChunkRun(chunk_id=chunk_id, postings=chunk))
     handle = heap.write(encode_blocked_chunk_runs(runs, page_size=4096))
     rounds = 3
     operations = 0
@@ -233,12 +228,9 @@ def bench_decode_scored_list(decode_postings: int, **_: object) -> dict:
     """
     env = StorageEnvironment(cache_pages=65536, page_size=4096)
     heap = env.create_heapfile("bench.scoredlists")
-    postings = [
-        ScoredPosting(doc_id=(7 * index) % decode_postings + 1,
-                      score=float(decode_postings - index))
-        for index in range(decode_postings)
-    ]
-    handle = heap.write(encode_blocked_scored_postings(postings, page_size=4096))
+    doc_ids = [(7 * index) % decode_postings + 1 for index in range(decode_postings)]
+    scores = [float(decode_postings - index) for index in range(decode_postings)]
+    handle = heap.write(encode_blocked_scored_postings(doc_ids, scores, page_size=4096))
     rounds = 3
     operations = 0
     start = time.perf_counter()
@@ -247,6 +239,42 @@ def bench_decode_scored_list(decode_postings: int, **_: object) -> dict:
         for _bound, doc_ids, _scores, _term_scores in iter_blocked_scored_postings_lazy(pages):
             operations += len(doc_ids)
     elapsed = time.perf_counter() - start
+    return {"seconds": elapsed, "operations": operations}
+
+
+def bench_build_long_lists(macro_docs: int, **_: object) -> dict:
+    """The bulk build of the Chunk, ID and Score-Threshold long lists.
+
+    Each method stages the macrobench corpus, and its ``finalize`` sorts the
+    staged documents once in list order, gathers each term's columns, encodes
+    them one block per page and writes them to the heap file.  Only
+    ``finalize`` is timed, over three fresh builds per method;
+    ``operations`` counts the postings written, so the rate is postings/s.
+    """
+    from repro.core.indexes.registry import create_index
+    from repro.text.documents import DocumentStore
+    from repro.workloads.synthetic import SyntheticCorpusConfig, generate_corpus
+
+    corpus = generate_corpus(
+        SyntheticCorpusConfig(
+            num_docs=macro_docs, terms_per_doc=40,
+            num_distinct_terms=macro_docs * 4, seed=7,
+        )
+    )
+    methods = (("chunk", {"chunk_ratio": 2.2, "min_chunk_size": 10}), ("id", {}),
+               ("score_threshold", {}))
+    elapsed = 0.0
+    operations = 0
+    for _ in range(3):
+        for method, options in methods:
+            index = create_index(method, StorageEnvironment(cache_pages=4096, page_size=512),
+                                 DocumentStore(), **options)
+            for document in corpus.iter_documents():
+                index.add_document(document.doc_id, document.score, terms=document.terms)
+            start = time.perf_counter()
+            index.finalize()
+            elapsed += time.perf_counter() - start
+            operations += index.update_stats.long_list_postings_written
     return {"seconds": elapsed, "operations": operations}
 
 
@@ -718,6 +746,7 @@ BENCHES = {
     "decode_id_list": bench_decode_id_list,
     "decode_chunk_list": bench_decode_chunk_list,
     "decode_scored_list": bench_decode_scored_list,
+    "build_long_lists": bench_build_long_lists,
     "prefix_scan": bench_prefix_scan,
     "query_macro": bench_query_macro,
     "file_backed_query_macro": bench_file_backed_query_macro,

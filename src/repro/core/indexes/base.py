@@ -156,7 +156,7 @@ class InvertedIndex(abc.ABC):
         self.deleted_table = self._create_kvstore(f"{name}.deleted", key_shard="doc",
                                                   key_codec="i", value_codec="true")
         self.update_stats = UpdateStats()
-        self._staged: list[_StagedDocument] = []
+        self._staged: dict[int, _StagedDocument] = {}
         self._finalized = False
 
     # ------------------------------------------------------------------
@@ -261,11 +261,13 @@ class InvertedIndex(abc.ABC):
 
         ``terms`` may be supplied to register the document's content with the
         forward index; if omitted the document must already be present there.
-        Scores must be non-negative (§4.1).
+        Scores must be non-negative (§4.1), and a doc id is staged once.
         """
         self._check_not_finalized("add_document")
         self._validate_doc_id(doc_id)
         score = self._validate_score(score)
+        if doc_id in self._staged:
+            raise InvertedIndexError(f"document {doc_id} is already staged")
         if terms is not None:
             if self.documents.contains(doc_id):
                 raise InvertedIndexError(
@@ -278,17 +280,15 @@ class InvertedIndex(abc.ABC):
                 "pass terms= or add it to the DocumentStore first"
             )
         document = self.documents.get(doc_id)
-        self._staged.append(
-            _StagedDocument(doc_id=doc_id, score=score,
-                            term_frequencies=dict(document.term_frequencies))
-        )
+        self._staged[doc_id] = _StagedDocument(
+            doc_id=doc_id, score=score, term_frequencies=dict(document.term_frequencies))
         self.score_table.put(doc_id, score)
 
     def finalize(self) -> None:
         """Build the immutable long inverted lists from the staged documents."""
         self._check_not_finalized("finalize")
-        self._build_long_lists(self._staged)
-        self._staged = []
+        self._build_long_lists(list(self._staged.values()))
+        self._staged = {}
         self._finalized = True
 
     @property

@@ -19,6 +19,9 @@ it a chunk at a time: a chunk's new candidates come out of set operations
 
 from __future__ import annotations
 
+from collections import defaultdict
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from repro.errors import InvertedIndexError
@@ -29,7 +32,6 @@ from repro.core.indexes.cursor import (
     run_windows,
     window_values,
 )
-from repro.core.posting import build_chunk_runs
 from repro.core.result_heap import ResultHeap
 from repro.storage.environment import StorageEnvironment
 from repro.text.documents import DocumentStore
@@ -90,7 +92,9 @@ class ChunkIndex(LongListIndex):
 
     # -- build -------------------------------------------------------------------
 
-    def _build_long_lists(self, staged: list[_StagedDocument]) -> None:
+    def _long_list_columns(self, staged: list[_StagedDocument]) -> dict[str, tuple]:
+        """Each term's ``(chunk_id, doc_ids, term_scores)`` runs, from one
+        sort of ``staged`` by ``(-chunk_id, doc_id)``."""
         scores = [document.score for document in staged]
         if self._chunk_strategy is not None:
             self.chunk_map = self._chunk_strategy(scores)
@@ -98,15 +102,16 @@ class ChunkIndex(LongListIndex):
             self.chunk_map = ratio_chunks(
                 scores, ratio=self.chunk_ratio, min_chunk_size=self.min_chunk_size
             )
-        term_docs: dict[str, list[tuple[int, int, float]]] = {}
-        for document in staged:
-            chunk_id = self.chunk_map.chunk_of(document.score)
-            for term in document.term_frequencies:
-                term_docs.setdefault(term, []).append(
-                    (document.doc_id, chunk_id, self._current_term_score(document.doc_id, term))
-                )
-        for term, entries in term_docs.items():
-            self._write_long_list(term, build_chunk_runs(entries), len(entries))
+        chunk_of = self.chunk_map.chunk_of
+        ordered = sorted(((chunk_of(document.score), document) for document in staged),
+                         key=lambda entry: (-entry[0], entry[1].doc_id))
+        runs: dict[str, list] = defaultdict(list)
+        for chunk_id, group in groupby(ordered, key=itemgetter(0)):
+            doc_ids, term_scores = self._term_columns(document for _chunk_id, document in group)
+            for term, ids in doc_ids.items():
+                runs[term].append(
+                    (chunk_id, ids, None if term_scores is None else term_scores[term]))
+        return {term: (term_runs,) for term, term_runs in runs.items()}
 
     # -- query (Algorithm 2 with chunks) ----------------------------------------------------
 

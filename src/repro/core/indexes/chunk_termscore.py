@@ -20,7 +20,7 @@ empty and no remaining document's combined upper bound can enter the top-k.
 
 from __future__ import annotations
 
-from repro.core.indexes.base import QueryResult, QueryStats, _StagedDocument
+from repro.core.indexes.base import QueryResult, QueryStats
 from repro.core.indexes.chunk import ChunkIndex, _ChunkCandidates
 from repro.core.result_heap import ResultHeap
 from repro.storage.environment import StorageEnvironment
@@ -65,15 +65,13 @@ class ChunkTermScoreIndex(ChunkIndex):
 
     # -- build ------------------------------------------------------------------
 
-    def _build_long_lists(self, staged: list[_StagedDocument]) -> None:
-        super()._build_long_lists(staged)
-        term_entries: dict[str, list[tuple[float, int]]] = {}
-        for document in staged:
-            for term in document.term_frequencies:
-                term_entries.setdefault(term, []).append(
-                    (self._current_term_score(document.doc_id, term), document.doc_id)
-                )
-        for term, entries in term_entries.items():
+    def _write_long_lists(self, terms, columns: dict[str, tuple]) -> None:
+        """Write the long lists, then each term's fancy list from its runs."""
+        super()._write_long_lists(terms, columns)
+        for term in terms:
+            (runs,) = columns[term]
+            entries = [entry for _chunk_id, doc_ids, term_scores in runs
+                       for entry in zip(term_scores, doc_ids)]
             if len(entries) <= self.fancy_size:
                 # A fancy list that would contain every posting of the term
                 # cannot prune anything; keep only the score ceiling.

@@ -5,7 +5,7 @@ run one query algorithm, Algorithm 2 and its §4.2.1/§4.3.2/§4.3.3 forms:
 merge each term's short (or delta) list into its long list in the list's
 order, score the documents that complete the query against the Score
 table, and stop once nothing left can beat the heap floor.
-:class:`LongListIndex` holds what they share — the cursor
+:class:`LongListIndex` holds what they share — the column build, the cursor
 (:meth:`~LongListIndex._term_stream`), the short-list write path of
 Algorithm 1 and Appendix A, and batched resolution — and
 :func:`run_windows` is the driver.  ARCHITECTURE.md, "Query evaluation:
@@ -15,11 +15,14 @@ window rule per order key and the counting rule.
 
 from __future__ import annotations
 
+import abc
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
+from itertools import chain
 from typing import Callable, Iterable, Iterator
 
 from repro.core import posting
-from repro.core.indexes.base import InvertedIndex, QueryStats
+from repro.core.indexes.base import InvertedIndex, QueryStats, _StagedDocument
 from repro.core.posting import read_list_header
 from repro.errors import ReproError
 from repro.storage.heap_file import SegmentHandle
@@ -92,6 +95,50 @@ class LongListIndex(InvertedIndex):
                     estimated_postings=total, with_term_scores=with_term_scores)
         return plan
 
+    # -- the build --------------------------------------------------------------
+
+    def _build_long_lists(self, staged: "list[_StagedDocument]") -> None:
+        """Gather every term's columns in list order, then write the lists
+        in the order their terms first appear in ``staged``, which pins the
+        segment and page ids (ARCHITECTURE.md, "The build")."""
+        columns = self._long_list_columns(staged)
+        terms = dict.fromkeys(chain.from_iterable(
+            document.term_frequencies for document in staged))
+        self._write_long_lists(terms, columns)
+        self.update_stats.long_list_postings_written += sum(
+            len(document.term_frequencies) for document in staged)
+
+    @abc.abstractmethod
+    def _long_list_columns(self, staged: "list[_StagedDocument]") -> "dict[str, tuple]":
+        """Each term's encoder arguments, gathered after one sort of
+        ``staged`` in the method's list order."""
+
+    def _term_columns(self, documents: "Iterable[_StagedDocument]"
+                      ) -> "tuple[dict[str, list[int]], dict[str, list[float]] | None]":
+        """Each term's doc ids over ``documents`` in their order, and for a
+        TermScore variant the aligned ``tf / length`` (else ``None``)."""
+        doc_ids: "dict[str, list[int]]" = defaultdict(list)
+        term_scores = defaultdict(list) if self.stores_term_scores else None
+        for document in documents:
+            doc_id = document.doc_id
+            for term in document.term_frequencies:
+                doc_ids[term].append(doc_id)
+            if term_scores is not None:
+                current = self.documents.get(doc_id)
+                frequencies, length = current.term_frequencies, current.length or 1
+                for term in document.term_frequencies:
+                    term_scores[term].append(frequencies.get(term, 0) / length)
+        return doc_ids, term_scores
+
+    def _write_long_lists(self, terms: "Iterable[str]", columns: "dict[str, tuple]") -> None:
+        """Encode and store the long list of each of ``terms``, in order."""
+        encode = getattr(posting, f"encode_blocked_{_PAYLOADS[self.list_kind]}")
+        write, page_size = self._long_lists.write, self.page_size
+        for term in terms:
+            self._segments[term] = write(encode(*columns[term], page_size=page_size),
+                                         key=term)
+            self.long_list_version += 1
+
     # -- the cursor -------------------------------------------------------------
 
     def _term_stream(self, term_index: int, term: str, stats: QueryStats) -> list:
@@ -104,15 +151,6 @@ class LongListIndex(InvertedIndex):
         blocks, removed = self._short_blocks(term)
         return [_drop_removed(self._long_items(term), self.list_kind == "scored",
                               removed, stats), iter(blocks)]
-
-    def _write_long_list(self, term: str, items: list, count: int) -> None:
-        """Encode ``term``'s long list, one block per page, and store it."""
-        encode = getattr(posting, f"encode_blocked_{_PAYLOADS[self.list_kind]}")
-        self._segments[term] = self._long_lists.write(
-            encode(items, with_term_scores=self.stores_term_scores,
-                   page_size=self.page_size), key=term)
-        self.update_stats.long_list_postings_written += count
-        self.long_list_version += 1
 
     def _long_items(self, term: str) -> Iterator[tuple]:
         """Decode the long list a page at a time.  It may come from the
@@ -213,9 +251,7 @@ class LongListIndex(InvertedIndex):
         if not self.stores_term_scores:
             return 0.0
         document = self.documents.get(doc_id)
-        if document.length == 0:
-            return 0.0
-        return document.term_frequency(term) / document.length
+        return document.term_frequency(term) / (document.length or 1)
 
     def _short_key(self, term: str, doc_id: int, state) -> tuple:
         """Short-list key ``(term, -state, doc_id)``, ``(term, doc_id)`` for

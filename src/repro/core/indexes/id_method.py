@@ -20,6 +20,7 @@ their current scores.
 from __future__ import annotations
 
 from itertools import chain
+from operator import attrgetter
 
 from repro.core.indexes.base import QueryResult, QueryStats, _StagedDocument
 from repro.core.indexes.cursor import (
@@ -28,7 +29,6 @@ from repro.core.indexes.cursor import (
     run_windows,
     window_values,
 )
-from repro.core.posting import Posting
 from repro.core.result_heap import ResultHeap
 
 
@@ -42,17 +42,10 @@ class IDIndex(LongListIndex):
 
     # -- build ---------------------------------------------------------------
 
-    def _build_long_lists(self, staged: list[_StagedDocument]) -> None:
-        term_docs: dict[str, list[int]] = {}
-        for document in staged:
-            for term in document.term_frequencies:
-                term_docs.setdefault(term, []).append(document.doc_id)
-        for term, doc_ids in term_docs.items():
-            postings = [
-                Posting(doc_id=doc_id, term_score=self._current_term_score(doc_id, term))
-                for doc_id in sorted(set(doc_ids))
-            ]
-            self._write_long_list(term, postings, len(postings))
+    def _long_list_columns(self, staged: list[_StagedDocument]) -> dict[str, tuple]:
+        doc_ids, term_scores = self._term_columns(sorted(staged, key=attrgetter("doc_id")))
+        return {term: (ids, None if term_scores is None else term_scores[term])
+                for term, ids in doc_ids.items()}
 
     # -- query -------------------------------------------------------------------
 

@@ -29,7 +29,6 @@ from repro.core.indexes.cursor import (
     run_windows,
     scored_position,
 )
-from repro.core.posting import ScoredPosting
 from repro.core.result_heap import ResultHeap
 from repro.storage.environment import StorageEnvironment
 from repro.text.documents import DocumentStore
@@ -78,17 +77,11 @@ class ScoreThresholdIndex(LongListIndex):
 
     # -- build --------------------------------------------------------------------
 
-    def _build_long_lists(self, staged: list[_StagedDocument]) -> None:
-        term_docs: dict[str, list[tuple[float, int]]] = {}
-        for document in staged:
-            for term in document.term_frequencies:
-                term_docs.setdefault(term, []).append((document.score, document.doc_id))
-        for term, entries in term_docs.items():
-            entries.sort(key=lambda entry: (-entry[0], entry[1]))
-            postings = [
-                ScoredPosting(doc_id=doc_id, score=score) for score, doc_id in entries
-            ]
-            self._write_long_list(term, postings, len(postings))
+    def _long_list_columns(self, staged: list[_StagedDocument]) -> dict[str, tuple]:
+        ordered = sorted(staged, key=lambda document: (-document.score, document.doc_id))
+        score_of = {document.doc_id: document.score for document in staged}.__getitem__
+        doc_ids, _term_scores = self._term_columns(ordered)
+        return {term: (ids, list(map(score_of, ids))) for term, ids in doc_ids.items()}
 
     # -- query (Algorithm 2) ----------------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Posting representations and the binary layout of long inverted lists.
+"""The binary layout of long inverted lists and its column codecs.
 
 Long inverted lists are immutable binary objects read a page at a time (§5.2),
 so their byte layout determines both Table 1 (index sizes) and the number of
@@ -14,13 +14,16 @@ pages a query scan touches.  This module provides:
   delta-encoded within it).  Every page holds one block with its own count
   and CRC, and the decoders take a list's page iterator and decode one page
   per pull, so a scan that stops early never fetches the remaining pages.
+The encoders take columns (doc ids, plus scores and term scores where the
+kind stores them) and check their order (ARCHITECTURE.md, "The build").
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
+from itertools import repeat
+from operator import gt
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.errors import ChecksumError, InvertedIndexError
@@ -33,6 +36,8 @@ from repro.storage.pager import PAGE_SIZE
 
 def encode_varint(value: int) -> bytes:
     """Encode a non-negative integer as a LEB128 varint."""
+    if 0 <= value < 0x80:
+        return bytes((value,))
     if value < 0:
         raise InvertedIndexError(f"varints encode non-negative integers, got {value}")
     out = bytearray()
@@ -60,44 +65,6 @@ def decode_varint(data: bytes, offset: int) -> tuple[int, int]:
         if not byte & 0x80:
             return result, position
         shift += 7
-
-
-# ---------------------------------------------------------------------------
-# Posting dataclasses
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Posting:
-    """A single long-list posting: a document id and an optional term score."""
-
-    doc_id: int
-    term_score: float = 0.0
-
-
-@dataclass(frozen=True)
-class ScoredPosting:
-    """A Score-Threshold long-list posting: document id plus its (stale) SVR score."""
-
-    doc_id: int
-    score: float
-    term_score: float = 0.0
-
-
-@dataclass(frozen=True)
-class ChunkRun:
-    """One chunk's worth of postings in a chunked long list.
-
-    Attributes
-    ----------
-    chunk_id:
-        The chunk id (higher ids correspond to higher original scores).
-    postings:
-        Postings within the chunk, in increasing document-id order.
-    """
-
-    chunk_id: int
-    postings: tuple[Posting, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -155,98 +122,111 @@ def _assemble(kind: int, with_term_scores: bool, total: int, page_size: int,
     return bytes(out)
 
 
-def encode_blocked_id_postings(postings: Sequence[Posting],
-                               with_term_scores: bool = False,
+def _check_columns(doc_ids: Sequence[int], *columns: "Sequence | None") -> None:
+    if any(column is not None and len(column) != len(doc_ids) for column in columns):
+        raise InvertedIndexError("posting columns must be aligned with the doc ids")
+
+
+def encode_blocked_id_postings(doc_ids: Sequence[int],
+                               term_scores: "Sequence[float] | None" = None,
                                page_size: int = PAGE_SIZE) -> bytes:
-    """Encode postings sorted by increasing document id.
+    """Encode a column of doc ids sorted increasing.
 
     Document ids are delta-encoded varints, the first on each page stored
-    absolute; term scores, when requested, are 4-byte floats per posting
-    (this is what makes the TermScore variants larger, matching Table 1's ID
-    vs ID-TermScore ratio).
+    absolute; ``term_scores``, when given, are aligned with the ids and stored
+    as 4-byte floats per posting (this is what makes the TermScore variants
+    larger, matching Table 1's ID vs ID-TermScore ratio).
     """
-    extra = 4 if with_term_scores else 0
+    _check_columns(doc_ids, term_scores)
+    extra = 0 if term_scores is None else 4
     pack = _FLOAT.pack
     reserve = _count_reserve(page_size, 1 + extra)
-    room = page_size - _CRC.size - reserve - 1 - _varint_size(len(postings))
+    room = page_size - _CRC.size - reserve - 1 - _varint_size(len(doc_ids))
     pages: list[tuple[int, bytes]] = []
     body = bytearray()
-    count = base = previous = 0
-    for posting in postings:
-        doc_id = posting.doc_id
-        if doc_id < previous:
-            raise InvertedIndexError("ID-ordered postings must be sorted by doc id")
-        previous = doc_id
+    count = base = end = 0
+    for doc_id, term_score in zip(doc_ids, term_scores if extra else repeat(None)):
         delta = doc_id - base
-        if len(body) + (1 if delta < 0x80 else _varint_size(delta)) + extra > room:
+        if delta < 0x80:
+            if delta < 0:
+                raise InvertedIndexError("ID-ordered postings must be sorted by doc id")
+            width = 1
+        else:
+            width = 2 if delta < 0x4000 else _varint_size(delta)
+        if end + width + extra > room:
             if not count:
                 raise _too_small(page_size)
             pages.append((count, bytes(body)))
             body = bytearray()
-            count = 0
+            count = end = 0
             room = page_size - _CRC.size - reserve
             delta = doc_id
-            if _varint_size(delta) + extra > room:
+            width = _varint_size(delta)
+            if width + extra > room:
                 raise _too_small(page_size)
-        if delta < 0x80:
+        if width == 1:
             body.append(delta)
+        elif width == 2:
+            body.append(delta & 0x7F | 0x80)
+            body.append(delta >> 7)
         else:
             body += encode_varint(delta)
         if extra:
-            body += pack(posting.term_score)
+            body += pack(term_score)
+        end += width + extra
         count += 1
         base = doc_id
     if count:
         pages.append((count, bytes(body)))
-    return _assemble(BLOCK_KIND_ID, with_term_scores, len(postings), page_size, pages)
+    return _assemble(BLOCK_KIND_ID, extra > 0, len(doc_ids), page_size, pages)
 
 
-def encode_blocked_scored_postings(postings: Sequence[ScoredPosting],
-                                   with_term_scores: bool = False,
+def encode_blocked_scored_postings(doc_ids: Sequence[int], scores: Sequence[float],
+                                   term_scores: "Sequence[float] | None" = None,
                                    page_size: int = PAGE_SIZE) -> bytes:
-    """Encode postings sorted by decreasing score.
+    """Encode doc-id and score columns sorted by decreasing score.
 
-    Each posting stores an 8-byte score and a 4-byte document id; no delta
-    compression is possible because the ids are not sorted.  This reproduces
-    the Score-Threshold method's space overhead relative to the ID method.
+    Each posting stores an 8-byte score and a 4-byte document id (and a
+    4-byte term score when ``term_scores`` is given); no delta compression
+    is possible because the ids are not sorted.  This reproduces the
+    Score-Threshold method's space overhead relative to the ID method.
     """
-    previous_score = None
-    for posting in postings:
-        if previous_score is not None and posting.score > previous_score:
-            raise InvertedIndexError("scored postings must be sorted by decreasing score")
-        previous_score = posting.score
-    record = _SCORED_TS if with_term_scores else _SCORED
+    _check_columns(doc_ids, scores, term_scores)
+    if any(map(gt, scores[1:], scores)):
+        raise InvertedIndexError("scored postings must be sorted by decreasing score")
+    columns = (scores, doc_ids, term_scores)[:2 if term_scores is None else 3]
+    record = _SCORED if term_scores is None else _SCORED_TS
     room = page_size - _CRC.size - _count_reserve(page_size, record.size)
-    per_page = (room - 1 - _varint_size(len(postings))) // record.size
-    if postings and per_page < 1:
+    per_page = (room - 1 - _varint_size(len(doc_ids))) // record.size
+    if doc_ids and per_page < 1:
         raise _too_small(page_size)
     pages: list[tuple[int, bytes]] = []
     start = 0
-    while start < len(postings):
-        span = postings[start:start + per_page]
-        if with_term_scores:
-            body = b"".join(record.pack(p.score, p.doc_id, p.term_score) for p in span)
-        else:
-            body = b"".join(record.pack(p.score, p.doc_id) for p in span)
-        pages.append((len(span), body))
-        start += per_page
+    while start < len(doc_ids):
+        end = start + per_page
+        body = b"".join(map(record.pack, *(column[start:end] for column in columns)))
+        pages.append((len(body) // record.size, body))
+        start = end
         per_page = room // record.size
-    return _assemble(BLOCK_KIND_SCORED, with_term_scores, len(postings), page_size,
+    return _assemble(BLOCK_KIND_SCORED, term_scores is not None, len(doc_ids), page_size,
                      pages)
 
 
-def encode_blocked_chunk_runs(runs: Sequence[ChunkRun],
-                              with_term_scores: bool = False,
-                              page_size: int = PAGE_SIZE) -> bytes:
-    """Encode chunk runs in decreasing chunk-id order.
+def encode_blocked_chunk_runs(
+        runs: "Sequence[tuple[int, Sequence[int], Sequence[float] | None]]",
+        page_size: int = PAGE_SIZE) -> bytes:
+    """Encode ``(chunk_id, doc_ids, term_scores)`` runs in decreasing chunk-id order.
 
-    The chunk id is stored once per run (the Chunk method's "small additional
+    Doc ids within a run are sorted increasing; ``term_scores`` is aligned
+    with them, or ``None`` in every run of a list without term scores.  The
+    chunk id is stored once per run (the Chunk method's "small additional
     overhead for storing the chunk ID once for each chunk"), followed by the
     run length and delta-encoded document ids.  A run that reaches the end of
     a page restarts on the next one as a fresh fragment (chunk id, length,
     absolute first doc id), so every page decodes on its own.
     """
-    total = sum(len(run.postings) for run in runs)
+    with_term_scores = bool(runs) and runs[0][2] is not None
+    total = sum(len(doc_ids) for _chunk_id, doc_ids, _term_scores in runs)
     extra = 4 if with_term_scores else 0
     pack = _FLOAT.pack
     reserve = _count_reserve(page_size, 1 + extra)
@@ -255,26 +235,30 @@ def encode_blocked_chunk_runs(runs: Sequence[ChunkRun],
     body = bytearray()
     count = 0
     previous_chunk = None
-    for run in runs:
-        if previous_chunk is not None and run.chunk_id >= previous_chunk:
+    for chunk_id, doc_ids, term_scores in runs:
+        if previous_chunk is not None and chunk_id >= previous_chunk:
             raise InvertedIndexError("chunk runs must be sorted by decreasing chunk id")
-        previous_chunk = run.chunk_id
-        chunk_head = encode_varint(run.chunk_id)
+        if (term_scores is None) == with_term_scores or (
+                extra and len(term_scores) != len(doc_ids)):
+            raise InvertedIndexError("every chunk run must carry aligned term scores, or none")
+        previous_chunk = chunk_id
+        head = encode_varint(chunk_id)
         fragment = bytearray()
-        n = base = previous = 0
-        for posting in run.postings:
-            doc_id = posting.doc_id
-            if doc_id < previous:
-                raise InvertedIndexError(
-                    "postings within a chunk must be sorted by increasing doc id"
-                )
-            previous = doc_id
+        # The page's bytes with this fragment, less its count.
+        end = len(body) + len(head)
+        n = base = 0
+        for doc_id, term_score in zip(doc_ids, term_scores if extra else repeat(None)):
             delta = doc_id - base
-            size = (len(body) + len(chunk_head) + (1 if n < 0x7F else _varint_size(n + 1))
-                    + len(fragment) + (1 if delta < 0x80 else _varint_size(delta)) + extra)
-            if size > room:
+            if delta < 0x80:
+                if delta < 0:
+                    raise InvertedIndexError(
+                        "postings within a chunk must be sorted by increasing doc id")
+                width = 1
+            else:
+                width = 2 if delta < 0x4000 else _varint_size(delta)
+            if end + (1 if n < 0x7F else _varint_size(n + 1)) + width + extra > room:
                 if n:
-                    body += chunk_head + encode_varint(n) + fragment
+                    body += head + encode_varint(n) + fragment
                 elif not count:
                     raise _too_small(page_size)
                 pages.append((count + n, bytes(body)))
@@ -282,19 +266,25 @@ def encode_blocked_chunk_runs(runs: Sequence[ChunkRun],
                 fragment = bytearray()
                 count = n = 0
                 room = page_size - _CRC.size - reserve
+                end = len(head)
                 delta = doc_id
-                if len(chunk_head) + 1 + _varint_size(delta) + extra > room:
+                width = _varint_size(delta)
+                if end + 1 + width + extra > room:
                     raise _too_small(page_size)
-            if delta < 0x80:
+            if width == 1:
                 fragment.append(delta)
+            elif width == 2:
+                fragment.append(delta & 0x7F | 0x80)
+                fragment.append(delta >> 7)
             else:
                 fragment += encode_varint(delta)
             if extra:
-                fragment += pack(posting.term_score)
+                fragment += pack(term_score)
+            end += width + extra
             n += 1
             base = doc_id
         if n:
-            body += chunk_head + encode_varint(n) + fragment
+            body += head + encode_varint(n) + fragment
             count += n
     if count:
         pages.append((count, bytes(body)))
@@ -487,18 +477,3 @@ def build_rekey_operations(
     inserts.sort()
     return deletes, inserts
 
-
-def build_chunk_runs(doc_chunks: Iterable[tuple[int, int, float]]) -> list[ChunkRun]:
-    """Group ``(doc_id, chunk_id, term_score)`` triples into sorted chunk runs.
-
-    Runs are ordered by decreasing chunk id; postings within a run by
-    increasing document id — the on-disk order the Chunk method requires.
-    """
-    by_chunk: dict[int, list[Posting]] = {}
-    for doc_id, chunk_id, term_score in doc_chunks:
-        by_chunk.setdefault(chunk_id, []).append(Posting(doc_id=doc_id, term_score=term_score))
-    runs = []
-    for chunk_id in sorted(by_chunk, reverse=True):
-        postings = tuple(sorted(by_chunk[chunk_id], key=lambda posting: posting.doc_id))
-        runs.append(ChunkRun(chunk_id=chunk_id, postings=postings))
-    return runs

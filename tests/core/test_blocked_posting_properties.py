@@ -17,9 +17,6 @@ from hypothesis import strategies as st
 
 from repro.errors import ChecksumError
 from repro.core.posting import (
-    Posting,
-    ScoredPosting,
-    build_chunk_runs,
     encode_blocked_chunk_runs,
     encode_blocked_id_postings,
     encode_blocked_scored_postings,
@@ -29,7 +26,13 @@ from repro.core.posting import (
     read_list_header,
 )
 from repro.storage.environment import StorageEnvironment
-from tests.helpers import chunk_postings, id_postings, paginate, scored_postings
+from tests.helpers import (
+    chunk_postings,
+    chunk_runs,
+    id_postings,
+    paginate,
+    scored_postings,
+)
 
 doc_ids = st.integers(min_value=0, max_value=2 ** 31 - 1)
 #: Includes the top of the varint range so multi-byte continuation paths and
@@ -73,16 +76,16 @@ def check_pages(data: bytes, page_size: int) -> list[bytes]:
     page_size=page_sizes,
 )
 def test_blocked_id_round_trip(ids, with_term_scores, page_size):
-    postings = [Posting(doc_id=i, term_score=0.5) for i in sorted(ids)]
-    data = encode_blocked_id_postings(postings, with_term_scores=with_term_scores,
+    ids = sorted(ids)
+    data = encode_blocked_id_postings(ids, [0.5] * len(ids) if with_term_scores else None,
                                       page_size=page_size)
     pages = check_pages(data, page_size)
-    assert read_list_header(pages[0]) == (0, with_term_scores, len(postings))
+    assert read_list_header(pages[0]) == (0, with_term_scores, len(ids))
     items = per_page(iter_blocked_id_postings_lazy, pages)
     expected_ts = 0.5 if with_term_scores else 0.0
-    assert id_postings(sum(items, [])) == [(p.doc_id, expected_ts) for p in postings]
+    assert id_postings(sum(items, [])) == [(doc_id, expected_ts) for doc_id in ids]
     # One block per page, carrying the page's last doc id.
-    assert all(len(page_items) == 1 for page_items in items if postings)
+    assert all(len(page_items) == 1 for page_items in items if ids)
     assert all(last == doc_ids[-1] for last, doc_ids, _ts in sum(items, []))
     assert all((ts is None) == (not with_term_scores) for _l, _d, ts in sum(items, []))
 
@@ -100,21 +103,18 @@ def test_blocked_id_round_trip(ids, with_term_scores, page_size):
 )
 def test_blocked_scored_round_trip(entries, with_term_scores, page_size):
     ordered = sorted(entries, key=lambda entry: (-entry[1], entry[0]))
-    postings = [
-        ScoredPosting(doc_id=doc, score=score, term_score=ts)
-        for doc, score, ts in ordered
-    ]
-    data = encode_blocked_scored_postings(postings, with_term_scores=with_term_scores,
-                                          page_size=page_size)
+    data = encode_blocked_scored_postings(
+        [doc for doc, _s, _ts in ordered], [score for _d, score, _ts in ordered],
+        [ts for _d, _s, ts in ordered] if with_term_scores else None,
+        page_size=page_size)
     pages = check_pages(data, page_size)
-    assert read_list_header(pages[0]) == (1, with_term_scores, len(postings))
+    assert read_list_header(pages[0]) == (1, with_term_scores, len(ordered))
     items = per_page(iter_blocked_scored_postings_lazy, pages)
     assert scored_postings(sum(items, [])) == [
-        (p.doc_id, p.score, p.term_score if with_term_scores else 0.0)
-        for p in postings
+        (doc, score, ts if with_term_scores else 0.0) for doc, score, ts in ordered
     ]
     # One block per page, carrying the page's top score.
-    assert all(len(page_items) == 1 for page_items in items if postings)
+    assert all(len(page_items) == 1 for page_items in items if ordered)
     assert all(bound == scores[0] for bound, _d, scores, _ts in sum(items, []))
 
 
@@ -133,17 +133,14 @@ def test_blocked_scored_round_trip(entries, with_term_scores, page_size):
 def test_blocked_chunk_round_trip(triples, chunks, with_term_scores, page_size):
     # Few distinct chunk ids (``chunks``) so runs straddle pages, but wide
     # ones, so chunk-id varints take several bytes.
-    runs = build_chunk_runs([(doc, chunk % chunks * 2 ** 34 + 1, ts)
-                             for doc, chunk, ts in triples])
-    data = encode_blocked_chunk_runs(runs, with_term_scores=with_term_scores,
-                                     page_size=page_size)
+    runs = chunk_runs([(doc, chunk % chunks * 2 ** 34 + 1, ts)
+                       for doc, chunk, ts in triples], with_term_scores)
+    data = encode_blocked_chunk_runs(runs, page_size=page_size)
     pages = check_pages(data, page_size)
-    assert read_list_header(pages[0]) == (2, with_term_scores, len(triples))
+    assert read_list_header(pages[0]) == (2, with_term_scores and bool(triples),
+                                          len(triples))
     items = per_page(iter_blocked_chunk_postings_lazy, pages)
-    assert chunk_postings(sum(items, [])) == [
-        (run.chunk_id, p.doc_id, p.term_score if with_term_scores else 0.0)
-        for run in runs for p in run.postings
-    ]
+    assert chunk_postings(sum(items, [])) == chunk_postings(runs)
     # A page holds one fragment per chunk: a chunk only splits at a page edge.
     for page_items in items:
         chunk_ids = [chunk_id for chunk_id, _docs, _ts in page_items]
@@ -153,12 +150,12 @@ def test_blocked_chunk_round_trip(triples, chunks, with_term_scores, page_size):
 
 
 def test_empty_lists_round_trip():
-    for kind, encode, decoder in [
-        (0, encode_blocked_id_postings, iter_blocked_id_postings_lazy),
-        (1, encode_blocked_scored_postings, iter_blocked_scored_postings_lazy),
-        (2, encode_blocked_chunk_runs, iter_blocked_chunk_postings_lazy),
+    for kind, encode, columns, decoder in [
+        (0, encode_blocked_id_postings, ([],), iter_blocked_id_postings_lazy),
+        (1, encode_blocked_scored_postings, ([], []), iter_blocked_scored_postings_lazy),
+        (2, encode_blocked_chunk_runs, ([],), iter_blocked_chunk_postings_lazy),
     ]:
-        data = encode([], page_size=64)
+        data = encode(*columns, page_size=64)
         assert read_list_header(data) == (kind, False, 0)
         assert list(decoder(paginate(data, 64))) == []
 
@@ -166,13 +163,13 @@ def test_empty_lists_round_trip():
 def test_single_element_blocks_have_one_posting_each():
     # A 12-byte page holds the CRC, page 0's header, a count and exactly one
     # posting with a term score; a second posting never fits.
-    postings = [Posting(doc_id=i * 3, term_score=i / 8) for i in range(10)]
-    data = encode_blocked_id_postings(postings, with_term_scores=True, page_size=12)
+    ids = [i * 3 for i in range(10)]
+    data = encode_blocked_id_postings(ids, [i / 8 for i in range(10)], page_size=12)
     pages = check_pages(data, 12)
     assert len(pages) == 10
     items = per_page(iter_blocked_id_postings_lazy, pages)
     assert [[(last, doc_ids) for last, doc_ids, _ts in page_items]
-            for page_items in items] == [[(p.doc_id, [p.doc_id])] for p in postings]
+            for page_items in items] == [[(doc_id, [doc_id])] for doc_id in ids]
 
 
 # ---------------------------------------------------------------------------
@@ -187,14 +184,14 @@ def test_single_element_blocks_have_one_posting_each():
     data=st.data(),
 )
 def test_torn_tail_raises_typed_error(ids, page_size, data):
-    postings = [Posting(doc_id=i) for i in sorted(ids)]
-    encoded = encode_blocked_id_postings(postings, page_size=page_size)
+    ids = sorted(ids)
+    encoded = encode_blocked_id_postings(ids, page_size=page_size)
     pages = paginate(encoded, page_size)
     # Cut inside a page, or drop whole pages at a page edge.
     cut = data.draw(st.one_of(
         st.integers(min_value=1, max_value=len(encoded) - 1),
         st.sampled_from([page_size * n for n in range(1, len(pages))] or [1])))
-    expected = [(p.doc_id, 0.0) for p in postings]
+    expected = [(doc_id, 0.0) for doc_id in ids]
     blocks = []
     with pytest.raises(ChecksumError):
         for item in iter_blocked_id_postings_lazy(paginate(encoded[:cut], page_size)):
@@ -217,7 +214,7 @@ def test_torn_tail_raises_typed_error(ids, page_size, data):
     data=st.data(),
 )
 def test_torn_chunk_tail_raises_typed_error(triples, page_size, data):
-    runs = build_chunk_runs(triples)
+    runs = chunk_runs(triples)
     encoded = encode_blocked_chunk_runs(runs, page_size=page_size)
     cut = data.draw(st.integers(min_value=1, max_value=len(encoded) - 1))
     fragments = []
@@ -225,9 +222,7 @@ def test_torn_chunk_tail_raises_typed_error(triples, page_size, data):
         for item in iter_blocked_chunk_postings_lazy(paginate(encoded[:cut], page_size)):
             fragments.append(item)
     produced = chunk_postings(fragments)
-    expected = [
-        (run.chunk_id, p.doc_id, 0.0) for run in runs for p in run.postings
-    ]
+    expected = chunk_postings(runs)
     assert produced == expected[: len(produced)]
 
 
@@ -250,8 +245,9 @@ def test_torn_chunk_tail_raises_typed_error(triples, page_size, data):
 )
 def test_bitrot_detected_or_identical(entries, page_size, position, flip):
     ordered = sorted(entries, key=lambda entry: (-entry[1], entry[0]))
-    postings = [ScoredPosting(doc_id=doc, score=score) for doc, score in ordered]
-    encoded = bytearray(encode_blocked_scored_postings(postings, page_size=page_size))
+    encoded = bytearray(encode_blocked_scored_postings(
+        [doc for doc, _score in ordered], [score for _doc, score in ordered],
+        page_size=page_size))
     encoded[position % len(encoded)] ^= flip
     with pytest.raises(ChecksumError):
         list(iter_blocked_scored_postings_lazy(paginate(bytes(encoded), page_size)))
@@ -267,9 +263,10 @@ def test_bitrot_detected_or_identical(entries, page_size, position, flip):
 )
 def test_id_bitrot_detected_or_identical(ids, with_term_scores, page_size,
                                          position, flip):
-    postings = [Posting(doc_id=i, term_score=(i % 5) / 8) for i in sorted(ids)]
+    ids = sorted(ids)
     encoded = bytearray(encode_blocked_id_postings(
-        postings, with_term_scores=with_term_scores, page_size=page_size))
+        ids, [(i % 5) / 8 for i in ids] if with_term_scores else None,
+        page_size=page_size))
     encoded[position % len(encoded)] ^= flip
     with pytest.raises(ChecksumError):
         list(iter_blocked_id_postings_lazy(paginate(bytes(encoded), page_size)))
@@ -280,10 +277,10 @@ def test_every_byte_flip_in_a_stored_list_raises(backend, tmp_path):
     """Each byte of each stored page, flipped on the disk, fails the scan."""
     env = StorageEnvironment(cache_pages=16, page_size=64,
                              path=str(tmp_path / "env") if backend == "file" else None)
-    runs = build_chunk_runs([(3 * i + 1, 1 + i % 4, i / 64) for i in range(40)])
+    runs = chunk_runs([(3 * i + 1, 1 + i % 4, i / 64) for i in range(40)],
+                      with_term_scores=True)
     heap = env.create_heapfile("lists")
-    handle = heap.write(encode_blocked_chunk_runs(runs, with_term_scores=True,
-                                                  page_size=64))
+    handle = heap.write(encode_blocked_chunk_runs(runs, page_size=64))
     assert handle.page_count > 2
     expected = chunk_postings(iter_blocked_chunk_postings_lazy(heap.iter_pages(handle)))
     for page_id in handle.page_ids:
@@ -314,13 +311,10 @@ def test_golden_bytes_pin_the_wire_format():
     """One tiny list of each kind byte for byte, and sha256 digests of each
     encoder's output for a fixed multi-page input (pages of 128 bytes)."""
     tiny = {
-        "id": encode_blocked_id_postings(
-            [Posting(doc_id=3, term_score=0.5), Posting(doc_id=130, term_score=0.25)],
-            with_term_scores=True),
-        "scored": encode_blocked_scored_postings(
-            [ScoredPosting(doc_id=9, score=2.0), ScoredPosting(doc_id=4, score=1.5)]),
+        "id": encode_blocked_id_postings([3, 130], [0.5, 0.25]),
+        "scored": encode_blocked_scored_postings([9, 4], [2.0, 1.5]),
         "chunk": encode_blocked_chunk_runs(
-            build_chunk_runs([(5, 2, 0.0), (1, 2, 0.0), (8, 1, 0.0)])),
+            chunk_runs([(5, 2, 0.0), (1, 2, 0.0), (8, 1, 0.0)])),
     }
     # crc32 | kind/flags, total | count | postings
     assert {name: data.hex(" ") for name, data in tiny.items()} == {
@@ -329,22 +323,22 @@ def test_golden_bytes_pin_the_wire_format():
                   " 00 00 00 00 00 00 f8 3f 04 00 00 00",
         "chunk": "ab 2e 34 23 04 03 03 02 02 01 04 01 01 08",
     }
-    ids = [Posting(doc_id=7 * i * i + 3, term_score=(i % 11) / 16) for i in range(300)]
-    scored = [
-        ScoredPosting(doc_id=(i * 2654435761) % 100003, score=5000.0 - 1.5 * i,
-                      term_score=(i % 7) / 8)
-        for i in range(300)
-    ]
-    runs = build_chunk_runs([(5 * i + 1, 1 + i % 9, (i % 13) / 16) for i in range(300)])
+    ids = [7 * i * i + 3 for i in range(300)]
+    id_term_scores = [(i % 11) / 16 for i in range(300)]
+    scored = ([(i * 2654435761) % 100003 for i in range(300)],
+              [5000.0 - 1.5 * i for i in range(300)])
+    scored_term_scores = [(i % 7) / 8 for i in range(300)]
+    triples = [(5 * i + 1, 1 + i % 9, (i % 13) / 16) for i in range(300)]
     digests = {
         name: hashlib.sha256(
-            b"".join(encode(items, with_term_scores=flag, page_size=128)
-                     for flag in (False, True))
+            b"".join(encode(*columns, page_size=128) for columns in variants)
         ).hexdigest()
-        for name, encode, items in [
-            ("id", encode_blocked_id_postings, ids),
-            ("scored", encode_blocked_scored_postings, scored),
-            ("chunk", encode_blocked_chunk_runs, runs),
+        for name, encode, variants in [
+            ("id", encode_blocked_id_postings, [(ids,), (ids, id_term_scores)]),
+            ("scored", encode_blocked_scored_postings,
+             [scored, (*scored, scored_term_scores)]),
+            ("chunk", encode_blocked_chunk_runs,
+             [(chunk_runs(triples),), (chunk_runs(triples, with_term_scores=True),)]),
         ]
     }
     assert digests == {

@@ -123,6 +123,33 @@ class TestLifecycleContracts:
         assert sorted(index.documents.doc_ids()) == sorted(doc for doc, _t, _s in corpus)
 
     @pytest.mark.parametrize("method", sorted(METHOD_OPTIONS))
+    def test_staging_a_doc_id_twice_is_rejected_before_any_write(self, method):
+        """A second ``add_document`` of a staged id (content already in the
+        forward index) raises and leaves the first staging alone: the build
+        holds each document once, so every list has one posting per term."""
+        from repro.core.indexes.registry import create_index
+        from repro.storage.environment import StorageEnvironment
+        from repro.text.documents import DocumentStore
+
+        documents = DocumentStore()
+        documents.add_terms(1, ["a", "b"])
+        documents.add_terms(2, ["a"])
+        index = create_index(method, StorageEnvironment(cache_pages=64), documents,
+                             **METHOD_OPTIONS[method])
+        index.add_document(1, 5.0)
+        index.add_document(2, 1.0)
+        pages = disk_page_bytes(index.env)
+        for score in (5.0, 9.0):
+            with pytest.raises(InvertedIndexError):
+                index.add_document(1, score)
+        assert disk_page_bytes(index.env) == pages
+        assert index.score_table.get(1) == 5.0
+        index.finalize()
+        response = index.query(["a"], k=5, conjunctive=False)
+        assert response.doc_ids() == [1, 2]
+        assert response.stats.postings_scanned <= 2
+
+    @pytest.mark.parametrize("method", sorted(METHOD_OPTIONS))
     def test_query_for_unknown_term_returns_empty(self, method, corpus):
         index = build_index(method, corpus, **METHOD_OPTIONS[method])
         response = index.query(["never-seen-term"], k=5)

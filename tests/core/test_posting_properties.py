@@ -12,9 +12,6 @@ from hypothesis import strategies as st
 
 from repro.errors import ChecksumError
 from repro.core.posting import (
-    Posting,
-    ScoredPosting,
-    build_chunk_runs,
     decode_varint,
     encode_blocked_chunk_runs,
     encode_blocked_id_postings,
@@ -24,7 +21,13 @@ from repro.core.posting import (
     iter_blocked_id_postings_lazy,
     iter_blocked_scored_postings_lazy,
 )
-from tests.helpers import chunk_postings, id_postings, paginate, scored_postings
+from tests.helpers import (
+    chunk_postings,
+    chunk_runs,
+    id_postings,
+    paginate,
+    scored_postings,
+)
 
 doc_ids = st.integers(min_value=0, max_value=2 ** 31 - 1)
 term_scores = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, width=32)
@@ -33,10 +36,9 @@ page_sizes = st.integers(min_value=64, max_value=256)
 ONE_PAGE = 1 << 16
 
 
-def lazy(decoder, encode, items, page_size: int, **options) -> list:
-    """Encode at ``page_size`` and decode a page per pull."""
-    return list(decoder(paginate(encode(items, page_size=page_size, **options),
-                                 page_size)))
+def lazy(decoder, encode, columns: tuple, page_size: int) -> list:
+    """Encode ``columns`` at ``page_size`` and decode a page per pull."""
+    return list(decoder(paginate(encode(*columns, page_size=page_size), page_size)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -50,10 +52,10 @@ def test_varint_round_trip(value):
 @settings(max_examples=60, deadline=None)
 @given(ids=st.lists(doc_ids, max_size=200, unique=True))
 def test_id_postings_round_trip(ids):
-    postings = [Posting(doc_id=i) for i in sorted(ids)]
+    ids = sorted(ids)
     blocks = lazy(iter_blocked_id_postings_lazy, encode_blocked_id_postings,
-                  postings, ONE_PAGE)
-    assert id_postings(blocks) == [(p.doc_id, 0.0) for p in postings]
+                  (ids,), ONE_PAGE)
+    assert id_postings(blocks) == [(doc_id, 0.0) for doc_id in ids]
 
 
 @settings(max_examples=60, deadline=None)
@@ -66,10 +68,10 @@ def test_id_postings_round_trip(ids):
 )
 def test_scored_postings_round_trip(entries):
     ordered = sorted(entries, key=lambda entry: -entry[1])
-    postings = [ScoredPosting(doc_id=doc, score=score) for doc, score in ordered]
+    columns = ([doc for doc, _score in ordered], [score for _doc, score in ordered])
     blocks = lazy(iter_blocked_scored_postings_lazy, encode_blocked_scored_postings,
-                  postings, ONE_PAGE)
-    assert scored_postings(blocks) == [(p.doc_id, p.score, 0.0) for p in postings]
+                  columns, ONE_PAGE)
+    assert scored_postings(blocks) == [(doc, score, 0.0) for doc, score in ordered]
 
 
 @settings(max_examples=60, deadline=None)
@@ -82,14 +84,11 @@ def test_scored_postings_round_trip(entries):
     page_size=page_sizes,
 )
 def test_chunk_runs_round_trip_eager_and_lazy(triples, page_size):
-    runs = build_chunk_runs([(doc, chunk, 0.0) for doc, chunk in triples])
-    expected = [
-        (run.chunk_id, posting.doc_id, posting.term_score)
-        for run in runs for posting in run.postings
-    ]
+    runs = chunk_runs([(doc, chunk, 0.0) for doc, chunk in triples])
+    expected = chunk_postings(runs)
     for size in (ONE_PAGE, page_size):
         assert chunk_postings(lazy(iter_blocked_chunk_postings_lazy,
-                                   encode_blocked_chunk_runs, runs, size)) == expected
+                                   encode_blocked_chunk_runs, (runs,), size)) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -98,11 +97,9 @@ def test_chunk_runs_round_trip_eager_and_lazy(triples, page_size):
     page_size=page_sizes,
 )
 def test_lazy_id_decoding_is_page_size_independent(ids, page_size):
-    postings = [Posting(doc_id=i) for i in sorted(ids)]
+    ids = sorted(ids)
     assert id_postings(lazy(iter_blocked_id_postings_lazy, encode_blocked_id_postings,
-                            postings, page_size)) == [
-        (posting.doc_id, posting.term_score) for posting in postings
-    ]
+                            (ids,), page_size)) == [(doc_id, 0.0) for doc_id in ids]
 
 
 # ---------------------------------------------------------------------------
@@ -117,12 +114,13 @@ def test_lazy_id_decoding_is_page_size_independent(ids, page_size):
     page_size=page_sizes,
 )
 def test_lazy_id_termscore_matches_eager(entries, page_size):
-    postings = [Posting(doc_id=doc, term_score=score) for doc, score in sorted(entries)]
+    entries = sorted(entries)
+    columns = ([doc for doc, _ts in entries], [ts for _doc, ts in entries])
     eager, small = (
         id_postings(lazy(iter_blocked_id_postings_lazy, encode_blocked_id_postings,
-                         postings, size, with_term_scores=True))
+                         columns, size))
         for size in (ONE_PAGE, page_size))
-    assert small == eager == [(p.doc_id, p.term_score) for p in postings]
+    assert small == eager == entries
 
 
 @settings(max_examples=60, deadline=None)
@@ -138,17 +136,14 @@ def test_lazy_id_termscore_matches_eager(entries, page_size):
 )
 def test_lazy_scored_matches_eager(entries, page_size, with_term_scores):
     ordered = sorted(entries, key=lambda entry: -entry[1])
-    postings = [
-        ScoredPosting(doc_id=doc, score=score, term_score=ts)
-        for doc, score, ts in ordered
-    ]
+    columns = ([doc for doc, _s, _ts in ordered], [score for _d, score, _ts in ordered],
+               [ts for _d, _s, ts in ordered] if with_term_scores else None)
     eager, small = (
         scored_postings(lazy(iter_blocked_scored_postings_lazy,
-                             encode_blocked_scored_postings, postings, size,
-                             with_term_scores=with_term_scores))
+                             encode_blocked_scored_postings, columns, size))
         for size in (ONE_PAGE, page_size))
     assert small == eager == [
-        (p.doc_id, p.score, p.term_score if with_term_scores else 0.0) for p in postings]
+        (doc, score, ts if with_term_scores else 0.0) for doc, score, ts in ordered]
 
 
 @settings(max_examples=60, deadline=None)
@@ -161,15 +156,12 @@ def test_lazy_scored_matches_eager(entries, page_size, with_term_scores):
     page_size=page_sizes,
 )
 def test_lazy_chunk_termscore_matches_eager(triples, page_size):
-    runs = build_chunk_runs(triples)
+    runs = chunk_runs(triples, with_term_scores=True)
     eager, small = (
         chunk_postings(lazy(iter_blocked_chunk_postings_lazy, encode_blocked_chunk_runs,
-                            runs, size, with_term_scores=True))
+                            (runs,), size))
         for size in (ONE_PAGE, page_size))
-    assert small == eager == [
-        (run.chunk_id, posting.doc_id, posting.term_score)
-        for run in runs for posting in run.postings
-    ]
+    assert small == eager == chunk_postings(runs)
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +177,11 @@ def test_lazy_chunk_termscore_matches_eager(triples, page_size):
     data=st.data(),
 )
 def test_truncated_id_list_raises_or_is_prefix(ids, page_size, with_term_scores, data):
-    postings = [Posting(doc_id=i, term_score=0.5) for i in sorted(ids)]
-    encoded = encode_blocked_id_postings(postings, with_term_scores=with_term_scores,
+    ids = sorted(ids)
+    encoded = encode_blocked_id_postings(ids, [0.5] * len(ids) if with_term_scores else None,
                                          page_size=page_size)
     cut = data.draw(st.integers(min_value=1, max_value=len(encoded) - 1))
-    expected = [(p.doc_id, p.term_score if with_term_scores else 0.0) for p in postings]
+    expected = [(doc_id, 0.5 if with_term_scores else 0.0) for doc_id in ids]
     blocks = []
     with pytest.raises(ChecksumError):
         for item in iter_blocked_id_postings_lazy(paginate(encoded[:cut], page_size)):
@@ -214,14 +206,10 @@ def test_truncated_id_list_raises_or_is_prefix(ids, page_size, with_term_scores,
 )
 def test_truncated_chunk_list_raises_or_is_prefix(triples, page_size,
                                                   with_term_scores, data):
-    runs = build_chunk_runs(triples)
-    encoded = encode_blocked_chunk_runs(runs, with_term_scores=with_term_scores,
-                                        page_size=page_size)
+    runs = chunk_runs(triples, with_term_scores)
+    encoded = encode_blocked_chunk_runs(runs, page_size=page_size)
     cut = data.draw(st.integers(min_value=1, max_value=len(encoded) - 1))
-    expected = [
-        (run.chunk_id, p.doc_id, p.term_score if with_term_scores else 0.0)
-        for run in runs for p in run.postings
-    ]
+    expected = chunk_postings(runs)
     fragments = []
     with pytest.raises(ChecksumError):
         for item in iter_blocked_chunk_postings_lazy(paginate(encoded[:cut], page_size)):

@@ -197,6 +197,22 @@ def chunk_postings(fragments) -> list[tuple[int, int, float]]:
     ]
 
 
+def chunk_runs(triples: Iterable[tuple[int, int, float]], with_term_scores: bool = False
+               ) -> list[tuple[int, list[int], "list[float] | None"]]:
+    """Group ``(doc_id, chunk_id, term_score)`` triples into the chunk
+    encoder's ``(chunk_id, doc_ids, term_scores)`` runs: chunk ids
+    decreasing, doc ids increasing within a run, term scores aligned with
+    them when ``with_term_scores`` and ``None`` otherwise."""
+    runs: list = []
+    for doc_id, chunk_id, term_score in sorted(triples, key=lambda t: (-t[1], t[0])):
+        if not runs or runs[-1][0] != chunk_id:
+            runs.append((chunk_id, [], [] if with_term_scores else None))
+        runs[-1][1].append(doc_id)
+        if with_term_scores:
+            runs[-1][2].append(term_score)
+    return runs
+
+
 def scored_postings(blocks) -> list[tuple[int, float, float]]:
     """Flatten ``(bound, doc_ids, scores, term_scores)`` blocks into
     ``(doc_id, score, term_score)`` postings."""
