@@ -37,7 +37,6 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 from repro.core.posting import (  # noqa: E402
-    build_rekey_operations,
     encode_blocked_chunk_runs,
     encode_blocked_id_postings,
     encode_blocked_scored_postings,
@@ -154,15 +153,51 @@ def bench_btree_batch_update(docs: int, terms: int, updates: int, **_: object) -
             first_old.setdefault(doc_id, old_score)
             final[doc_id] = new_score
             operations += 2 * len(doc_terms[doc_id])
-        coalesced = [
-            (doc_id, first_old[doc_id], new_score)
-            for doc_id, new_score in final.items()
-        ]
-        deletes, inserts = build_rekey_operations(
-            coalesced, lambda doc_id: doc_terms[doc_id]
-        )
+        deletes = []
+        inserts = []
+        for doc_id, new_score in final.items():
+            old_score = first_old[doc_id]
+            if old_score != new_score:
+                for term in doc_terms[doc_id]:
+                    deletes.append((term, -old_score, doc_id))
+                    inserts.append((term, -new_score, doc_id))
+        deletes.sort()
+        inserts.sort()
         store.delete_many(deletes, ignore_missing=True)
         store.put_many((key, None) for key in inserts)
+    elapsed = time.perf_counter() - start
+    return {"seconds": elapsed, "operations": operations}
+
+
+def bench_score_list_rekey(docs: int, terms: int, updates: int, **_: object) -> dict:
+    """The Score method's single-update path as the index runs it.
+
+    The update stream of :func:`bench_btree_score_update`, over a store with
+    the Score method's codecs (``(str, float64, uint32)`` keys, no value):
+    each update re-keys the document's posting in every term's list through
+    one :meth:`~repro.storage.kvstore.KVStore.rekey` call.  ``operations``
+    counts re-keyed postings, so the rate is postings/s.
+    """
+    env = StorageEnvironment(cache_pages=8192, page_size=4096)
+    store = env.create_kvstore("bench.scorelists", key_codec="sfu", value_codec="none")
+    rng = random.Random(11)
+    scores = [rng.uniform(0.0, 1000.0) for _ in range(docs)]
+    doc_terms = {
+        doc_id: sorted(f"t{(doc_id + k) % terms:04d}" for k in range(terms // 8))
+        for doc_id in range(docs)
+    }
+    for doc_id in range(docs):
+        for term in doc_terms[doc_id]:
+            store.put((term, -scores[doc_id], doc_id), None)
+    operations = 0
+    start = time.perf_counter()
+    for _update in range(updates):
+        doc_id = rng.randrange(docs)
+        old_score = scores[doc_id]
+        new_score = max(0.0, old_score + rng.uniform(-50.0, 50.0))
+        scores[doc_id] = new_score
+        operations += store.rekey(doc_terms[doc_id], (-old_score, doc_id),
+                                  (-new_score, doc_id))
     elapsed = time.perf_counter() - start
     return {"seconds": elapsed, "operations": operations}
 
@@ -743,6 +778,7 @@ BENCHES = {
     "btree_insert": bench_btree_insert,
     "btree_score_update": bench_btree_score_update,
     "btree_batch_update": bench_btree_batch_update,
+    "score_list_rekey": bench_score_list_rekey,
     "decode_id_list": bench_decode_id_list,
     "decode_chunk_list": bench_decode_chunk_list,
     "decode_scored_list": bench_decode_scored_list,

@@ -69,10 +69,9 @@ class ScoreIndex(InvertedIndex):
         if old_score == new_score or self._deleted_among([doc_id]):
             return
         # Sorted, so the list tree's shape does not follow hash order.
-        for term in sorted(self._content_terms(doc_id)):
-            self._lists.delete_if_present((term, -old_score, doc_id))
-            self._lists.put((term, -new_score, doc_id), None)
-            self.update_stats.short_list_postings_written += 1
+        terms = sorted(self.documents.get(doc_id).term_frequencies)
+        self._lists.rekey(terms, (-old_score, doc_id), (-new_score, doc_id))
+        self.update_stats.short_list_postings_written += len(terms)
         self.update_stats.short_list_updates += 1
 
     def _after_score_batch(self, changes: list[tuple[int, float, float]]) -> None:
@@ -112,9 +111,7 @@ class ScoreIndex(InvertedIndex):
             (doc_id, first_old[doc_id], new_score)
             for doc_id, new_score in final.items()
         ]
-        deletes, inserts = build_rekey_operations(coalesced, cached_terms)
-        self._lists.delete_many(deletes, ignore_missing=True)
-        self._lists.put_many((key, None) for key in inserts)
+        self._lists.rekey_batch(build_rekey_operations(coalesced, cached_terms))
 
     def _deleted_among(self, doc_ids: "list[int]") -> "set[int]":
         """The deleted documents among ``doc_ids``.

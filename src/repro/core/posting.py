@@ -453,27 +453,20 @@ def iter_blocked_chunk_postings_lazy(
 def build_rekey_operations(
     changes: Iterable[tuple[int, float, float]],
     terms_of: "Callable[[int], Iterable[str]]",
-) -> tuple[list[tuple[str, float, int]], list[tuple[str, float, int]]]:
-    """Turn coalesced score changes into sorted clustered-list re-key batches.
+) -> list[tuple[Iterable[str], tuple[float, int], tuple[float, int]]]:
+    """Turn coalesced score changes into clustered-list re-key moves.
 
     ``changes`` yields ``(doc_id, old_score, new_score)`` triples — one per
     document, already coalesced from first-seen old score to final new score.
     ``terms_of`` maps a document id to its distinct terms (``Content(id)``).
-    Returns ``(deletes, inserts)``: the old ``(term, -old_score, doc_id)`` keys
-    to remove from a score-clustered list and the new ``(term, -new_score,
-    doc_id)`` keys to add, each sorted so a bulk B+-tree pass can consume the
-    run without re-descending per key.  Documents whose score did not change
-    produce no operations (their postings are already keyed correctly).
+    Returns one ``(terms, (-old_score, doc_id), (-new_score, doc_id))`` move
+    per document whose score changed, for
+    :meth:`~repro.storage.kvstore.KVStore.rekey_batch`: it builds the old and
+    new ``(term, -score, doc_id)`` keys with a single update's key builder and
+    applies them as one sorted delete pass and one sorted insert pass.
+    Documents whose score did not change produce no move (their postings are
+    already keyed correctly).
     """
-    deletes: list[tuple[str, float, int]] = []
-    inserts: list[tuple[str, float, int]] = []
-    for doc_id, old_score, new_score in changes:
-        if old_score == new_score:
-            continue
-        for term in terms_of(doc_id):
-            deletes.append((term, -old_score, doc_id))
-            inserts.append((term, -new_score, doc_id))
-    deletes.sort()
-    inserts.sort()
-    return deletes, inserts
+    return [(terms_of(doc_id), (-old_score, doc_id), (-new_score, doc_id))
+            for doc_id, old_score, new_score in changes if old_score != new_score]
 

@@ -431,7 +431,7 @@ class SVRTextIndex:
         """
         with self.router.exclusive():
             self.documents.add_terms(doc_id, terms)
-            self.dictionary.add_document_terms(self.documents.get(doc_id).distinct_terms)
+            self.dictionary.add_document_terms(self.documents.get(doc_id).term_frequencies)
             self.router.add_document(doc_id, score)
 
     def finalize(self) -> None:
@@ -463,7 +463,7 @@ class SVRTextIndex:
         """Insert a pre-analysed document after the index has been built."""
         with self.router.exclusive():
             self.router.insert_document(doc_id, terms, score)
-            self.dictionary.add_document_terms(self.documents.get(doc_id).distinct_terms)
+            self.dictionary.add_document_terms(self.documents.get(doc_id).term_frequencies)
 
     def delete_document(self, doc_id: int) -> None:
         """Delete a document (it stops appearing in query results immediately)."""
@@ -479,7 +479,7 @@ class SVRTextIndex:
             old_terms = self.documents.get(doc_id).distinct_terms
             self.router.update_content(doc_id, new_terms)
             self.dictionary.update_document_terms(
-                old_terms, self.documents.get(doc_id).distinct_terms)
+                old_terms, self.documents.get(doc_id).term_frequencies)
 
     # -- queries -----------------------------------------------------------------------
 

@@ -260,6 +260,8 @@ class KeyCodec:
 
     def __init__(self, fields: str) -> None:
         self.name = fields
+        #: Encoders of a typed tuple key's first field and of the rest.
+        self._head = self._tail = None
         if fields == "*":
             self.encode = self._encode_any
             self.decode = self._decode_any
@@ -273,12 +275,35 @@ class KeyCodec:
         else:
             self.encode = _tuple_encoder(fields, encoders)
             self.decode = lambda data: self._decode_from(data, 0, decoders)
+            self._head, self._tail = encoders[0], _tuple_encoder(fields[1:], encoders[1:])
         if fields == "i":
             self.encode_sorted = _enc_sorted_ints
 
     def encode_sorted(self, keys: list) -> list[bytes]:
         """``[encode(key) for key in keys]`` for ascending ``keys``."""
         return list(map(self.encode, keys))
+
+    def rekey_pairs(self, heads: "Iterable[Any]", old_suffix: tuple, new_suffix: tuple,
+                    cache: "dict | None" = None) -> list[tuple[bytes, bytes]]:
+        """``(encode((head, *old_suffix)), encode((head, *new_suffix)))`` for
+        each first field in ``heads``.  A typed codec encodes each suffix once
+        and each head once per call, or once per ``cache`` (a ``head ->
+        bytes`` dict shared across calls); the generic codec encodes whole
+        keys."""
+        if self._tail is None:
+            encode = self.encode
+            return [(encode((head, *old_suffix)), encode((head, *new_suffix)))
+                    for head in heads]
+        old, new = self._tail(old_suffix), self._tail(new_suffix)
+        if cache is None:
+            return [(prefix + old, prefix + new) for prefix in map(self._head, heads)]
+        pairs = []
+        for head in heads:
+            prefix = cache.get(head)
+            if prefix is None:
+                prefix = cache[head] = self._head(head)
+            pairs.append((prefix + old, prefix + new))
+        return pairs
 
     @staticmethod
     def _decode_from(data: bytes, pos: int, decoders) -> tuple:
@@ -621,7 +646,41 @@ class KVStore:
         self._check_open()
         return self.tree.delete_many((self._encode_key(key),), ignore_missing=True) == 1
 
+    def rekey(self, heads: "Iterable[Any]", old_suffix: tuple, new_suffix: tuple,
+              value: Any = None) -> int:
+        """Move the entry ``(head, *old_suffix)`` of each of the ascending
+        ``heads`` to ``(head, *new_suffix)``, as :meth:`delete_if_present`
+        and then :meth:`put` per head would, in one tree call (see
+        :meth:`~repro.storage.btree.BPlusTree.rekey_each`); a moved entry
+        keeps its value, an absent one is put with ``value``.  Returns the
+        number of entries found under the old keys."""
+        if self._closed:
+            self._check_open()
+        return self.tree.rekey_each(
+            self.key_codec.rekey_pairs(heads, old_suffix, new_suffix),
+            self._encode_value(value))
+
     # -- bulk operations -------------------------------------------------------
+
+    def rekey_batch(self, moves: "Iterable[tuple[Iterable[Any], tuple, tuple]]",
+                    value: Any = None) -> None:
+        """Apply ``(heads, old_suffix, new_suffix)`` moves of distinct keys as
+        two sorted bulk passes: every old key is deleted (absent ones are
+        skipped), then every new key is put with ``value``.  The keys come
+        from the same builder as :meth:`rekey`'s, each head encoded once."""
+        self._check_open()
+        cache: dict = {}
+        rekey_pairs = self.key_codec.rekey_pairs
+        deletes: list[bytes] = []
+        inserts: list[bytes] = []
+        for heads, old_suffix, new_suffix in moves:
+            for old, new in rekey_pairs(heads, old_suffix, new_suffix, cache):
+                deletes.append(old)
+                inserts.append(new)
+        deletes.sort()
+        inserts.sort()
+        self.tree.delete_many(deletes, ignore_missing=True)
+        self.tree.insert_many(zip(inserts, repeat(self._encode_value(value))))
 
     def put_many(self, items: "Iterable[tuple[Any, Any]]") -> int:
         """Insert or overwrite a batch of entries through one sorted bulk pass.

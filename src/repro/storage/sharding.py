@@ -259,6 +259,16 @@ class ShardedKVStore:
         part = self._single if self._single is not None else self._parts[self._route(key)]
         return part.delete_if_present(key)
 
+    def rekey(self, heads: "Iterable[Any]", old_suffix: tuple, new_suffix: tuple,
+              value: Any = None) -> int:
+        """:meth:`KVStore.rekey`, each head's pair routed by the head (both
+        keys of a pair share it): one call per shard, in shard order."""
+        if self._single is not None:
+            return self._single.rekey(heads, old_suffix, new_suffix, value)
+        return sum(self._parts[shard].rekey(bucket, old_suffix, new_suffix, value)
+                   for shard, bucket in enumerate(self._buckets(heads, self._route))
+                   if bucket)
+
     def contains(self, key: Any) -> bool:
         part = self._single if self._single is not None else self._parts[self._route(key)]
         return part.contains(key)
@@ -294,6 +304,21 @@ class ShardedKVStore:
         buckets = self._buckets(keys, self._route)
         return sum(self._parts[shard].delete_many(bucket, ignore_missing=ignore_missing)
                    for shard, bucket in enumerate(buckets) if bucket)
+
+    def rekey_batch(self, moves: "Iterable[tuple[Iterable[Any], tuple, tuple]]",
+                    value: Any = None) -> None:
+        """:meth:`KVStore.rekey_batch`, each move's heads split by shard."""
+        if self._single is not None:
+            self._single.rekey_batch(moves, value)
+            return
+        per_shard: list[list] = [[] for _ in self._parts]
+        for heads, old_suffix, new_suffix in moves:
+            for shard, bucket in enumerate(self._buckets(heads, self._route)):
+                if bucket:
+                    per_shard[shard].append((bucket, old_suffix, new_suffix))
+        for shard, shard_moves in enumerate(per_shard):
+            if shard_moves:
+                self._parts[shard].rekey_batch(shard_moves, value)
 
     # -- range operations --------------------------------------------------------
 

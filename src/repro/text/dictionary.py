@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.errors import TextError
 
@@ -30,8 +30,10 @@ class TermDictionary:
         self._term_ids: dict[str, int] = {}
         self._doc_freq: dict[str, int] = {}
 
-    def add_document_terms(self, terms: set[str]) -> None:
-        """Record that a new document contains the given distinct terms."""
+    def add_document_terms(self, terms: Iterable[str]) -> None:
+        """Record that a new document contains the given distinct terms; a
+        term seen for the first time gets the next id, in ``terms`` order
+        (pass an ordered collection for ids that do not depend on hashing)."""
         self.version += 1
         for term in terms:
             if term not in self._term_ids:
@@ -39,7 +41,7 @@ class TermDictionary:
                 self._doc_freq[term] = 0
             self._doc_freq[term] += 1
 
-    def remove_document_terms(self, terms: set[str]) -> None:
+    def remove_document_terms(self, terms: Iterable[str]) -> None:
         """Record that a document containing the given distinct terms was removed."""
         self.version += 1
         for term in terms:
@@ -50,10 +52,13 @@ class TermDictionary:
                 )
             self._doc_freq[term] = current - 1
 
-    def update_document_terms(self, old_terms: set[str], new_terms: set[str]) -> None:
-        """Adjust document frequencies for a content update."""
-        self.add_document_terms(new_terms - old_terms)
-        self.remove_document_terms(old_terms - new_terms)
+    def update_document_terms(self, old_terms: Iterable[str],
+                              new_terms: Iterable[str]) -> None:
+        """Adjust document frequencies for a content update; the new terms
+        get ids in ``new_terms`` order."""
+        old, new = set(old_terms), list(new_terms)
+        self.add_document_terms([term for term in new if term not in old])
+        self.remove_document_terms(old.difference(new))
 
     def term_id(self, term: str) -> int:
         """Stable integer id of ``term`` (raises for unknown terms)."""

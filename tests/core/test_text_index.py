@@ -1,5 +1,11 @@
 """Tests for the SVRTextIndex facade (raw text in, ranked results out)."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.errors import QueryError, UnknownMethodError
@@ -104,3 +110,39 @@ class TestTermScoreMethods:
         index.drop_long_list_cache()       # must not raise
         response = index.search("golden", k=2)
         assert response.stats.pages_read >= 0
+
+
+#: Builds, inserts and updates a few documents and prints every term's id.
+_TERM_ID_SCRIPT = """
+import json
+from repro.core.text_index import SVRTextIndex
+index = SVRTextIndex(method="id")
+index.add_document(1, "golden gate bridge at dawn over the bay", 5.0)
+index.add_document(2, "ferry crossing the bay toward golden hills", 3.0)
+index.finalize()
+index.insert_document(3, "harbor seals sleeping near the pier", 2.0)
+index.update_content(1, "fog rolls past the tower and the cables")
+print(json.dumps({term: index.dictionary.term_id(term)
+                  for term in index.dictionary.terms()}))
+"""
+
+
+class TestTermIds:
+    def _term_ids(self, hash_seed: str) -> dict:
+        source = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(source),
+                                                            os.environ.get("PYTHONPATH")])))
+        output = subprocess.run([sys.executable, "-c", _TERM_ID_SCRIPT], env=env,
+                                check=True, capture_output=True, text=True).stdout
+        return json.loads(output)
+
+    def test_term_ids_do_not_depend_on_the_hash_seed(self):
+        first, second = self._term_ids("0"), self._term_ids("1")
+        assert first == second
+        # First-seen order: ids follow each document's term order.
+        assert sorted(first, key=first.get) == [
+            "golden", "gate", "bridge", "at", "dawn", "over", "the", "bay",
+            "ferry", "crossing", "toward", "hills",
+            "harbor", "seals", "sleeping", "near", "pier",
+            "fog", "rolls", "past", "tower", "and", "cables"]

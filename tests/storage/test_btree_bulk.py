@@ -358,3 +358,96 @@ class TestBulkGet:
         assert bulk_reads == point_reads
         assert bulk_stats.misses == point_stats.misses
         assert bulk_stats.hits <= point_stats.hits
+
+
+def _pages(store):
+    """Every page of a store's tree: page id and node bytes (accounting-free)."""
+    tree = store.tree
+    return [(page_id, tree._encode(tree._peek_node(page_id)))
+            for page_id in sorted(tree.page_ids())]
+
+
+def _counters(pool):
+    disk = pool.disk.stats
+    return (disk.reads, disk.writes, disk.sequential_reads, disk.random_reads,
+            pool.stats.misses, pool.stats.evictions, pool.stats.dirty_writebacks)
+
+
+class TestRekey:
+    """``rekey`` against the ``delete_if_present`` + ``put`` loop it replaces."""
+
+    @staticmethod
+    def _moves(seed, count=300):
+        rng = random.Random(seed)
+        heads = [f"t{index:02d}" for index in range(12)]
+        scores = {doc: float(rng.randint(0, 30)) for doc in range(60)}
+        moves = []
+        for _ in range(count):
+            doc = rng.randrange(60)
+            # Mostly small moves (same leaf), some jumps (another leaf).
+            new = scores[doc] + rng.choice([-1.0, 1.0, 0.5, -40.0, 40.0])
+            moves.append((sorted(rng.sample(heads, rng.randint(1, 8))),
+                          (-scores[doc], doc), (-new, doc)))
+            scores[doc] = new
+        return scores, moves
+
+    @pytest.mark.parametrize("codecs", [("sfu", "none"), ("*", "pickle")])
+    def test_rekey_reads_and_writes_like_the_per_key_loop(self, codecs):
+        stores = []
+        for _side in range(2):
+            pool = BufferPool(SimulatedDisk(page_size=256), capacity_pages=6)
+            store = KVStore(pool, "lists", key_codec=codecs[0], value_codec=codecs[1])
+            stores.append(store)
+        _scores, moves = self._moves(3)
+        value = None if codecs[1] == "none" else "v"
+        initial = {}
+        for heads, (old_score, doc), _new in moves:
+            for head in heads:
+                initial.setdefault((head, doc), old_score)
+        for store in stores:
+            store.put_many(((head, score, doc), value)
+                           for (head, doc), score in sorted(initial.items()))
+        loop, call = stores
+        for heads, old_suffix, new_suffix in moves:
+            before = loop.tree.pool.stats.hits, call.tree.pool.stats.hits
+            found = 0
+            for head in heads:
+                old_value = loop.get((head, *old_suffix), default=value)
+                found += loop.delete_if_present((head, *old_suffix))
+                loop.put((head, *new_suffix), old_value)
+            assert call.rekey(heads, old_suffix, new_suffix, value) == found
+            assert _counters(call.tree.pool) == _counters(loop.tree.pool)
+            assert call.tree.pool.stats.hits - before[1] <= loop.tree.pool.stats.hits - before[0]
+        assert _pages(call) == _pages(loop)
+        assert list(call.items()) == list(loop.items())
+        assert len(call) == len(loop)
+
+    def test_absent_old_key_puts_the_default_value(self):
+        store = KVStore(BufferPool(SimulatedDisk()), "lists", key_codec="sfu",
+                        value_codec="pickle")
+        store.put(("a", -1.0, 7), "kept")
+        assert store.rekey(["a", "b"], (-1.0, 7), (-2.0, 7), value="fresh") == 1
+        assert list(store.items()) == [(("a", -2.0, 7), "kept"), (("b", -2.0, 7), "fresh")]
+
+    def test_sharded_rekey_routes_each_head(self):
+        from repro.storage.sharding import ShardedEnvironment
+
+        envs = [ShardedEnvironment(shard_count=3, cache_pages=12, page_size=256)
+                for _side in range(2)]
+        loop, call = [env.create_kvstore("lists", key_codec="sfu", value_codec="none")
+                      for env in envs]
+        scores, moves = self._moves(5, count=120)
+        for store in (loop, call):
+            store.put_many(((head, old_score, doc), None)
+                           for heads, (old_score, doc), _new in moves[:40]
+                           for head in heads)
+        for heads, old_suffix, new_suffix in moves:
+            for head in heads:
+                loop.delete_if_present((head, *old_suffix))
+                loop.put((head, *new_suffix), None)
+            call.rekey(heads, old_suffix, new_suffix)
+        assert list(call.items()) == list(loop.items())
+        for shard in range(3):
+            assert _pages(call.shard_store(shard)) == _pages(loop.shard_store(shard))
+            assert (_counters(envs[1].shards[shard].pool)
+                    == _counters(envs[0].shards[shard].pool))
