@@ -69,7 +69,7 @@ class ScoreIndex(InvertedIndex):
         if old_score == new_score or self._deleted_among([doc_id]):
             return
         # Sorted, so the list tree's shape does not follow hash order.
-        terms = sorted(self.documents.get(doc_id).term_frequencies)
+        terms = sorted(self._content_terms(doc_id))
         self._lists.rekey(terms, (-old_score, doc_id), (-new_score, doc_id))
         self.update_stats.short_list_postings_written += len(terms)
         self.update_stats.short_list_updates += 1

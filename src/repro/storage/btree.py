@@ -326,65 +326,23 @@ class BPlusTree:
     # -- re-keying -------------------------------------------------------------
 
     def rekey_each(self, pairs: "Iterable[tuple[bytes, bytes]]", default: bytes) -> int:
-        """Move each ``old`` key to ``new``, pair by pair, exactly as
-        ``delete_many([old], ignore_missing=True)`` and then ``insert(new,
-        value)`` would, where ``value`` is ``old``'s (``default`` when ``old``
-        is absent).  Returns the number of ``old`` keys found.
+        """Move each ``old`` key to ``new``, pair by pair: :meth:`delete` of
+        ``old`` (skipped when absent), then :meth:`insert` of ``new`` with
+        ``old``'s value (``default`` when ``old`` is absent).  Returns the
+        number of ``old`` keys found.
 
-        Each pair descends from the root twice, reading the pages those two
-        calls read in the same order; no path is held from one pair to the
-        next, so the pool's recency order, and with it every later miss, is
-        theirs too.  When ``new`` lies in the range of the leaf ``old`` was
-        looked up in, the second descent re-reads that path without
-        bisecting, and the leaf is written once, after the placement: the
-        removal's write would find it already the most recently used page,
-        so the only counter that skipping it moves is the pool's hits.
+        Both calls descend from the root; no path is held from one pair to
+        the next, so the pages read, their order and the pool's recency
+        order (and with it every later miss) are those of the per-key loop.
         """
-        width = self.value_width
         found = 0
         for old, new in pairs:
-            node = self._read_node(self._root_id)
-            nodes = [node]
-            low = high = None  # the range of keys the leaf can hold
-            while not node.is_leaf:
-                keys = node.keys
-                index = bisect_right(keys, old)
-                if index:
-                    low = keys[index - 1]
-                if index < len(keys):
-                    high = keys[index]
-                node = self._read_node(node.children[index])
-                nodes.append(node)
-            same_leaf = (low is None or low <= new) and (high is None or new < high)
-            keys = node.keys
-            index = bisect_left(keys, old)
-            value = default
-            if index < len(keys) and keys[index] == old:
-                value = self._remove(node, index)
+            try:
+                value = self.delete(old)
                 found += 1
-                if same_leaf:
-                    # Written after the placement; dirty now so that a
-                    # placement that raises cannot lose the removal.
-                    self._mark_dirty(node)
-                else:
-                    self._write_node(node)
-            if same_leaf:
-                path = [(self._read_node(kept.page_id), None) for kept in nodes]
-            else:
-                path = []
-                self._descend(path, new)
-            leaf = path[-1][0]
-            keys = leaf.keys
-            index = bisect_left(keys, new)
-            present = index < len(keys) and keys[index] == new
-            if present and len(value) == width:  # same size: in place
-                leaf.values[index] = value
-                self._write_node(leaf)
-                continue
-            if not self._place(path, index, new, value, present):
-                self._write_node(leaf)
-            if not present:
-                self._size += 1
+            except KeyNotFoundError:
+                value = default
+            self.insert(new, value)
         return found
 
     # -- range scans -------------------------------------------------------------

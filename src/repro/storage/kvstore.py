@@ -552,9 +552,8 @@ class KVStore:
         self._decode_value = self.value_codec.decode
         self._decode_many = self.value_codec.decode_many
         self._pairs: dict[int, Callable] = {}
-        fields = self.key_codec.name
         #: Encoder of a one-field prefix (the term of a term-keyed store).
-        self._first_field = _FIELDS[fields[0]][0] if len(fields) > 1 and fields != "*" else None
+        self._first_field = self.key_codec._head
         self._closed = False
 
     # -- persistence ---------------------------------------------------------
@@ -646,27 +645,25 @@ class KVStore:
         self._check_open()
         return self.tree.delete_many((self._encode_key(key),), ignore_missing=True) == 1
 
-    def rekey(self, heads: "Iterable[Any]", old_suffix: tuple, new_suffix: tuple,
-              value: Any = None) -> int:
+    def rekey(self, heads: "Iterable[Any]", old_suffix: tuple, new_suffix: tuple) -> int:
         """Move the entry ``(head, *old_suffix)`` of each of the ascending
         ``heads`` to ``(head, *new_suffix)``, as :meth:`delete_if_present`
         and then :meth:`put` per head would, in one tree call (see
         :meth:`~repro.storage.btree.BPlusTree.rekey_each`); a moved entry
-        keeps its value, an absent one is put with ``value``.  Returns the
+        keeps its value, an absent one is put with ``None``.  Returns the
         number of entries found under the old keys."""
         if self._closed:
             self._check_open()
         return self.tree.rekey_each(
             self.key_codec.rekey_pairs(heads, old_suffix, new_suffix),
-            self._encode_value(value))
+            self._encode_value(None))
 
     # -- bulk operations -------------------------------------------------------
 
-    def rekey_batch(self, moves: "Iterable[tuple[Iterable[Any], tuple, tuple]]",
-                    value: Any = None) -> None:
+    def rekey_batch(self, moves: "Iterable[tuple[Iterable[Any], tuple, tuple]]") -> None:
         """Apply ``(heads, old_suffix, new_suffix)`` moves of distinct keys as
         two sorted bulk passes: every old key is deleted (absent ones are
-        skipped), then every new key is put with ``value``.  The keys come
+        skipped), then every new key is put with ``None``.  The keys come
         from the same builder as :meth:`rekey`'s, each head encoded once."""
         self._check_open()
         cache: dict = {}
@@ -680,7 +677,7 @@ class KVStore:
         deletes.sort()
         inserts.sort()
         self.tree.delete_many(deletes, ignore_missing=True)
-        self.tree.insert_many(zip(inserts, repeat(self._encode_value(value))))
+        self.tree.insert_many(zip(inserts, repeat(self._encode_value(None))))
 
     def put_many(self, items: "Iterable[tuple[Any, Any]]") -> int:
         """Insert or overwrite a batch of entries through one sorted bulk pass.

@@ -259,13 +259,12 @@ class ShardedKVStore:
         part = self._single if self._single is not None else self._parts[self._route(key)]
         return part.delete_if_present(key)
 
-    def rekey(self, heads: "Iterable[Any]", old_suffix: tuple, new_suffix: tuple,
-              value: Any = None) -> int:
+    def rekey(self, heads: "Iterable[Any]", old_suffix: tuple, new_suffix: tuple) -> int:
         """:meth:`KVStore.rekey`, each head's pair routed by the head (both
         keys of a pair share it): one call per shard, in shard order."""
         if self._single is not None:
-            return self._single.rekey(heads, old_suffix, new_suffix, value)
-        return sum(self._parts[shard].rekey(bucket, old_suffix, new_suffix, value)
+            return self._single.rekey(heads, old_suffix, new_suffix)
+        return sum(self._parts[shard].rekey(bucket, old_suffix, new_suffix)
                    for shard, bucket in enumerate(self._buckets(heads, self._route))
                    if bucket)
 
@@ -305,11 +304,10 @@ class ShardedKVStore:
         return sum(self._parts[shard].delete_many(bucket, ignore_missing=ignore_missing)
                    for shard, bucket in enumerate(buckets) if bucket)
 
-    def rekey_batch(self, moves: "Iterable[tuple[Iterable[Any], tuple, tuple]]",
-                    value: Any = None) -> None:
+    def rekey_batch(self, moves: "Iterable[tuple[Iterable[Any], tuple, tuple]]") -> None:
         """:meth:`KVStore.rekey_batch`, each move's heads split by shard."""
         if self._single is not None:
-            self._single.rekey_batch(moves, value)
+            self._single.rekey_batch(moves)
             return
         per_shard: list[list] = [[] for _ in self._parts]
         for heads, old_suffix, new_suffix in moves:
@@ -318,7 +316,7 @@ class ShardedKVStore:
                     per_shard[shard].append((bucket, old_suffix, new_suffix))
         for shard, shard_moves in enumerate(per_shard):
             if shard_moves:
-                self._parts[shard].rekey_batch(shard_moves, value)
+                self._parts[shard].rekey_batch(shard_moves)
 
     # -- range operations --------------------------------------------------------
 
